@@ -397,9 +397,11 @@ func measureSuper(n int) (TrajPoint, error) {
 	return measureTrajLoop(cfg, traj.ModeSuperOnly, n)
 }
 
-// measureLayoutTraj times the layout-level engine: n quick-scale 2-patch
-// Surf-Deformer trajectories with a lattice-surgery schedule, reported in
-// patch-weighted simulated cycles so the slot is comparable to the
+// measureLayoutTraj times the engine on a floorplan: n quick-scale 2-patch
+// Surf-Deformer trajectories with a lattice-surgery schedule. Like every
+// trajectory slot it reports the summed per-layout ElapsedCycles (layout
+// clock cycles, not patch-cycles); TrajPoint.Patches carries the patch
+// count, the weight a reader applies to compare the slot with the
 // single-patch trajectory number.
 func measureLayoutTraj(n int) (TrajPoint, error) {
 	cfg := traj.QuickConfig()

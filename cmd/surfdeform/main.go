@@ -217,7 +217,10 @@ func realMain() (err error) {
 // trajLayoutFlags carries the layout axis of the traj experiment from the
 // flag set into run: with -patches >= 2 the trajectory simulates the whole
 // floorplan — N patches, the routing channels between them, and a
-// lattice-surgery schedule replanned around defects.
+// lattice-surgery schedule replanned around defects. Any setting other than
+// the single-patch default (-patches 1, no -program, no -ops) builds a
+// layout config, so out-of-range values fail config validation instead of
+// silently running one patch.
 type trajLayoutFlags struct {
 	patches int
 	program string
@@ -364,7 +367,7 @@ func run(name string, opt experiments.Options, format report.Format, targetRSE, 
 			cfg.Device = defect.NewDeviceModel(tier.deviceRate)
 		}
 		cfg.Trace = tracer
-		if lay.patches > 1 || lay.program != "" || lay.ops > 0 {
+		if lay.patches != 1 || lay.program != "" || lay.ops != 0 {
 			cfg.Layout = &traj.LayoutConfig{Patches: lay.patches, Program: lay.program, Ops: lay.ops}
 		}
 		rows, err := experiments.TrajectoryScan(opt, cfg, experiments.DefaultTrajModes())

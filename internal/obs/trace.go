@@ -54,9 +54,9 @@ type TraceEvent struct {
 
 	// epoch: one scored or cut chunk.
 	Cycles   int64 `json:"cycles,omitempty"`    // chunk length actually credited
-	DecodeNs int64 `json:"decode_ns,omitempty"` // decoder cost of the chunk's shot
-	SampleNs int64 `json:"sample_ns,omitempty"` // sampler cost of the chunk's shot
-	Failed   bool  `json:"failed,omitempty"`    // the scored chunk was a logical failure
+	DecodeNs int64 `json:"decode_ns,omitempty"` // decoder cost of the chunk's shots, summed over patches
+	SampleNs int64 `json:"sample_ns,omitempty"` // sampler cost of the chunk's shots, summed over patches
+	Failed   bool  `json:"failed,omitempty"`    // the scored chunk was a logical failure on some patch
 
 	// detect: the window detector flagged new observables.
 	Flags  int `json:"flags,omitempty"`  // freshly flagged stable ids

@@ -100,6 +100,7 @@ func TestDeviceTrajectoryDeterministic(t *testing.T) {
 // the super band), and results are insensitive to moving the super
 // boundary within that band.
 func TestThreeTierMatchesTwoTierOnExistingScenarios(t *testing.T) {
+	t.Parallel()
 	for _, cfg := range []Config{QuickConfig(), DriftOnlyConfig()} {
 		for _, mode := range []Mode{ModeSurfDeformer, ModeASC, ModeReweightOnly, ModeUntreated} {
 			base, err := Run(cfg, mode, 3)

@@ -16,49 +16,16 @@ func quickLayoutConfig() Config {
 	return cfg
 }
 
+// allModes lists every mitigation arm.
 func allModes() []Mode {
-	return []Mode{ModeSurfDeformer, ModeASC, ModeReweightOnly, ModeUntreated}
-}
-
-// TestLayoutSinglePatchEquivalence pins the N=1 reduction: a 1-patch layout
-// with no surgery schedule is the single-patch trajectory — identical
-// Result on every shared field, for every arm.
-func TestLayoutSinglePatchEquivalence(t *testing.T) {
-	for _, mode := range allModes() {
-		single := QuickConfig()
-		single.Cache = sim.NewDEMCache(0)
-		want, err := Run(single, mode, 42)
-		if err != nil {
-			t.Fatalf("%v single: %v", mode, err)
-		}
-		lay := QuickConfig()
-		lay.Cache = sim.NewDEMCache(0)
-		lay.Layout = &LayoutConfig{Patches: 1}
-		got, err := Run(lay, mode, 42)
-		if err != nil {
-			t.Fatalf("%v layout: %v", mode, err)
-		}
-		if len(got.Patches) != 1 {
-			t.Fatalf("%v: 1-patch layout result has %d patch slices", mode, len(got.Patches))
-		}
-		// Compare the shared fields: the layout result adds only its
-		// per-patch slice, which the single-patch engine does not emit.
-		var wm, gm map[string]any
-		wb, _ := json.Marshal(want)
-		gb, _ := json.Marshal(got)
-		json.Unmarshal(wb, &wm)
-		json.Unmarshal(gb, &gm)
-		delete(gm, "patches")
-		if !reflect.DeepEqual(wm, gm) {
-			t.Errorf("%v: N=1 layout diverges from single-patch:\nsingle %+v\nlayout %+v", mode, want, got)
-		}
-	}
+	return []Mode{ModeSurfDeformer, ModeASC, ModeReweightOnly, ModeUntreated, ModeSuperOnly}
 }
 
 // TestLayoutDeterministic pins the layout engine's store contract: a pure
 // function of (Config, Mode, seed), independent of cache instance or
 // warmth.
 func TestLayoutDeterministic(t *testing.T) {
+	t.Parallel()
 	cfg := quickLayoutConfig()
 	for _, mode := range allModes() {
 		cfg.Cache = sim.NewDEMCache(0)
@@ -89,6 +56,7 @@ func TestLayoutDeterministic(t *testing.T) {
 // surgery counters stay within the schedule, and a completed program has a
 // completion cycle inside the horizon.
 func TestLayoutInvariants(t *testing.T) {
+	t.Parallel()
 	cfg := quickLayoutConfig()
 	cfg.Cache = sim.NewDEMCache(0)
 	anyOps := false
@@ -174,6 +142,7 @@ func TestLayoutResultJSONRoundTrip(t *testing.T) {
 // throughput — stall cycles, merge-blocked operations, or channel-blocked
 // cycles appear, and completion never gets *earlier* under defects.
 func TestChannelBlockingDegradesThroughput(t *testing.T) {
+	t.Parallel()
 	defective := quickLayoutConfig()
 	defective.Cache = sim.NewDEMCache(0)
 	// Stretch the schedule across the horizon (40 sequential ops ≈ 200
@@ -232,6 +201,7 @@ func TestLayoutMitigatedBeatsUntreated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed layout drift comparison")
 	}
+	t.Parallel()
 	cfg := DriftOnlyConfig()
 	cfg.Cache = sim.NewDEMCache(0)
 	cfg.Layout = &LayoutConfig{Patches: 2, Program: "simon"}

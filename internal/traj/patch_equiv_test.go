@@ -12,25 +12,33 @@ import (
 // equality between the incremental path (site-rate DEMs patched from the
 // chunk's nominal DEM, decode graphs re-derived from the nominal merge
 // skeleton) and the full-rebuild reference (every DEM through buildDEM,
-// every graph through NewGraph), across all four arms and several seeds.
-// The patch path must be invisible: not one field of one Result may move.
+// every graph through NewGraph), across every arm and several seeds, for a
+// single patch and for a 2-patch layout. The patch path must be invisible:
+// not one field of one Result may move.
 func TestTrajectoryIncrementalMatchesFull(t *testing.T) {
-	modes := []Mode{ModeSurfDeformer, ModeASC, ModeReweightOnly, ModeUntreated}
+	shapes := []struct {
+		name  string
+		cfg   func() Config
+		seeds int64
+	}{{"single", QuickConfig, 3}, {"layout", quickLayoutConfig, 1}}
 	run := func(patched bool) map[string][]*Result {
 		t.Helper()
 		old := patchDEMs
 		patchDEMs = patched
 		defer func() { patchDEMs = old }()
 		out := map[string][]*Result{}
-		for _, mode := range modes {
-			cfg := QuickConfig()
-			cfg.Cache = sim.NewDEMCache(0)
-			for seed := int64(1); seed <= 3; seed++ {
-				res, err := Run(cfg, mode, seed)
-				if err != nil {
-					t.Fatal(err)
+		for _, shape := range shapes {
+			for _, mode := range allModes() {
+				cfg := shape.cfg()
+				cfg.Cache = sim.NewDEMCache(0)
+				key := shape.name + "/" + mode.String()
+				for seed := int64(1); seed <= shape.seeds; seed++ {
+					res, err := Run(cfg, mode, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out[key] = append(out[key], res)
 				}
-				out[mode.String()] = append(out[mode.String()], res)
 			}
 		}
 		return out
@@ -42,12 +50,12 @@ func TestTrajectoryIncrementalMatchesFull(t *testing.T) {
 	if patches.Value() == p0 {
 		t.Fatal("incremental leg never patched a DEM; the fast path is unexercised")
 	}
-	for mode, want := range full {
-		got := fast[mode]
+	for key, want := range full {
+		got := fast[key]
 		for i := range want {
 			if !reflect.DeepEqual(got[i], want[i]) {
 				t.Errorf("%s seed %d: incremental trajectory diverged from full rebuild:\nfull %+v\nfast %+v",
-					mode, i+1, want[i], got[i])
+					key, i+1, want[i], got[i])
 			}
 		}
 	}

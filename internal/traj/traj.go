@@ -1,23 +1,27 @@
-// Package traj is the closed-loop runtime trajectory engine: it simulates a
-// logical patch over thousands of QEC cycles under stochastic dynamic-defect
-// arrivals and runs the paper's full fig. 5 loop at scale — detect a defect
-// from the syndrome stream, deform adaptively, recover when it subsides.
+// Package traj is the closed-loop runtime trajectory engine: it simulates
+// logical patches over thousands of QEC cycles under stochastic
+// dynamic-defect arrivals and runs the paper's full fig. 5 loop at scale —
+// detect a defect from the syndrome stream, deform adaptively, recover when
+// it subsides. There is one engine (engine.go): a single patch is the
+// 1-tile floorplan, and Config.Layout widens it to N patches with routing
+// channels and a lattice-surgery schedule.
 //
 // A trajectory is segmented into code epochs: maximal stretches of cycles
-// over which both the code and the noise model are constant. An epoch ends
-// when the window detector flags a new region (the deformation unit steps),
+// over which both the codes and the noise model are constant. An epoch ends
+// when a window detector flags a new region (a deformation unit steps),
 // when a defect event starts or expires (the noise model changes), or when a
-// subsided event's recovery is confirmed (the unit shrinks back). Within an
+// subsided event's recovery is confirmed (a unit shrinks back). Within an
 // epoch, rounds are simulated in chunks through the cached DEM → sampler →
 // decoder path (sim.DEMCache + decoder.SharedGraph), so repeated epochs of
 // the same (code, model) shape cost one DEM build for the whole trajectory
 // fan-out.
 //
-// Determinism: all randomness derives from the trajectory seed via two
-// mc.DeriveSeed streams (event timeline and syndrome shots). Nothing depends
-// on scheduling, worker count, or cache state, so a trajectory's Result is a
-// pure function of (Config, Mode, seed) — the property the scan layer relies
-// on for bit-identical parallel and resumed runs.
+// Determinism: all randomness derives from the trajectory seed via
+// mc.DeriveSeed streams (event timeline, device, and one syndrome-shot
+// stream per patch). Nothing depends on scheduling, worker count, or cache
+// state, so a trajectory's Result is a pure function of (Config, Mode,
+// seed) — the property the scan layer relies on for bit-identical parallel
+// and resumed runs.
 //
 // Scale caveat (DESIGN.md §1 applies): cosmic-ray strike footprints are
 // scaled down with the code distances so that a d=9 patch relates to its
@@ -26,19 +30,13 @@ package traj
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"sort"
-	"time"
 
 	"surfdeformer/internal/code"
-	"surfdeformer/internal/core"
 	"surfdeformer/internal/defect"
-	"surfdeformer/internal/deform"
 	"surfdeformer/internal/detect"
 	"surfdeformer/internal/lattice"
-	"surfdeformer/internal/layout"
-	"surfdeformer/internal/mc"
 	"surfdeformer/internal/noise"
 	"surfdeformer/internal/obs"
 	"surfdeformer/internal/sim"
@@ -149,11 +147,12 @@ type Config struct {
 	// See detect.Window.SetHalflife.
 	Halflife float64
 
-	// Layout, when non-nil, selects the layout-level engine: N patches on a
-	// routing grid, defect arrivals landing on any patch or channel, and an
-	// optional lattice-surgery schedule routed through the channels. Nil
-	// runs the single-patch engine; a 1-patch layout without a program is
-	// semantically the single-patch trajectory (test-pinned).
+	// Layout, when non-nil, widens the trajectory to a floorplan: N patches
+	// on a routing grid, defect arrivals landing on any patch or channel,
+	// and an optional lattice-surgery schedule routed through the channels.
+	// Nil runs one patch (the 1-tile floorplan) and omits the per-patch
+	// Result slices; a 1-patch layout without a program differs from it
+	// only by carrying them (test-pinned).
 	Layout *LayoutConfig
 
 	// Cache overrides the process-shared DEM cache (tests).
@@ -312,15 +311,16 @@ type Result struct {
 	// empty per trajectory and its limit is a package constant.
 	OverlayDEMBuilds int `json:"overlay_dem_builds,omitempty"`
 
-	// Layout-level fields, populated only by the layout engine
-	// (Config.Layout non-nil). Patches carries the per-patch slices of the
-	// aggregate counters above; the remaining fields are the router and
-	// lattice-surgery aggregates. In layout mode the cycle-weighted
-	// aggregates (ScoredCycles, BlockedCycles, DistanceCycles) are summed
-	// over patches, i.e. measured in patch-cycles.
+	// Layout-level fields, populated only when Config.Layout is non-nil.
+	// Patches carries the per-patch slices of the aggregate counters above;
+	// the remaining fields are the router and lattice-surgery aggregates.
+	// The cycle-weighted aggregates (ScoredCycles, BlockedCycles,
+	// DistanceCycles) are summed over patches, i.e. measured in
+	// patch-cycles.
 	Patches []PatchResult `json:"patches,omitempty"`
 	// ChannelEvents counts defect events with sites in the routing channels
-	// (outside every patch tile); ChannelBlockedCycles the cycles during
+	// (outside every patch tile; a lone patch has no channels and owns every
+	// site); ChannelBlockedCycles the cycles during
 	// which at least one channel cell was blocked by such an event.
 	ChannelEvents        int   `json:"channel_events,omitempty"`
 	ChannelBlockedCycles int64 `json:"channel_blocked_cycles,omitempty"`
@@ -396,460 +396,43 @@ const (
 type boundary struct {
 	cycle int64
 	kind  int
-	ev    *event
 }
 
 // Run simulates one trajectory and returns its outcome. The result is a
 // pure function of (cfg, mode, seed) — the registry counters and trace
 // events it feeds only observe that result, never shape it.
 func Run(cfg Config, mode Mode, seed int64) (*Result, error) {
-	res, err := run(cfg, mode, seed)
-	if res != nil {
-		obsTrajectories.Inc()
-		obsTrajCycles.Add(res.ElapsedCycles)
-		prefix := "traj." + mode.String() + "."
-		r := obs.Default()
-		r.Counter(prefix + "deformations").Add(int64(res.Deformations))
-		r.Counter(prefix + "recoveries").Add(int64(res.Recoveries))
-		r.Counter(prefix + "reweights").Add(int64(res.Reweights))
-		r.Counter(prefix + "overlay_dem_builds").Add(int64(res.OverlayDEMBuilds))
-		if res.OpsTotal > 0 {
-			r.Counter(prefix + "ops_completed").Add(int64(res.OpsCompleted))
-			r.Counter(prefix + "stall_cycles").Add(res.StallCycles)
-			r.Counter(prefix + "replans").Add(int64(res.Replans))
-			r.Counter(prefix + "merge_blocked").Add(int64(res.MergeBlockedOps))
-		}
-		cfg.Trace.Emit(obs.TraceEvent{
-			Type: obs.TraceEnd, Cycle: res.ElapsedCycles, Arm: res.Mode, Traj: cfg.TraceTraj,
-			Epochs: res.Epochs, Failures: res.Failures,
-			Deformations: res.Deformations, Recoveries: res.Recoveries,
-			Reweights: res.Reweights, OverlayBuilds: res.OverlayDEMBuilds,
-			Severed: res.Severed,
-		})
-	}
-	return res, err
-}
-
-// run is the engine body behind Run.
-func run(cfg Config, mode Mode, seed int64) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Layout != nil {
-		return runLayout(cfg, mode, seed)
-	}
-	tr, tj, arm := cfg.Trace, cfg.TraceTraj, mode.String()
-	cache := cfg.Cache
-	if cache == nil {
-		cache = sim.SharedDEMCache()
-	}
-	nominal := noise.Uniform(cfg.PhysicalRate)
-
-	// Runtime state: a single-patch plan drives the deformation unit and the
-	// channel bookkeeping; the untreated arm keeps the pristine code.
-	var (
-		sys     *core.System
-		curCode *code.Code
-	)
-	base := deform.NewSquareSpec(lattice.Coord{}, cfg.D)
-	bmin, bmax := base.Bounds()
-	switch mode {
-	case ModeUntreated, ModeReweightOnly:
-		c, err := base.Build()
-		if err != nil {
-			return nil, err
-		}
-		curCode = c
-	case ModeASC:
-		lay := layout.New(layout.ASCS, 1, cfg.D, 0)
-		plan := &core.Plan{D: cfg.D, DeltaD: 0, Layout: lay}
-		sys = plan.NewSystemWith(deform.PolicyASC, deform.UniformBudget(0))
-	case ModeSuperOnly:
-		// Bandages never grow or shrink the patch footprint, so the arm
-		// needs no growth reserve; the policy is inert (Step is never
-		// routed here) but the unit must exist for Bandage/Unbandage.
-		lay := layout.New(layout.ASCS, 1, cfg.D, 0)
-		plan := &core.Plan{D: cfg.D, DeltaD: 0, Layout: lay}
-		sys = plan.NewSystemWith(deform.PolicyASC, deform.UniformBudget(0))
-	default:
-		lay := layout.New(layout.SurfDeformer, 1, cfg.D, cfg.DeltaD)
-		plan := &core.Plan{D: cfg.D, DeltaD: cfg.DeltaD, Layout: lay}
-		sys = plan.NewSystemWith(deform.PolicySurfDeformer, deform.UniformBudget(cfg.DeltaD))
-	}
-	if sys != nil {
-		c, err := sys.Unit(0).Code()
-		if err != nil {
-			return nil, err
-		}
-		curCode = c
-	}
-	// The arm's §VIII mitigation ladder routes detected elevations: mild
-	// ones to the decoder-prior reweight tier, severely noisy qubits to a
-	// super-stabilizer bandage, severe regions to deformation (the Step and
-	// Super calls below are gated on Handles). Deforming arms also install
-	// the ladder on their runtime system so consumers inspecting the System
-	// see the ladder its patches actually run under.
-	mit, err := armMitigation(cfg, mode)
+	res, err := run(cfg, mode, seed)
 	if err != nil {
 		return nil, err
 	}
-	if sys != nil {
-		sys.SetMitigation(mit)
+	if cfg.Layout == nil {
+		res.Patches = nil // single-patch results keep their per-patch-free shape
 	}
-	reweightFactor := cfg.ReweightFactor
-	if reweightFactor == 0 {
-		reweightFactor = DefaultReweightFactor
+	obsTrajectories.Inc()
+	obsTrajCycles.Add(res.ElapsedCycles)
+	prefix := "traj." + mode.String() + "."
+	r := obs.Default()
+	r.Counter(prefix + "deformations").Add(int64(res.Deformations))
+	r.Counter(prefix + "recoveries").Add(int64(res.Recoveries))
+	r.Counter(prefix + "reweights").Add(int64(res.Reweights))
+	r.Counter(prefix + "overlay_dem_builds").Add(int64(res.OverlayDEMBuilds))
+	if res.OpsTotal > 0 {
+		r.Counter(prefix + "ops_completed").Add(int64(res.OpsCompleted))
+		r.Counter(prefix + "stall_cycles").Add(res.StallCycles)
+		r.Counter(prefix + "replans").Add(int64(res.Replans))
+		r.Counter(prefix + "merge_blocked").Add(int64(res.MergeBlockedOps))
 	}
-
-	eventRNG := rand.New(rand.NewSource(mc.DeriveSeed(seed, saltEvents)))
-	shotRNG := rand.New(rand.NewSource(mc.DeriveSeed(seed, saltShots)))
-	events := sampleEvents(cfg, bmin, bmax, eventRNG)
-	bounds := eventBoundaries(cfg, events)
-	device := sampleDevice(cfg, bmin, bmax, seed)
-	deviceRates := deviceRateMap(device)
-
-	res := &Result{
-		Mode:           mode.String(),
-		Horizon:        cfg.Horizon,
-		FirstFailCycle: -1,
-		MinDistance:    minDist(curCode),
-		DeviceDefects:  deviceDefectCount(device),
-	}
-	for _, e := range events {
-		res.Events++
-		if e.remove {
-			res.RemoveEvents++
-		}
-	}
-
-	window := detect.NewWindow(cfg.Window, cfg.Threshold)
-	window.SetHalflife(cfg.Halflife)
-	attributed := map[int32]*attribution{}
-	// Hot-model DEMs carry this trajectory's seed-specific defect regions
-	// and estimated-prior overlays and never recur across trajectories; a
-	// private cache keeps them from churning the shared cache's nominal
-	// entries (which every trajectory of the fan-out reuses) through its
-	// wholesale-clear eviction. The memo layers the per-DEM decoders,
-	// samplers and observable stats over both caches, keyed on canonical
-	// configuration keys, and bounds itself — cache clears cannot leak dead
-	// entries or cost the memo its working set.
-	hotCache := sim.NewDEMCache(hotCacheLimit)
-	memo := newDEMMemo()
-	patcher := &sim.Patcher{}
-	var roundScratch [][]int32
-	// The pristine (undeformed) patch is the one code whose DEMs recur
-	// across every trajectory of a fan-out; DEMs of deformed codes encode
-	// this trajectory's seed-specific defect regions and would only churn
-	// the shared cache's working set (forcing wholesale clears and memo
-	// prunes in every concurrent trajectory), so they build privately.
-	pristine := curCode
-	var (
-		prevOverlay map[lattice.Coord]float64
-		codeSites   map[lattice.Coord]bool
-		sitesOf     *code.Code // code codeSites was computed for
-	)
-	blocked := false
-	nextBound := 0
-	cycle := int64(0)
-	quietUntil := int64(0) // post-deformation dwell: no detector consults
-
-	// Boot adaptation: the arm's strongest enabled structural tier handles
-	// the device's defective data qubits before the first cycle (after
-	// `pristine` is captured — device-adapted codes are seed-specific and
-	// must build through the private cache). A device so broken the patch
-	// cannot boot terminates the trajectory as failed from cycle 0.
-	if bc, n, err := bootAdapt(sys, 0, mit, device, nil); err != nil {
-		return terminate(res, 0, err)
-	} else if bc != nil {
-		curCode = bc
-		blocked = sys.Blocked(0)
-		res.Bandages += n
-		if d := minDist(curCode); d < res.MinDistance {
-			res.MinDistance = d
-		}
-	}
-
-	for cycle < cfg.Horizon {
-		// Process due boundaries: model changes need no action (the chunk's
-		// model is rebuilt from the active set below); recovery confirmations
-		// shrink the code back.
-		for nextBound < len(bounds) && bounds[nextBound].cycle <= cycle {
-			b := bounds[nextBound]
-			nextBound++
-			if b.kind != boundRecover {
-				continue
-			}
-			if sys == nil {
-				// Untreated arm: the attribution bookkeeping still expires at
-				// the same confirmation point (by which the stale firings have
-				// aged out of the window) so later events are re-detectable.
-				expireAttributions(events, attributed, cycle)
-				continue
-			}
-			// The recovery path mirrors the arm's structural tier: removal
-			// arms reincorporate sites, the bandage arm releases its
-			// super-stabilizers, anything else just expires the bookkeeping.
-			var recovered int
-			var err error
-			switch {
-			case mit.Handles(defect.SeverityRemove):
-				recovered, err = recoverSubsided(sys, 0, events, attributed, cycle)
-			case mit.Handles(defect.SeveritySuper):
-				recovered, err = unbandageSubsided(sys, 0, events, attributed, cycle)
-			default:
-				expireAttributions(events, attributed, cycle)
-			}
-			if err != nil {
-				return terminate(res, cycle, err)
-			}
-			if recovered > 0 {
-				res.Recoveries++
-				st, err := refresh(sys)
-				if err != nil {
-					return terminate(res, cycle, err)
-				}
-				curCode = st
-				blocked = sys.Blocked(0)
-				if d := minDist(curCode); d < res.MinDistance {
-					res.MinDistance = d
-				}
-				tr.Emit(obs.TraceEvent{Type: obs.TraceRecover, Cycle: cycle, Arm: arm, Traj: tj,
-					Sites: recovered, Distance: minDist(curCode)})
-			}
-		}
-
-		// Chunk length: the scheduling quantum clamped to the next model
-		// boundary and the horizon. DEM construction needs at least 2
-		// rounds, so boundaries quantize to 2 cycles in the worst case.
-		rem := cfg.Horizon - cycle
-		if rem < 2 {
-			// A DEM needs at least 2 rounds; credit the trailing cycle
-			// without sampling it rather than overshoot the horizon.
-			advance(res, rem, blocked, curCode)
-			cycle += rem
-			break
-		}
-		chunk := int64(cfg.ChunkRounds)
-		if nextBound < len(bounds) {
-			if until := bounds[nextBound].cycle - cycle; until < chunk {
-				chunk = until
-			}
-		}
-		if chunk < 2 {
-			chunk = 2
-		}
-		if chunk > rem {
-			chunk = rem // rem >= 2, so the DEM floor still holds
-		}
-
-		if sitesOf != curCode {
-			codeSites = siteSet(curCode)
-			sitesOf = curCode
-		}
-		rates := mergedRates(activeRates(events, cycle), deviceRates)
-		codeCache := cache
-		if curCode != pristine {
-			codeCache = hotCache // deformed code: seed-specific, build privately
-		}
-		// Nominal DEM first: it is both the decode-side baseline and the
-		// patch base for this chunk's site-rate variants (true defect rates
-		// on the sample side, estimated-prior overlays on the decode side) —
-		// variants clone the probability vector and refold only the
-		// mechanisms the changed sites touch instead of re-running the full
-		// fault enumeration.
-		nominalDEM, nomKey, err := codeCache.BuildDEMKeyed(curCode, nominal, int(chunk), cfg.Basis)
-		if err != nil {
-			return nil, err
-		}
-		patchBase := nominalDEM
-		if !patchDEMs {
-			patchBase = nil // full-rebuild reference leg (equivalence suite)
-		}
-		sampleDEM, sampleKey := nominalDEM, nomKey
-		if len(rates) > 0 {
-			sampleDEM, sampleKey, err = hotCache.BuildDEMPatched(patcher, patchBase,
-				curCode, nominal.WithSiteRates(rates), int(chunk), cfg.Basis)
-			if err != nil {
-				return nil, err
-			}
-		}
-		// Decode model: nominal priors, plus — when the arm's ladder enables
-		// the reweight tier — the detector's estimated site-rate overlay.
-		// The overlay derives from window state accumulated by *previous*
-		// chunks: the detector, not the event list, drives the decode model,
-		// so it is nominal until detection and keeps sampling on true rates.
-		var overlay map[lattice.Coord]float64
-		if mit.ReweightTier && cycle >= int64(cfg.Window) {
-			overlay = reweightOverlay(window, memo.obsStats(nomKey, nominalDEM), mit,
-				cfg.PhysicalRate, reweightFactor, cfg.Threshold, cycle >= quietUntil)
-		}
-		decodeDEM, decodeKey := nominalDEM, nomKey
-		overlayBuilt := false
-		if len(overlay) > 0 {
-			preMiss := hotCache.Stats().Misses
-			decodeDEM, decodeKey, err = hotCache.BuildDEMPatched(patcher, patchBase,
-				curCode, nominal.OverlaySiteRates(overlay), int(chunk), cfg.Basis)
-			if err != nil {
-				return nil, err
-			}
-			if hotCache.Stats().Misses > preMiss {
-				res.OverlayDEMBuilds++
-				overlayBuilt = true
-			}
-		}
-		if !maps.Equal(overlay, prevOverlay) {
-			res.Reweights++
-			prevOverlay = overlay
-			if tr != nil {
-				maxMult := 0.0
-				for _, rate := range overlay {
-					if m := rate / cfg.PhysicalRate; m > maxMult {
-						maxMult = m
-					}
-				}
-				tr.Emit(obs.TraceEvent{Type: obs.TraceReweight, Cycle: cycle, Arm: arm, Traj: tj,
-					Overlay: len(overlay), MaxMult: maxMult, DEMBuild: overlayBuilt})
-			}
-		}
-		dec := memo.decoder(decodeKey, decodeDEM, nominalDEM)
-		sampler := memo.sampler(sampleKey, sampleDEM)
-		// Shot timings are measured only under tracing (two clock reads per
-		// chunk otherwise saved) and flow only into trace events, never into
-		// the Result — wall-clock is not deterministic.
-		var sampleNs, decodeNs int64
-		var flagged []int32
-		var failed bool
-		if tr != nil {
-			t0 := time.Now()
-			flagged0, obsFlip := sampler.Shot(shotRNG)
-			sampleNs = time.Since(t0).Nanoseconds()
-			t1 := time.Now()
-			failed = dec.DecodeToObs(flagged0) != obsFlip
-			decodeNs = time.Since(t1).Nanoseconds()
-			flagged = flagged0
-		} else {
-			flagged0, obsFlip := sampler.Shot(shotRNG)
-			failed = dec.DecodeToObs(flagged0) != obsFlip
-			flagged = flagged0
-		}
-		res.Epochs++
-
-		// Stream the chunk's detection events into the window round by
-		// round; a new flag ends the epoch at that round. Rounds 0..chunk-1
-		// map one-to-one onto absolute cycles; the chunk's final detector
-		// round (the data-readout reconstruction) is an artifact of per-chunk
-		// termination and is not fed — the next chunk's round 0 owns that
-		// absolute cycle, so no cycle is ever fed from two shots.
-		cut := int64(-1)
-		var fresh []int32
-		byRound := roundStream(sampleDEM, flagged, chunk, &roundScratch)
-		for r := int64(0); r < chunk; r++ {
-			window.Feed(int(cycle+r), byRound[r])
-			// The engine acts only once a full window of history exists:
-			// during warm-up the effective window is so short that single
-			// noise firings cross any rate threshold, and deforming on them
-			// would shred a healthy patch. After a deformation it dwells one
-			// window (quietUntil) — the region's remaining checks flag over
-			// several rounds, and dwelling batches them into one refining
-			// Step instead of a DEM-rebuilding Step per flag.
-			if at := cycle + r; at < int64(cfg.Window) || at < quietUntil {
-				continue
-			}
-			if fresh = newFlags(window, attributed); len(fresh) != 0 {
-				cut = r
-				break
-			}
-		}
-
-		window.Trim() // bound detector history (and Flagged cost) per chunk
-
-		if cut < 0 {
-			// Full chunk elapsed: score it.
-			res.ScoredCycles += chunk
-			if failed {
-				res.Failures++
-				if res.FirstFailCycle < 0 {
-					res.FirstFailCycle = cycle + chunk
-				}
-			}
-			accrueReweight(res, chunk, overlay, rates, codeSites, cfg.PhysicalRate)
-			advance(res, chunk, blocked, curCode)
-			cycle += chunk
-			tr.Emit(obs.TraceEvent{Type: obs.TraceEpoch, Cycle: cycle, Arm: arm, Traj: tj,
-				Cycles: chunk, Failed: failed, DecodeNs: decodeNs, SampleNs: sampleNs})
-			continue
-		}
-
-		// Epoch ends mid-chunk: attribute the new flags, act, restart from
-		// the cut. The partial chunk carries no failure verdict.
-		elapsed := cut + 1
-		if elapsed > chunk {
-			elapsed = chunk
-		}
-		accrueReweight(res, elapsed, overlay, rates, codeSites, cfg.PhysicalRate)
-		advance(res, elapsed, blocked, curCode)
-		cycle += elapsed
-		tr.Emit(obs.TraceEvent{Type: obs.TraceEpoch, Cycle: cycle, Arm: arm, Traj: tj,
-			Cycles: elapsed, DecodeNs: decodeNs, SampleNs: sampleNs})
-		quietUntil = cycle + int64(cfg.Window)
-		estimate := attribute(sampleDEM, fresh, attributed, events, cycle, res)
-		routeRemove := sys != nil && mit.Handles(defect.SeverityRemove)
-		routeSuper := sys != nil && !routeRemove && mit.Handles(defect.SeveritySuper)
-		if tr != nil {
-			tr.Emit(obs.TraceEvent{Type: obs.TraceDetect, Cycle: cycle, Arm: arm, Traj: tj,
-				Flags: len(fresh), Region: len(estimate)})
-			sev := "observe"
-			switch {
-			case routeRemove:
-				sev = "remove"
-			case routeSuper:
-				sev = "super"
-			}
-			tr.Emit(obs.TraceEvent{Type: obs.TraceMitigate, Cycle: cycle, Arm: arm, Traj: tj, Severity: sev})
-		}
-		switch {
-		case routeRemove:
-			st, err := sys.Step(0, estimate)
-			if err != nil {
-				return terminate(res, cycle, err)
-			}
-			deformed := len(st.Defects) > 0 || st.Enlarged
-			if deformed {
-				res.Deformations++
-			}
-			curCode = st.Code
-			blocked = sys.Blocked(0)
-			if d := minDist(curCode); d < res.MinDistance {
-				res.MinDistance = d
-			}
-			if deformed {
-				tr.Emit(obs.TraceEvent{Type: obs.TraceDeform, Cycle: cycle, Arm: arm, Traj: tj,
-					Defects: len(st.Defects), Enlarged: st.Enlarged, Distance: minDist(curCode)})
-			}
-		case routeSuper:
-			// Bandage tier: merge the estimated region's data qubits into
-			// super-stabilizers in place (check-site estimates have no
-			// bandage analogue — a broken measure qubit is a rate problem,
-			// not a data-qubit merge). Sites the bandage construction cannot
-			// merge (boundary geometry) are skipped, not escalated — this
-			// arm never removes.
-			st, err := sys.Super(0, dataSites(estimate))
-			if err != nil {
-				return terminate(res, cycle, err)
-			}
-			if n := len(st.Defects); n > 0 {
-				res.Bandages += n
-				tr.Emit(obs.TraceEvent{Type: obs.TraceDeform, Cycle: cycle, Arm: arm, Traj: tj,
-					Defects: n, Distance: minDist(st.Code)})
-			}
-			curCode = st.Code
-			blocked = sys.Blocked(0)
-			if d := minDist(curCode); d < res.MinDistance {
-				res.MinDistance = d
-			}
-		}
-	}
-	res.ElapsedCycles = cycle
+	cfg.Trace.Emit(obs.TraceEvent{
+		Type: obs.TraceEnd, Cycle: res.ElapsedCycles, Arm: res.Mode, Traj: cfg.TraceTraj,
+		Epochs: res.Epochs, Failures: res.Failures,
+		Deformations: res.Deformations, Recoveries: res.Recoveries,
+		Reweights: res.Reweights, OverlayBuilds: res.OverlayDEMBuilds,
+		Severed: res.Severed,
+	})
 	return res, nil
 }
 
@@ -898,45 +481,12 @@ func (cfg Config) validate() error {
 	return nil
 }
 
-// terminate ends a trajectory that severed its patch: the remaining horizon
-// is unprotected, so the trajectory counts as failed from the severing cycle
-// onward. The error is consumed — a severed patch is a measured outcome of
-// the arm (ASC-S severs more), not a simulation fault. Like MemorySweep's
-// severed rows, this conservatively classifies *any* removal/enlargement/
-// rebuild error as severing; deform exposes no sentinel distinguishing a
-// disconnected patch from other failures.
-func terminate(res *Result, cycle int64, _ error) (*Result, error) {
-	res.Severed = true
-	res.Failures++
-	if res.FirstFailCycle < 0 {
-		res.FirstFailCycle = cycle
-	}
-	res.ElapsedCycles = cycle
-	res.MinDistance = 0
-	return res, nil
-}
-
-// advance accrues the per-cycle aggregates over an elapsed stretch.
-func advance(res *Result, cycles int64, blocked bool, c *code.Code) {
-	if blocked {
-		res.BlockedCycles += cycles
-	}
-	res.DistanceCycles += int64(minDist(c)) * cycles
-}
-
 func minDist(c *code.Code) int {
 	dx, dz := c.DistanceX(), c.DistanceZ()
 	if dx < dz {
 		return dx
 	}
 	return dz
-}
-
-// refresh rebuilds the system's patch-0 code after a recovery. Rebuilding
-// goes through Unit.Code, not Spec().Build(), so permanent bandages (boot
-// adaptation) survive the rebuild.
-func refresh(sys *core.System) (*code.Code, error) {
-	return sys.Unit(0).Code()
 }
 
 // sampleEvents draws the merged, time-sorted defect timeline of all enabled
@@ -1008,11 +558,11 @@ func sampleEvents(cfg Config, min, max lattice.Coord, rng *rand.Rand) []*event {
 func eventBoundaries(cfg Config, events []*event) []boundary {
 	var bs []boundary
 	for _, e := range events {
-		bs = append(bs, boundary{cycle: e.start, kind: boundModel, ev: e})
+		bs = append(bs, boundary{cycle: e.start, kind: boundModel})
 		if e.end < cfg.Horizon {
-			bs = append(bs, boundary{cycle: e.end, kind: boundModel, ev: e})
+			bs = append(bs, boundary{cycle: e.end, kind: boundModel})
 			if e.remove {
-				bs = append(bs, boundary{cycle: e.end + int64(cfg.Window), kind: boundRecover, ev: e})
+				bs = append(bs, boundary{cycle: e.end + int64(cfg.Window), kind: boundRecover})
 			}
 		}
 	}
@@ -1229,7 +779,8 @@ func activeRemoveSites(events []*event, cycle int64) map[lattice.Coord]bool {
 // subsidedSites drops the attributions whose estimated region no longer
 // intersects any active removable event and returns their sites (minus
 // sites still claimed by an active event), sorted. Nil when nothing
-// subsided — the shared front half of the structural recovery paths.
+// subsided. Every arm expires its subsided attributions through it; the
+// structural arms also undo their action on the returned sites.
 func subsidedSites(events []*event, attributed map[int32]*attribution, cycle int64) []lattice.Coord {
 	active := activeRemoveSites(events, cycle)
 	drop := subsidedIDs(attributed, active)
@@ -1251,46 +802,6 @@ func subsidedSites(events []*event, attributed map[int32]*attribution, cycle int
 	}
 	lattice.SortCoords(sites)
 	return sites
-}
-
-// recoverSubsided reincorporates the subsided attributions' sites into
-// patch i. Returns how many sites were reincorporated (0 when no recovery
-// happened).
-func recoverSubsided(sys *core.System, i int, events []*event, attributed map[int32]*attribution, cycle int64) (int, error) {
-	sites := subsidedSites(events, attributed, cycle)
-	if len(sites) == 0 {
-		return 0, nil
-	}
-	if _, err := sys.Recover(i, sites); err != nil {
-		return 0, err
-	}
-	return len(sites), nil
-}
-
-// unbandageSubsided is the bandage arm's recovery path: the subsided
-// attributions' sites are released from their super-stabilizers (undoing
-// the gauge merge). Boot-adaptation bandages are never in the attribution
-// bookkeeping, so they stay permanent. Returns how many sites were
-// released.
-func unbandageSubsided(sys *core.System, i int, events []*event, attributed map[int32]*attribution, cycle int64) (int, error) {
-	sites := subsidedSites(events, attributed, cycle)
-	if len(sites) == 0 {
-		return 0, nil
-	}
-	st, err := sys.Unbandage(i, sites)
-	if err != nil {
-		return 0, err
-	}
-	return len(st.Defects), nil
-}
-
-// expireAttributions is the untreated arm's counterpart of recoverSubsided:
-// the bookkeeping expires, nothing acts.
-func expireAttributions(events []*event, attributed map[int32]*attribution, cycle int64) {
-	active := activeRemoveSites(events, cycle)
-	for _, id := range subsidedIDs(attributed, active) {
-		delete(attributed, id)
-	}
 }
 
 // subsidedIDs lists, in sorted order, the attributed ids whose flagged

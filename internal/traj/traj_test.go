@@ -13,6 +13,7 @@ import (
 // instance and of whether the DEMs are built fresh or served from a warm
 // cache.
 func TestRunDeterministic(t *testing.T) {
+	t.Parallel()
 	cfg := QuickConfig()
 	for _, mode := range []Mode{ModeSurfDeformer, ModeASC, ModeReweightOnly, ModeUntreated} {
 		cfg.Cache = sim.NewDEMCache(0)
@@ -59,6 +60,7 @@ func TestRunSeedSensitivity(t *testing.T) {
 // TestRunInvariants checks the structural accounting of every arm over a
 // few seeds.
 func TestRunInvariants(t *testing.T) {
+	t.Parallel()
 	cfg := QuickConfig()
 	cfg.Cache = sim.NewDEMCache(0)
 	anyDeformed := false
@@ -184,6 +186,13 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.PhysicalRate = 0.5 },
 		func(c *Config) { c.ReweightFactor = 1 },
 		func(c *Config) { c.ReweightFactor = -2 },
+		func(c *Config) { c.Layout = &LayoutConfig{Patches: 0} },
+		func(c *Config) { c.Layout = &LayoutConfig{Patches: -3} },
+		func(c *Config) { c.Layout = &LayoutConfig{Patches: 257} },
+		func(c *Config) { c.Layout = &LayoutConfig{Patches: 1, Program: "simon"} },
+		func(c *Config) { c.Layout = &LayoutConfig{Patches: 1, Ops: 2} },
+		func(c *Config) { c.Layout = &LayoutConfig{Patches: 2, Ops: -1} },
+		func(c *Config) { c.Layout = &LayoutConfig{Patches: 2, Program: "nope"} },
 	}
 	for i, mutate := range bad {
 		cfg := QuickConfig()
