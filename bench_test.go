@@ -395,14 +395,21 @@ func buildBenchDEM() (*sim.DEM, error) {
 	return sim.BuildDEM(c, noise.Uniform(5e-3), 4, lattice.ZCheck)
 }
 
-// BenchmarkCalibration measures the Λ-model fit (estimator substrate). The
+// BenchmarkCalibration measures the Λ-model calibration: the (p, d)
+// memory grid (experiments.Calibrate) and its fit (estimator.Fit). The
 // rates are chosen high enough that every calibration point sees failures
 // at this shot budget.
 func BenchmarkCalibration(b *testing.B) {
 	var a, pth float64
+	opt := experiments.QuickOptions() // 1500 shots, 4 rounds
+	ps := []float64{5e-3, 8e-3}
 	for i := 0; i < b.N; i++ {
-		m, _, err := estimator.Calibrate([]float64{5e-3, 8e-3}, []int{3, 5}, 4, 1500,
-			decoder.UnionFindFactory(), int64(i+1))
+		opt.Seed = int64(i + 1)
+		rows, err := experiments.Calibrate(opt, ps, []int{3, 5}, experiments.SweepEngine{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := estimator.Fit(ps[0], experiments.CalibrationPoints(rows))
 		if err != nil {
 			b.Fatal(err)
 		}

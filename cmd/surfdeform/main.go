@@ -13,7 +13,11 @@
 // -point-workers and persist/resume per-point results with -store and
 // -resume (results are bit-identical for any worker count and any resume
 // order; see DESIGN.md §7). -store-ls and -store-gc inspect and compact a
-// store without running anything.
+// store without running anything. calibrate measures memory-Z/X over the
+// -p × -d grid and fits the Λ extrapolation model to it:
+//
+//	surfdeform -d 3,5,7 -p 2e-3,4e-3 -shots 20000 -rounds 6 calibrate
+//	surfdeform -target-rse 0.1 -shots 2000000 -point-workers 4 -store cal.jsonl -resume calibrate
 //
 // Observability (DESIGN.md §10): -progress streams grid completion to
 // stderr, -stats prints the full obs metrics snapshot after the run,
@@ -30,7 +34,6 @@ import (
 	"time"
 
 	"surfdeformer/internal/cliutil"
-	"surfdeformer/internal/decoder"
 	"surfdeformer/internal/defect"
 	"surfdeformer/internal/estimator"
 	"surfdeformer/internal/experiments"
@@ -67,6 +70,15 @@ func realMain() (err error) {
 	storeLS := flag.Bool("store-ls", false, "list the contents of -store and exit")
 	storeGC := flag.Bool("store-gc", false, "compact -store (merge segments, drop corrupt lines) and exit")
 	targetRSE := flag.Float64("target-rse", 0, "adaptive early stopping for sweep/calibrate points (0 = fixed budget)")
+	calDs, calPs := []int{3, 5, 7}, []float64{3e-3, 4e-3, 6e-3}
+	flag.Func("d", "calibrate: comma-separated code distances (default 3,5,7)", func(s string) (err error) {
+		calDs, err = cliutil.ParseInts(s)
+		return err
+	})
+	flag.Func("p", "calibrate: comma-separated physical error rates (default 3e-3,4e-3,6e-3)", func(s string) (err error) {
+		calPs, err = cliutil.ParseFloats(s)
+		return err
+	})
 	reweightFactor := flag.Float64("reweight-factor", 0, "traj: rate-multiplier gate of the decoder-prior reweight tier (0 = default)")
 	var tier trajTierFlags
 	flag.Float64Var(&tier.deviceRate, "device-defect-rate", 0, "traj: fabrication defect probability per data qubit and coupler (0 = pristine device; one device sampled per trajectory seed, identical across arms)")
@@ -184,7 +196,7 @@ func realMain() (err error) {
 
 	opt.Stats = &experiments.RunStats{}
 	start := time.Now()
-	runErr := run(name, opt, format, *targetRSE, *reweightFactor, lay, tier, tracer)
+	runErr := run(name, opt, format, *targetRSE, *reweightFactor, calPs, calDs, lay, tier, tracer)
 	if runErr != nil && cliutil.ExitCode(runErr) != cliutil.ExitPartial {
 		return runErr
 	}
@@ -236,7 +248,7 @@ type trajTierFlags struct {
 	halflife       float64
 }
 
-func run(name string, opt experiments.Options, format report.Format, targetRSE, reweightFactor float64, lay trajLayoutFlags, tier trajTierFlags, tracer *obs.Tracer) error {
+func run(name string, opt experiments.Options, format report.Format, targetRSE, reweightFactor float64, calPs []float64, calDs []int, lay trajLayoutFlags, tier trajTierFlags, tracer *obs.Tracer) error {
 	w := os.Stdout
 	structured := func(t *report.Table) error { return t.Write(w, format) }
 	textOnly := format == report.Text
@@ -339,17 +351,6 @@ func run(name string, opt experiments.Options, format report.Format, targetRSE, 
 		if err != nil && rows == nil {
 			return err
 		}
-		if err != nil {
-			// Isolated point failures: render only the rows that completed
-			// (a zero D marks a never-filled slot), then surface the error.
-			kept := rows[:0:0]
-			for _, r := range rows {
-				if r.D != 0 {
-					kept = append(kept, r)
-				}
-			}
-			rows = kept
-		}
 		if textOnly {
 			experiments.RenderSweep(w, rows)
 		} else if rerr := structured(experiments.SweepTable(rows)); rerr != nil {
@@ -390,36 +391,24 @@ func run(name string, opt experiments.Options, format report.Format, targetRSE, 
 			return err
 		}
 	case "calibrate":
-		model, pts, err := estimator.CalibrateOpts(
-			[]float64{3e-3, 4e-3, 6e-3}, []int{3, 5, 7},
-			estimator.CalibrateOptions{
-				Rounds: opt.Rounds, Shots: opt.Shots, TargetRSE: targetRSE,
-				PointWorkers: opt.PointWorkers, Ctx: opt.Ctx,
-				Factory: decoder.UnionFindFactory(), Decoder: "uf",
-				Seed: opt.Seed, Store: opt.Store, Resume: opt.Resume,
-				Progress: opt.Progress,
-				OnPoint: func(fromStore bool) {
-					if fromStore {
-						opt.Stats.AddSkipped()
-					} else {
-						opt.Stats.AddComputed()
-					}
-				},
-			})
-		if err != nil {
+		rows, err := experiments.Calibrate(opt, calPs, calDs, experiments.SweepEngine{TargetRSE: targetRSE})
+		if err != nil && rows == nil {
 			return err
 		}
-		fmt.Fprintf(w, "fitted Λ-model: A = %.4g, p_th = %.4g (from %d points)\n",
-			model.A, model.PThreshold, len(pts))
-		for _, pt := range pts {
-			fmt.Fprintf(w, "  p=%.0e d=%d: measured λ=%.3e, fit λ=%.3e\n",
-				pt.P, pt.D, pt.Lambda, model.RateAt(pt.P, pt.D))
+		model, fitErr := estimator.Fit(calPs[0], experiments.CalibrationPoints(rows))
+		if textOnly {
+			experiments.RenderCalibrate(w, rows, model, fitErr)
+		} else if rerr := structured(experiments.CalibrateTable(rows, model)); rerr != nil {
+			return rerr
+		}
+		if err != nil {
+			return err
 		}
 	case "all":
 		for _, n := range []string{"table1", "table2", "fig11a", "fig11b", "fig11c",
 			"fig12", "fig13a", "fig13b", "fig14a", "fig14b"} {
 			fmt.Fprintf(w, "\n=== %s ===\n", n)
-			if err := run(n, opt, format, targetRSE, reweightFactor, lay, tier, tracer); err != nil {
+			if err := run(n, opt, format, targetRSE, reweightFactor, calPs, calDs, lay, tier, tracer); err != nil {
 				return fmt.Errorf("%s: %w", n, err)
 			}
 		}
@@ -459,7 +448,11 @@ experiments:
             a lattice-surgery schedule (-program, -ops) that replans or
             stalls around channel-blocking defects
   pipeline  integrated detection→deformation loop (extension study)
-  calibrate refit the Λ extrapolation model from simulations
+  calibrate refit the Λ extrapolation model from memory-Z/X simulations
+            of a fresh patch at every (p, d) of the -p × -d grid; prints
+            the measured rates beside the fit (supports -target-rse and
+            -store/-resume; a grid with fewer than 3 usable points prints
+            its table and no fit)
   all       everything above`)
 	flag.PrintDefaults()
 }

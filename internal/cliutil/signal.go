@@ -1,9 +1,9 @@
 package cliutil
 
-// This file holds the graceful-shutdown and exit-code helpers shared by
-// the command-line tools: one signal → context bridge, one error →
-// exit-code mapping, one end-of-run failure report, so both binaries
-// interrupt, drain, and resume identically.
+// This file holds the graceful-shutdown and exit-code helpers of the
+// command-line tools: one signal → context bridge, one error → exit-code
+// mapping, one end-of-run failure report, so every grid interrupts,
+// drains, and resumes identically.
 
 import (
 	"context"

@@ -11,9 +11,9 @@ import (
 
 // OpenStore opens (or creates) the result store at path, reporting any
 // tolerated corrupt lines and any crash repairs (torn tail truncated,
-// stale GC temps removed) to stderr prefixed with the program name. Both
-// CLIs share this so the warnings read the same everywhere. syncPolicy is
-// the -store-sync flag value ("never", "interval", "always").
+// stale GC temps removed) to stderr prefixed with the program name.
+// syncPolicy is the -store-sync flag value ("never", "interval",
+// "always").
 func OpenStore(prog, path, syncPolicy string) (*store.Store, error) {
 	policy, err := store.ParseSyncPolicy(syncPolicy)
 	if err != nil {
@@ -45,10 +45,9 @@ func AddStoreSyncFlag() *string {
 		"store fsync policy: never, interval (at most ~1/s), always (per append)")
 }
 
-// StoreMaintenance runs the -store-ls/-store-gc maintenance modes shared
-// by the CLIs: gc compacts the store in place, ls prints one line per
-// merged point to w. It returns an error when neither mode has a store to
-// act on.
+// StoreMaintenance runs the -store-ls/-store-gc maintenance modes: gc
+// compacts the store in place, ls prints one line per merged point to w.
+// It returns an error when neither mode has a store to act on.
 func StoreMaintenance(prog string, st *store.Store, w io.Writer, ls, gc bool) error {
 	if st == nil {
 		return fmt.Errorf("-store-ls/-store-gc require -store")

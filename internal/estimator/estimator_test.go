@@ -1,17 +1,13 @@
 package estimator
 
 import (
+	"math"
 	"math/rand"
-	"path/filepath"
-	"reflect"
-	"sync/atomic"
 	"testing"
 
-	"surfdeformer/internal/decoder"
 	"surfdeformer/internal/defect"
 	"surfdeformer/internal/layout"
 	"surfdeformer/internal/program"
-	"surfdeformer/internal/store"
 )
 
 func TestLambdaModelMonotone(t *testing.T) {
@@ -32,100 +28,31 @@ func TestLambdaModelMonotone(t *testing.T) {
 	}
 }
 
-func TestCalibrateRecoversModel(t *testing.T) {
-	// Calibrate against real simulations at measurable settings; the fit
-	// must interpolate its own calibration points within a factor ~3.
-	m, pts, err := Calibrate([]float64{4e-3, 6e-3}, []int{3, 5}, 4, 3000,
-		decoder.UnionFindFactory(), 17)
-	if err != nil {
-		t.Fatalf("calibration failed: %v", err)
-	}
-	if m.PThreshold < 1e-3 || m.PThreshold > 0.1 {
-		t.Errorf("fitted threshold %.4g implausible", m.PThreshold)
-	}
-	for _, pt := range pts {
-		pred := m.RateAt(pt.P, pt.D)
-		ratio := pred / pt.Lambda
-		if ratio < 1.0/4 || ratio > 4 {
-			t.Errorf("fit at p=%v d=%d off by %.2fx (measured %v, predicted %v)",
-				pt.P, pt.D, ratio, pt.Lambda, pred)
+// Fit must recover a model exactly from points it generated, and reject
+// grids it cannot fit.
+func TestFitRecoversModel(t *testing.T) {
+	want := &LambdaModel{P: 3e-3, PThreshold: 8e-3, A: 0.07}
+	var pts []CalibrationPoint
+	for _, p := range []float64{3e-3, 4e-3, 6e-3} {
+		for _, d := range []int{3, 5, 7} {
+			pts = append(pts, CalibrationPoint{P: p, D: d, Lambda: want.RateAt(p, d)})
 		}
 	}
-	t.Logf("fitted A=%.3g p_th=%.3g from %d points", m.A, m.PThreshold, len(pts))
-}
-
-// The adaptive calibration path must fit a plausible model, obey the
-// point-worker determinism contract, and resume from the store without
-// recomputing any point.
-func TestCalibrateAdaptiveStoreResume(t *testing.T) {
-	st, err := store.Open(filepath.Join(t.TempDir(), "cal.jsonl"))
+	got, err := Fit(want.P, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	opts := CalibrateOptions{
-		Rounds: 4, Shots: 20000, TargetRSE: 0.25,
-		Factory: decoder.UnionFindFactory(), Decoder: "uf",
-		Seed: 17, Store: st, Resume: true,
-	}
-	ps, ds := []float64{4e-3, 6e-3}, []int{3, 5}
-
-	var computed, skipped atomic.Int64 // OnPoint may be called concurrently
-	opts.OnPoint = func(fromStore bool) {
-		if fromStore {
-			skipped.Add(1)
-		} else {
-			computed.Add(1)
-		}
-	}
-	m1, pts1, err := CalibrateOpts(ps, ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(computed.Load()) != len(ps)*len(ds) || skipped.Load() != 0 {
-		t.Fatalf("first pass: computed %d, skipped %d", computed.Load(), skipped.Load())
-	}
-	if m1.PThreshold < 1e-3 || m1.PThreshold > 0.1 {
-		t.Errorf("adaptive fit threshold %.4g implausible", m1.PThreshold)
+	if got.P != want.P || math.Abs(got.A/want.A-1) > 1e-9 || math.Abs(got.PThreshold/want.PThreshold-1) > 1e-9 {
+		t.Errorf("Fit = %+v, want %+v", *got, *want)
 	}
 
-	// Second pass: everything served from the store, identical fit, and
-	// parallel point workers must not change anything.
-	computed.Store(0)
-	skipped.Store(0)
-	opts.PointWorkers = 4
-	m2, pts2, err := CalibrateOpts(ps, ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if computed.Load() != 0 || int(skipped.Load()) != len(ps)*len(ds) {
-		t.Fatalf("resume pass: computed %d, skipped %d", computed.Load(), skipped.Load())
-	}
-	if *m1 != *m2 || !reflect.DeepEqual(pts1, pts2) {
-		t.Fatalf("resumed fit diverges: %+v vs %+v", m1, m2)
-	}
-}
-
-// Adaptive early stopping must actually save shots versus the fixed
-// budget at an easily-measurable configuration.
-func TestCalibrateAdaptiveSavesShots(t *testing.T) {
-	st, err := store.Open(filepath.Join(t.TempDir(), "cal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	_, _, err = CalibrateOpts([]float64{6e-3}, []int{3, 5, 7}, CalibrateOptions{
-		Rounds: 4, Shots: 200000, TargetRSE: 0.2,
-		Factory: decoder.UnionFindFactory(), Decoder: "uf",
-		Seed: 17, Store: st,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range st.Keys() {
-		pt, _ := st.Get(key)
-		if pt.Shots >= 200000 {
-			t.Errorf("point %s burned the full budget (%d shots) despite TargetRSE", key, pt.Shots)
+	sameD := []CalibrationPoint{{P: 3e-3, D: 5, Lambda: 1e-3}, {P: 4e-3, D: 5, Lambda: 2e-3}, {P: 6e-3, D: 5, Lambda: 4e-3}}
+	zero := append(pts[:2:2], CalibrationPoint{P: 6e-3, D: 7, Lambda: 0})
+	for name, bad := range map[string][]CalibrationPoint{
+		"two points": pts[:2], "one distance": sameD, "zero rate": zero,
+	} {
+		if m, err := Fit(3e-3, bad); err == nil {
+			t.Errorf("%s: Fit = %+v, want an error", name, *m)
 		}
 	}
 }

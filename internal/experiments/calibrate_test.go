@@ -2,20 +2,24 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
-	"surfdeformer/internal/decoder"
 	"surfdeformer/internal/estimator"
 )
 
 // calibrateGolden runs one Λ-model calibration over the (p, d) grid and
 // returns the fitted model with the usable (λ > 0) points it was fitted to.
 func calibrateGolden(opt Options, ps []float64, ds []int, targetRSE float64) (*estimator.LambdaModel, []estimator.CalibrationPoint, error) {
-	return estimator.CalibrateOpts(ps, ds, estimator.CalibrateOptions{
-		Rounds: opt.Rounds, Shots: opt.Shots, TargetRSE: targetRSE,
-		Factory: decoder.UnionFindFactory(), Decoder: "uf", Seed: opt.Seed,
-	})
+	rows, err := Calibrate(opt, ps, ds, SweepEngine{TargetRSE: targetRSE})
+	if err != nil {
+		return nil, nil, err
+	}
+	pts := CalibrationPoints(rows)
+	m, err := estimator.Fit(ps[0], pts)
+	return m, pts, err
 }
 
 // goldenFit renders a fitted model and its points as exact float bits.
@@ -87,5 +91,136 @@ p=0x1.89374bc6a7efap-08 d=5 λ=0x1.028eeac95ffcp-07
 		if got := goldenFit(m, pts); got != tc.want {
 			t.Errorf("%s: calibration changed\ngot:\n%swant:\n%s", tc.name, got, tc.want)
 		}
+	}
+}
+
+func TestCalibrateRecoversModel(t *testing.T) {
+	// Calibrate against real simulations at measurable settings; the fit
+	// must interpolate its own calibration points within a factor ~3.
+	opt := QuickOptions()
+	opt.Shots, opt.Seed = 3000, 17
+	m, pts, err := calibrateGolden(opt, []float64{4e-3, 6e-3}, []int{3, 5}, 0)
+	if err != nil {
+		t.Fatalf("calibration failed: %v", err)
+	}
+	if m.PThreshold < 1e-3 || m.PThreshold > 0.1 {
+		t.Errorf("fitted threshold %.4g implausible", m.PThreshold)
+	}
+	for _, pt := range pts {
+		pred := m.RateAt(pt.P, pt.D)
+		ratio := pred / pt.Lambda
+		if ratio < 1.0/4 || ratio > 4 {
+			t.Errorf("fit at p=%v d=%d off by %.2fx (measured %v, predicted %v)",
+				pt.P, pt.D, ratio, pt.Lambda, pred)
+		}
+	}
+	t.Logf("fitted A=%.3g p_th=%.3g from %d points", m.A, m.PThreshold, len(pts))
+}
+
+// The adaptive calibration path must fit a plausible model, obey the
+// point-worker determinism contract, and resume from the store without
+// recomputing any point.
+func TestCalibrateAdaptiveStoreResume(t *testing.T) {
+	opt := QuickOptions()
+	opt.Shots, opt.Seed = 20000, 17
+	opt.Store, opt.Resume = testStore(t), true
+	ps, ds := []float64{4e-3, 6e-3}, []int{3, 5}
+
+	opt.Stats = &RunStats{}
+	m1, pts1, err := calibrateGolden(opt, ps, ds, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt.Stats.Computed() != len(ps)*len(ds) || opt.Stats.Skipped() != 0 {
+		t.Fatalf("first pass: computed %d, skipped %d", opt.Stats.Computed(), opt.Stats.Skipped())
+	}
+	if m1.PThreshold < 1e-3 || m1.PThreshold > 0.1 {
+		t.Errorf("adaptive fit threshold %.4g implausible", m1.PThreshold)
+	}
+
+	// Second pass: everything served from the store, identical fit, and
+	// parallel point workers must not change anything.
+	opt.Stats = &RunStats{}
+	opt.PointWorkers = 4
+	m2, pts2, err := calibrateGolden(opt, ps, ds, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt.Stats.Computed() != 0 || opt.Stats.Skipped() != len(ps)*len(ds) {
+		t.Fatalf("resume pass: computed %d, skipped %d", opt.Stats.Computed(), opt.Stats.Skipped())
+	}
+	if *m1 != *m2 || !reflect.DeepEqual(pts1, pts2) {
+		t.Fatalf("resumed fit diverges: %+v vs %+v", m1, m2)
+	}
+}
+
+// Adaptive early stopping must actually save shots versus the fixed
+// budget at an easily-measurable configuration.
+func TestCalibrateAdaptiveSavesShots(t *testing.T) {
+	opt := QuickOptions()
+	opt.Shots, opt.Seed = 200000, 17
+	opt.Store = testStore(t)
+	if _, err := Calibrate(opt, []float64{6e-3}, []int{3, 5, 7}, SweepEngine{TargetRSE: 0.2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range opt.Store.Keys() {
+		pt, _ := opt.Store.Get(key)
+		if pt.Shots >= 200000 {
+			t.Errorf("point %s burned the full budget (%d shots) despite TargetRSE", key, pt.Shots)
+		}
+	}
+}
+
+// Bad grid values fail before any point runs: no store row, no stats.
+func TestCalibrateRejectsBadGrid(t *testing.T) {
+	for name, g := range map[string]struct {
+		ps []float64
+		ds []int
+	}{
+		"no p":         {nil, []int{3}},
+		"no d":         {[]float64{1e-3}, nil},
+		"d 0":          {[]float64{1e-3}, []int{3, 0}},
+		"d negative":   {[]float64{1e-3}, []int{-3}},
+		"p 0":          {[]float64{0}, []int{3}},
+		"p negative":   {[]float64{-1}, []int{3}},
+		"p 0.7":        {[]float64{1e-3, 0.7}, []int{3}},
+		"p NaN":        {[]float64{math.NaN()}, []int{3}},
+		"p one half":   {[]float64{0.5}, []int{3}},
+		"d 2 after ok": {[]float64{1e-3}, []int{5, 2}},
+	} {
+		opt := QuickOptions()
+		opt.Store, opt.Stats = testStore(t), &RunStats{}
+		rows, err := Calibrate(opt, g.ps, g.ds, SweepEngine{})
+		if err == nil || rows != nil {
+			t.Errorf("%s: Calibrate = %d rows, %v; want a validation error", name, len(rows), err)
+		}
+		if opt.Store.Len() != 0 || opt.Stats.Computed() != 0 {
+			t.Errorf("%s: %d store rows, %d computed points before the validation error",
+				name, opt.Store.Len(), opt.Stats.Computed())
+		}
+	}
+}
+
+// A grid too short to fit still renders its rows, then says why there is
+// no model; structured output leaves the fit column empty.
+func TestRenderCalibrateShortGrid(t *testing.T) {
+	opt := QuickOptions()
+	opt.Shots = 200
+	rows, err := Calibrate(opt, []float64{6e-3}, []int{3, 5}, SweepEngine{})
+	if err != nil || len(rows) != 2 {
+		t.Fatalf("Calibrate = %d rows, %v", len(rows), err)
+	}
+	m, fitErr := estimator.Fit(6e-3, CalibrationPoints(rows))
+	if fitErr == nil {
+		t.Fatalf("two points fitted a model: %+v", *m)
+	}
+	var sb strings.Builder
+	RenderCalibrate(&sb, rows, m, fitErr)
+	out := sb.String()
+	if lines := strings.Count(out, "\n"); lines != 4 || !strings.Contains(out, "no Λ fit: ") {
+		t.Errorf("short-grid table:\n%s", out)
+	}
+	if tab := CalibrateTable(rows, m); len(tab.Rows) != 2 || tab.Rows[0][5] != "" {
+		t.Errorf("short-grid structured table: %+v", tab.Rows)
 	}
 }

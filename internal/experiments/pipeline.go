@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -11,7 +10,6 @@ import (
 	"surfdeformer/internal/deform"
 	"surfdeformer/internal/detect"
 	"surfdeformer/internal/lattice"
-	"surfdeformer/internal/mc"
 	"surfdeformer/internal/noise"
 	"surfdeformer/internal/sim"
 )
@@ -220,7 +218,8 @@ type sweepConfig struct {
 	TargetRSE float64 `json:"target_rse,omitempty"`
 }
 
-// SweepEngine tunes the Monte-Carlo engine for a sweep.
+// SweepEngine tunes the Monte-Carlo engine for a memory grid (MemorySweep,
+// Calibrate).
 type SweepEngine struct {
 	// Workers sizes the per-point worker pool (0 = all CPUs). Results are
 	// bit-identical for any value.
@@ -230,6 +229,14 @@ type SweepEngine struct {
 	TargetRSE float64
 	// MaxShots caps the adaptive budget (0 = the Options shot budget).
 	MaxShots int
+}
+
+// shots is the per-point shot budget: MaxShots when set, else opt.Shots.
+func (e SweepEngine) shots(opt Options) int {
+	if e.MaxShots > 0 {
+		return e.MaxShots
+	}
+	return opt.Shots
 }
 
 // SweepRow is one measured sweep configuration.
@@ -282,12 +289,10 @@ func DefaultSweepGrid(opt Options) []SweepPoint {
 // from the store and tops up partial ones with only the missing shots
 // (Wilson CIs recomputed from the merged counts). Severed points carry no
 // Monte-Carlo work and are always recomputed (they are pure functions of
-// the config, decided in microseconds).
+// the config, decided in microseconds). Isolated point failures return the
+// completed rows with the error (gridRows).
 func MemorySweep(opt Options, grid []SweepPoint, eng SweepEngine) ([]SweepRow, error) {
-	shots := eng.MaxShots
-	if shots <= 0 {
-		shots = opt.Shots
-	}
+	shots := eng.shots(opt)
 	nominal := noise.Uniform(noise.DefaultPhysical)
 	rows := make([]SweepRow, len(grid))
 	err := opt.forEachPoint(len(grid), func(i int) error {
@@ -348,20 +353,7 @@ func MemorySweep(opt Options, grid []SweepPoint, eng SweepEngine) ([]SweepRow, e
 		rows[i] = row
 		return nil
 	})
-	if err != nil {
-		// Isolated point failures (a panicking worker, exhausted transient
-		// retries) do not void the rest of the grid: every other row is
-		// valid and already committed to the store, so return them
-		// alongside the aggregate error — callers render what completed
-		// and surface the failure report. Anything else (cancellation, a
-		// permanent error) returns no rows.
-		var perrs *mc.PointErrors
-		if errors.As(err, &perrs) && !errors.Is(err, mc.ErrCanceled) {
-			return rows, err
-		}
-		return nil, err
-	}
-	return rows, nil
+	return gridRows(rows, err)
 }
 
 // RenderSweep prints the sweep table.

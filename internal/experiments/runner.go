@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"sync/atomic"
 
@@ -30,6 +31,13 @@ const (
 	kindSweep    int64 = -12
 	kindFit      int64 = -13
 	kindTraj     int64 = -14
+	// kindCalibrate must stay -14: calibration store keys (calConfig) do
+	// not include it, so a new value would serve stored rows beside fresh
+	// ones drawn from different streams. Sharing kindTraj's value is
+	// safe: a calibration path (kind, p, d) is one element longer than a
+	// trajectory path (kind, j), and DeriveSeed chains of different
+	// lengths are independent streams.
+	kindCalibrate int64 = -14
 )
 
 // pointSeed derives the deterministic seed of one grid point.
@@ -60,6 +68,30 @@ func (o Options) forEachPoint(n int, fn func(i int) error) error {
 		o.Progress.PointDone()
 		return err
 	})
+}
+
+// gridRows is the end-of-grid contract of the Monte-Carlo grids. On
+// isolated point failures (a panicking worker, exhausted transient
+// retries) the other rows are valid and already committed to the store,
+// so it returns the completed ones — a never-filled slot is the zero row —
+// alongside the aggregate error, for callers to render before surfacing
+// the failure report. Cancellation or any other error returns no rows.
+func gridRows[R comparable](rows []R, err error) ([]R, error) {
+	if err == nil {
+		return rows, nil
+	}
+	var perrs *mc.PointErrors
+	if !errors.As(err, &perrs) || errors.Is(err, mc.ErrCanceled) {
+		return nil, err
+	}
+	var zero R
+	done := rows[:0:0]
+	for _, r := range rows {
+		if r != zero {
+			done = append(done, r)
+		}
+	}
+	return done, err
 }
 
 // RunStats counts grid points computed versus served from the store. Share

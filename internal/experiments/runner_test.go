@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"surfdeformer/internal/mc"
 	"surfdeformer/internal/store"
 )
 
@@ -190,5 +192,28 @@ func TestResumeTrialStyleRows(t *testing.T) {
 	RenderFig11c(&b, rows)
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("resumed fig11c table not byte-identical")
+	}
+}
+
+// gridRows keeps the completed rows on isolated point failures and returns
+// none on cancellation or a fatal error.
+func TestGridRows(t *testing.T) {
+	rows := []SweepRow{{SweepPoint: SweepPoint{D: 5}}, {}, {SweepPoint: SweepPoint{D: 7}}}
+	perrs := &mc.PointErrors{Total: 3, Failures: []mc.PointFailure{{Index: 1, Err: errors.New("boom"), Attempts: 1}}}
+	if got, err := gridRows(rows, nil); err != nil || len(got) != 3 {
+		t.Errorf("clean grid: %d rows, %v", len(got), err)
+	}
+	got, err := gridRows(rows, perrs)
+	if err != perrs || len(got) != 2 || got[0].D != 5 || got[1].D != 7 {
+		t.Errorf("isolated failure: rows %+v, err %v", got, err)
+	}
+	for name, err := range map[string]error{
+		"canceled":          mc.ErrCanceled,
+		"canceled+isolated": errors.Join(mc.ErrCanceled, perrs),
+		"fatal":             errors.New("disk full"),
+	} {
+		if got, gerr := gridRows(rows, err); got != nil || gerr != err {
+			t.Errorf("%s: rows %+v, err %v", name, got, gerr)
+		}
 	}
 }

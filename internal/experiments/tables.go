@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"surfdeformer/internal/estimator"
 	"surfdeformer/internal/report"
 )
 
@@ -99,6 +100,22 @@ func SweepTable(rows []SweepRow) *report.Table {
 	for _, r := range rows {
 		t.Add(r.D, r.NumDefects, r.Policy.String(), r.Severed, r.DistanceAfter,
 			r.PerRound, r.Shots, r.Failures, r.CILow, r.CIHigh, r.EarlyStopped)
+	}
+	return t
+}
+
+// CalibrateTable converts calibration rows; fit_lambda is the fitted
+// model's rate at each point, empty when there is no fit (m == nil).
+func CalibrateTable(rows []CalibrateRow, m *estimator.LambdaModel) *report.Table {
+	t := report.New("calibrate", "p", "d", "lambda_z", "lambda_x", "lambda", "fit_lambda",
+		"failures_z", "failures_x", "shots_z", "shots_x", "early_stopped")
+	for _, r := range rows {
+		var fit any = ""
+		if m != nil {
+			fit = m.RateAt(r.P, r.D)
+		}
+		t.Add(r.P, r.D, r.Z.PerRound, r.X.PerRound, r.Lambda, fit,
+			r.Z.Failures, r.X.Failures, r.Z.Shots, r.X.Shots, r.Z.EarlyStopped || r.X.EarlyStopped)
 	}
 	return t
 }

@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"surfdeformer/internal/estimator"
 	"surfdeformer/internal/layout"
 	"surfdeformer/internal/program"
+	"surfdeformer/internal/sim"
 )
 
 func TestTableConverters(t *testing.T) {
@@ -45,6 +47,14 @@ func TestTableConverters(t *testing.T) {
 	f14b := Fig14bTable([]Fig14bRow{{NumDefects: 5, UntreatedLE: 0.1, PreciseLE: 0.01, ImpreciseLE: 0.012}})
 	f11b := Fig11bTable([]Fig11bRow{{D: 9, NumDefects: 5, ASCMean: 2, SurfMean: 5}})
 	pipe := PipelineTable(&PipelineResult{Trials: 10, Detected: 9, DetectionLatency: 2.5, Recall: 0.5, Precision: 0.4, DistanceAfter: 8.5})
+	cal := CalibrateTable([]CalibrateRow{{
+		CalibrationPoint: estimator.CalibrationPoint{P: 4e-3, D: 5, Lambda: 3e-3},
+		Z:                sim.MemoryResult{PerRound: 1e-3, Failures: 3, Shots: 100},
+		X:                sim.MemoryResult{PerRound: 2e-3, Failures: 6, Shots: 100, EarlyStopped: true},
+	}}, &estimator.LambdaModel{P: 4e-3, PThreshold: 1e-2, A: 0.1})
+	if got := strings.Join(cal.Rows[0], ","); got != "0.004,5,0.001,0.002,0.003,0.0064,3,6,100,100,true" {
+		t.Errorf("calibrate row: %s", got)
+	}
 	for name, rows := range map[string]int{
 		"fig13a": len(f13a.Rows), "fig13b": len(f13b.Rows),
 		"fig14a": len(f14a.Rows), "fig14b": len(f14b.Rows),

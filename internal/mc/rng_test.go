@@ -32,8 +32,8 @@ func TestShardSeedStableAndDistinct(t *testing.T) {
 	}
 }
 
-// Adjacent user seeds are the RunMemoryBoth convention (seed, seed+1); the
-// families they spawn must not overlap.
+// Adjacent user seeds are the RunMemoryBothOpts convention (seed,
+// seed+1); the families they spawn must not overlap.
 func TestShardSeedAdjacentUserSeeds(t *testing.T) {
 	a := map[int64]bool{}
 	for shard := 0; shard < 1024; shard++ {

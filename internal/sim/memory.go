@@ -206,16 +206,9 @@ func (errMismatch) Error() string {
 	return "sim: sampling and decoding DEMs disagree on detector layout"
 }
 
-// RunMemoryBoth runs memory-Z and memory-X and returns the combined
+// RunMemoryBothOpts runs memory-Z and memory-X and returns the combined
 // per-round logical error rate (the union rate of either logical failing).
-func RunMemoryBoth(c *code.Code, model *noise.Model, rounds, shots int, factory DecoderFactory, seed int64) (z, x *MemoryResult, combined float64, err error) {
-	return RunMemoryBothOpts(c, model, RunOptions{
-		Rounds: rounds, Factory: factory, Shots: shots, Seed: seed,
-	})
-}
-
-// RunMemoryBothOpts is RunMemoryBoth on explicit engine options; o.Basis
-// is ignored (both bases run, X at Seed+1).
+// o.Basis is ignored: both bases run, Z at o.Seed and X at o.Seed+1.
 func RunMemoryBothOpts(c *code.Code, model *noise.Model, o RunOptions) (z, x *MemoryResult, combined float64, err error) {
 	o.Basis = lattice.ZCheck
 	z, err = RunMemoryOpts(c, model, nil, o)

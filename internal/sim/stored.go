@@ -232,7 +232,7 @@ type basisConfig struct {
 
 // RunMemoryBothStored is RunMemoryBothOpts behind the persistent store;
 // the Z and X halves are stored as separate points (config nested under a
-// basis tag, X at Seed+1 per the RunMemoryBoth convention). fromStore
+// basis tag, X at Seed+1 per the RunMemoryBothOpts convention). fromStore
 // reports whether *both* halves were served without Monte-Carlo work.
 func RunMemoryBothStored(c *code.Code, model *noise.Model, o RunOptions, so StoreOptions) (z, x *MemoryResult, combined float64, fromStore bool, err error) {
 	zo := o
