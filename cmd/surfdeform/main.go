@@ -364,7 +364,7 @@ func run(name string, opt experiments.Options, format report.Format, targetRSE, 
 		cfg.ReweightFactor = reweightFactor
 		cfg.SuperThreshold = tier.superThreshold
 		cfg.Halflife = tier.halflife
-		if tier.deviceRate > 0 {
+		if tier.deviceRate != 0 { // any nonzero rate, so validation sees a negative one
 			cfg.Device = defect.NewDeviceModel(tier.deviceRate)
 		}
 		cfg.Trace = tracer

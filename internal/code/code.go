@@ -12,12 +12,15 @@
 //
 // All mutation goes through the exported mutators so that the gauge layer
 // (package gauge) and the instruction layer (package deform) can maintain
-// the invariants checked by Validate.
+// the invariants checked by Validate, and so that the values memoized per
+// code state (Fingerprint, DistanceX, DistanceZ) are cleared on every change.
 package code
 
 import (
 	"fmt"
 	"sort"
+	"strings"
+	"sync/atomic"
 
 	"surfdeformer/internal/lattice"
 	"surfdeformer/internal/pauli"
@@ -59,6 +62,20 @@ type Code struct {
 
 	logicalX pauli.Op
 	logicalZ pauli.Op
+
+	// Values derived from the content above, computed on first use and
+	// cleared by every mutator (invalidate). They are atomics so that
+	// concurrent readers of one shared code stay race-free; two first reads
+	// may both compute, and store the same value.
+	fingerprint  atomic.Pointer[string]
+	distX, distZ atomic.Int32 // 0 = not computed (a logical has weight ≥ 1)
+}
+
+// invalidate clears the memoized derived values after a content change.
+func (c *Code) invalidate() {
+	c.fingerprint.Store(nil)
+	c.distX.Store(0)
+	c.distZ.Store(0)
 }
 
 // New returns an empty code over the given data and syndrome qubits, with
@@ -104,7 +121,7 @@ func FromPatch(p *lattice.Patch) *Code {
 	return c
 }
 
-// Clone returns a deep copy of the code.
+// Clone returns a deep copy of the code. The copy starts with an empty memo.
 func (c *Code) Clone() *Code {
 	n := &Code{
 		data:      make(map[lattice.Coord]bool, len(c.data)),
@@ -162,10 +179,12 @@ func (c *Code) SyndromeQubits() []lattice.Coord {
 	return out
 }
 
-// Stabs returns the stabilizer generator list. Callers must not mutate it.
+// Stabs returns the stabilizer generator list. Callers must not mutate it:
+// a change that bypasses the mutators would leave the memo stale.
 func (c *Code) Stabs() []Stab { return c.stabs }
 
-// Gauges returns the measured gauge operator list. Callers must not mutate it.
+// Gauges returns the measured gauge operator list. Callers must not mutate
+// it: a change that bypasses the mutators would leave the memo stale.
 func (c *Code) Gauges() []Gauge { return c.gauges }
 
 // LogicalX returns the representative logical X operator.
@@ -175,10 +194,16 @@ func (c *Code) LogicalX() pauli.Op { return c.logicalX }
 func (c *Code) LogicalZ() pauli.Op { return c.logicalZ }
 
 // SetLogicalX replaces the representative logical X operator.
-func (c *Code) SetLogicalX(op pauli.Op) { c.logicalX = op }
+func (c *Code) SetLogicalX(op pauli.Op) {
+	c.logicalX = op
+	c.invalidate()
+}
 
 // SetLogicalZ replaces the representative logical Z operator.
-func (c *Code) SetLogicalZ(op pauli.Op) { c.logicalZ = op }
+func (c *Code) SetLogicalZ(op pauli.Op) {
+	c.logicalZ = op
+	c.invalidate()
+}
 
 // StabByID returns the stabilizer with the given ID.
 func (c *Code) StabByID(id int) (Stab, bool) {
@@ -254,6 +279,7 @@ func (c *Code) AddStab(op pauli.Op, ancilla lattice.Coord) int {
 	id := c.nextID
 	c.nextID++
 	c.stabs = append(c.stabs, Stab{ID: id, Op: op, Ancilla: ancilla})
+	c.invalidate()
 	return id
 }
 
@@ -267,6 +293,7 @@ func (c *Code) AddDirectStab(op pauli.Op) int {
 		anc = supp[0]
 	}
 	c.stabs = append(c.stabs, Stab{ID: id, Op: op, Ancilla: anc, Direct: true})
+	c.invalidate()
 	return id
 }
 
@@ -276,6 +303,7 @@ func (c *Code) AddSuperStab(op pauli.Op, memberIDs []int) int {
 	id := c.nextID
 	c.nextID++
 	c.stabs = append(c.stabs, Stab{ID: id, Op: op, MemberIDs: append([]int(nil), memberIDs...)})
+	c.invalidate()
 	return id
 }
 
@@ -284,6 +312,7 @@ func (c *Code) AddGauge(op pauli.Op, ancilla lattice.Coord, direct bool) int {
 	id := c.nextID
 	c.nextID++
 	c.gauges = append(c.gauges, Gauge{ID: id, Op: op, Ancilla: ancilla, Direct: direct})
+	c.invalidate()
 	return id
 }
 
@@ -292,6 +321,7 @@ func (c *Code) RemoveStab(id int) bool {
 	for i, s := range c.stabs {
 		if s.ID == id {
 			c.stabs = append(c.stabs[:i], c.stabs[i+1:]...)
+			c.invalidate()
 			return true
 		}
 	}
@@ -328,6 +358,7 @@ func (c *Code) RemoveGauge(id int) bool {
 		}
 	}
 	c.stabs = keep
+	c.invalidate()
 	return true
 }
 
@@ -336,6 +367,7 @@ func (c *Code) ReplaceStabOp(id int, op pauli.Op) bool {
 	for i := range c.stabs {
 		if c.stabs[i].ID == id {
 			c.stabs[i].Op = op
+			c.invalidate()
 			return true
 		}
 	}
@@ -347,6 +379,7 @@ func (c *Code) ReplaceGaugeOp(id int, op pauli.Op) bool {
 	for i := range c.gauges {
 		if c.gauges[i].ID == id {
 			c.gauges[i].Op = op
+			c.invalidate()
 			return true
 		}
 	}
@@ -359,6 +392,7 @@ func (c *Code) AddDataQubit(q lattice.Coord) error {
 		return fmt.Errorf("code: data qubit %v already present", q)
 	}
 	c.data[q] = true
+	c.invalidate()
 	return nil
 }
 
@@ -382,6 +416,7 @@ func (c *Code) RemoveDataQubit(q lattice.Coord) error {
 		return fmt.Errorf("code: a logical operator still acts on %v", q)
 	}
 	delete(c.data, q)
+	c.invalidate()
 	return nil
 }
 
@@ -391,6 +426,7 @@ func (c *Code) AddSyndromeQubit(q lattice.Coord) error {
 		return fmt.Errorf("code: syndrome qubit %v already present", q)
 	}
 	c.syndromes[q] = true
+	c.invalidate()
 	return nil
 }
 
@@ -411,7 +447,50 @@ func (c *Code) RemoveSyndromeQubit(q lattice.Coord) error {
 		}
 	}
 	delete(c.syndromes, q)
+	c.invalidate()
 	return nil
+}
+
+// ReplaceWith makes src's content the content of c, which is how a change
+// staged on a Clone commits in place. The two share storage afterwards, so
+// the caller must not use src again.
+func (c *Code) ReplaceWith(src *Code) {
+	c.data, c.syndromes = src.data, src.syndromes
+	c.stabs, c.gauges, c.nextID = src.stabs, src.gauges, src.nextID
+	c.logicalX, c.logicalZ = src.logicalX, src.logicalZ
+	c.invalidate()
+}
+
+// Fingerprint returns the full structural serialization of the code: data
+// and syndrome qubits, stabilizers with their ancillas, Direct flags and
+// super-stabilizer membership, gauges, and both logical representatives.
+// Two codes with equal fingerprints have identical detector error models,
+// which is why the DEM cache keys on it. It is computed once per code state.
+func (c *Code) Fingerprint() string {
+	if fp := c.fingerprint.Load(); fp != nil {
+		return *fp
+	}
+	var sb strings.Builder
+	sb.WriteString("D:")
+	for _, q := range c.DataQubits() {
+		fmt.Fprintf(&sb, "%d.%d,", q.Row, q.Col)
+	}
+	sb.WriteString("S:")
+	for _, q := range c.SyndromeQubits() {
+		fmt.Fprintf(&sb, "%d.%d,", q.Row, q.Col)
+	}
+	sb.WriteString("stabs:")
+	for _, s := range c.stabs {
+		fmt.Fprintf(&sb, "{%s@%d.%d/%v/%v}", s.Op.String(), s.Ancilla.Row, s.Ancilla.Col, s.Direct, s.MemberIDs)
+	}
+	sb.WriteString("gauges:")
+	for _, g := range c.gauges {
+		fmt.Fprintf(&sb, "{%s@%d.%d/%v}", g.Op.String(), g.Ancilla.Row, g.Ancilla.Col, g.Direct)
+	}
+	fmt.Fprintf(&sb, "LX:%s,LZ:%s", c.logicalX.String(), c.logicalZ.String())
+	fp := sb.String()
+	c.fingerprint.Store(&fp)
+	return fp
 }
 
 // Bounds returns the inclusive bounding box of the active data qubits.

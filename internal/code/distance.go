@@ -2,6 +2,7 @@ package code
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"surfdeformer/internal/lattice"
 	"surfdeformer/internal/pauli"
@@ -27,11 +28,13 @@ import (
 // operators; qubits invisible to every generator become ∂–∂ edges whose
 // parity decides whether they are weight-1 dressed logicals.
 
-// DistanceZ returns the minimum weight of a dressed logical Z operator.
-func (c *Code) DistanceZ() int { return c.distance(lattice.ZCheck) }
+// DistanceZ returns the minimum weight of a dressed logical Z operator. It
+// is computed once per code state.
+func (c *Code) DistanceZ() int { return c.memoDistance(&c.distZ, lattice.ZCheck) }
 
-// DistanceX returns the minimum weight of a dressed logical X operator.
-func (c *Code) DistanceX() int { return c.distance(lattice.XCheck) }
+// DistanceX returns the minimum weight of a dressed logical X operator. It
+// is computed once per code state.
+func (c *Code) DistanceX() int { return c.memoDistance(&c.distX, lattice.XCheck) }
 
 // Distance returns min(DistanceX, DistanceZ), the code distance.
 func (c *Code) Distance() int {
@@ -104,6 +107,17 @@ func (c *Code) chainGraph(logicalType lattice.CheckType) (edges []chainEdge, nGe
 		}
 	}
 	return edges, nGen, nil
+}
+
+// memoDistance returns the distance held in slot, computing and storing it
+// first when the slot is empty.
+func (c *Code) memoDistance(slot *atomic.Int32, logicalType lattice.CheckType) int {
+	if d := slot.Load(); d != 0 {
+		return int(d)
+	}
+	d := c.distance(logicalType)
+	slot.Store(int32(d))
+	return d
 }
 
 func (c *Code) distance(logicalType lattice.CheckType) int {

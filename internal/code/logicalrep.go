@@ -145,6 +145,9 @@ func (c *Code) AlgebraicLogical(logicalType lattice.CheckType) (pauli.Op, error)
 // then minimizes X against it and finally re-minimizes Z against the
 // minimal X.
 func (c *Code) RefreshLogicals() error {
+	// The logicals are written directly below; clear the memo whatever the
+	// outcome, since a failed refresh may leave them partly replaced.
+	defer c.invalidate()
 	seed, err := c.AlgebraicLogical(lattice.ZCheck)
 	if err != nil {
 		return err

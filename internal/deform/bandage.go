@@ -152,7 +152,7 @@ func BandageQubit(c *code.Code, q lattice.Coord) (*Bandage, error) {
 	if err := work.Validate(); err != nil {
 		return nil, fmt.Errorf("deform: bandage %v left an invalid code: %w", q, err)
 	}
-	*c = *work
+	c.ReplaceWith(work)
 	return b, nil
 }
 
@@ -218,6 +218,6 @@ func (b *Bandage) Undo(c *code.Code) error {
 	if err := work.Validate(); err != nil {
 		return fmt.Errorf("deform: undo bandage %v left an invalid code: %w", b.Site, err)
 	}
-	*c = *work
+	c.ReplaceWith(work)
 	return nil
 }

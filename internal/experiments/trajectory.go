@@ -231,6 +231,9 @@ type TrajRow struct {
 // of internal/traj for the simulation model and the block comment above for
 // the determinism and resume contract.
 func TrajectoryScan(opt Options, cfg traj.Config, modes []traj.Mode) ([]TrajRow, error) {
+	if opt.Trials < 1 {
+		return nil, fmt.Errorf("experiments: trajectory scan needs at least 1 trial per arm, got %d", opt.Trials)
+	}
 	if len(modes) == 0 {
 		modes = DefaultTrajModes()
 	}

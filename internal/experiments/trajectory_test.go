@@ -146,6 +146,28 @@ func TestTrajectoryScanShape(t *testing.T) {
 	}
 }
 
+// TestTrajectoryScanRejectsBadTrials pins that a trial count below 1 is a
+// validation error before any trajectory runs, on both the fixed-budget and
+// the adaptive-stopping path, instead of a table of NaN or a panic.
+func TestTrajectoryScanRejectsBadTrials(t *testing.T) {
+	for _, trials := range []int{0, -3} {
+		for _, adaptive := range []bool{false, true} {
+			opt := trajTestOptions()
+			opt.Trials, opt.AdaptiveStop = trials, adaptive
+			opt.Store, opt.Stats = testStore(t), &RunStats{}
+			rows, err := TrajectoryScan(opt, DefaultTrajConfig(opt), nil)
+			if err == nil || rows != nil {
+				t.Errorf("trials %d (adaptive %v): %d rows, %v; want a validation error",
+					trials, adaptive, len(rows), err)
+			}
+			if opt.Store.Len() != 0 || opt.Stats.Computed() != 0 {
+				t.Errorf("trials %d (adaptive %v): %d store rows, %d computed points before the validation error",
+					trials, adaptive, opt.Store.Len(), opt.Stats.Computed())
+			}
+		}
+	}
+}
+
 // TestLayoutTrajectoryScan lifts the determinism/resume acceptance gate to
 // the layout axis: a 2-patch scan with a surgery schedule is bit-identical
 // for any worker count, resumes byte-identically from a partial store, and

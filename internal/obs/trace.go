@@ -63,7 +63,7 @@ type TraceEvent struct {
 	Region int `json:"region,omitempty"` // estimated hardware region size
 
 	// mitigate: how the arm's ladder routed the detection.
-	Severity string `json:"severity,omitempty"` // "remove", "observe"
+	Severity string `json:"severity,omitempty"` // "remove", "super", "observe"
 
 	// deform / recover: the code changed shape.
 	Defects  int  `json:"defects,omitempty"`  // defect sites handed to Step

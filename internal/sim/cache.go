@@ -102,7 +102,7 @@ func (dc *DEMCache) BuildDEMPatched(pt *Patcher, base *DEM, c *code.Code, model 
 	// bandage (super-stabilizer merge) or removal changes the mechanism set
 	// itself, and a patch would silently re-rate the stale set. Fingerprint
 	// mismatch → full build.
-	if pt != nil && base != nil && base.plan != nil && base.plan.codeFP == codeStructFingerprint(c) {
+	if pt != nil && base != nil && base.plan != nil && base.plan.codeFP == c.Fingerprint() {
 		dem, ok = pt.Patch(base, model)
 	}
 	if !ok {
@@ -177,44 +177,17 @@ func (dc *DEMCache) Has(dem *DEM) bool {
 }
 
 // demCacheKey serializes everything BuildDEM's output depends on: the
-// structural content of the code (qubits, stabilizers, gauges, logicals)
-// and of the noise model (rates plus the defective set).
+// structural content of the code (its Fingerprint, computed once per code
+// state) and of the noise model (rates plus the defective set).
 func demCacheKey(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) string {
+	fp := c.Fingerprint()
 	var sb strings.Builder
+	sb.Grow(len(fp) + 128)
 	fmt.Fprintf(&sb, "r%d|b%d|", rounds, basis)
-	writeCodeFingerprint(&sb, c)
+	sb.WriteString(fp)
 	sb.WriteByte('|')
 	writeModelFingerprint(&sb, model)
 	return sb.String()
-}
-
-// codeStructFingerprint is the code portion of demCacheKey on its own: the
-// full structural serialization (qubits, stabilizers with super-stabilizer
-// membership, gauges, logicals) that identifies a code for patch-base reuse.
-func codeStructFingerprint(c *code.Code) string {
-	var sb strings.Builder
-	writeCodeFingerprint(&sb, c)
-	return sb.String()
-}
-
-func writeCodeFingerprint(sb *strings.Builder, c *code.Code) {
-	sb.WriteString("D:")
-	for _, q := range c.DataQubits() {
-		fmt.Fprintf(sb, "%d.%d,", q.Row, q.Col)
-	}
-	sb.WriteString("S:")
-	for _, q := range c.SyndromeQubits() {
-		fmt.Fprintf(sb, "%d.%d,", q.Row, q.Col)
-	}
-	sb.WriteString("stabs:")
-	for _, s := range c.Stabs() {
-		fmt.Fprintf(sb, "{%s@%d.%d/%v/%v}", s.Op.String(), s.Ancilla.Row, s.Ancilla.Col, s.Direct, s.MemberIDs)
-	}
-	sb.WriteString("gauges:")
-	for _, g := range c.Gauges() {
-		fmt.Fprintf(sb, "{%s@%d.%d/%v}", g.Op.String(), g.Ancilla.Row, g.Ancilla.Col, g.Direct)
-	}
-	fmt.Fprintf(sb, "LX:%s,LZ:%s", c.LogicalX().String(), c.LogicalZ().String())
 }
 
 func writeModelFingerprint(sb *strings.Builder, m *noise.Model) {

@@ -562,7 +562,7 @@ func buildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis la
 			core.mechOff[mi+1] = int32(len(core.contribs))
 		}
 		core.buildSiteIndex()
-		dem.plan = &demPlan{core: core, base: record, codeFP: codeStructFingerprint(c)}
+		dem.plan = &demPlan{core: core, base: record, codeFP: c.Fingerprint()}
 	}
 	return dem, nil
 }

@@ -143,6 +143,10 @@ func TestConfigRejectsBadDeviceAndThresholds(t *testing.T) {
 	if _, err := Run(bad, ModeUntreated, 1); err == nil {
 		t.Error("device qubit defect rate above 1 accepted")
 	}
+	bad.Device = defect.NewDeviceModel(-0.1)
+	if _, err := Run(bad, ModeUntreated, 1); err == nil {
+		t.Error("negative device defect rate accepted")
+	}
 	bad = good
 	bad.Halflife = -1
 	if _, err := Run(bad, ModeUntreated, 1); err == nil {
