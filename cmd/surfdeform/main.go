@@ -30,6 +30,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -250,115 +251,41 @@ type trajTierFlags struct {
 
 func run(name string, opt experiments.Options, format report.Format, targetRSE, reweightFactor float64, calPs []float64, calDs []int, lay trajLayoutFlags, tier trajTierFlags, tracer *obs.Tracer) error {
 	w := os.Stdout
-	structured := func(t *report.Table) error { return t.Write(w, format) }
-	textOnly := format == report.Text
 	switch name {
 	case "table1":
 		experiments.Table1(w)
+		return nil
 	case "table2":
 		rows, err := experiments.Table2(opt)
-		if err != nil {
-			return err
-		}
-		if textOnly {
-			experiments.RenderTable2(w, rows)
-		} else if err := structured(experiments.Table2Table(rows)); err != nil {
-			return err
-		}
+		return show(w, format, rows, err, experiments.RenderTable2, experiments.Table2Table)
 	case "fig11a":
 		rows, err := experiments.Fig11a(opt)
-		if err != nil {
-			return err
-		}
-		if textOnly {
-			experiments.RenderFig11a(w, rows)
-		} else if err := structured(experiments.Fig11aTable(rows)); err != nil {
-			return err
-		}
+		return show(w, format, rows, err, experiments.RenderFig11a, experiments.Fig11aTable)
 	case "fig11b":
 		rows, err := experiments.Fig11b(opt)
-		if err != nil {
-			return err
-		}
-		if textOnly {
-			experiments.RenderFig11b(w, rows)
-		} else if err := structured(experiments.Fig11bTable(rows)); err != nil {
-			return err
-		}
+		return show(w, format, rows, err, experiments.RenderFig11b, experiments.Fig11bTable)
 	case "fig11c":
 		rows, err := experiments.Fig11c(opt)
-		if err != nil {
-			return err
-		}
-		if textOnly {
-			experiments.RenderFig11c(w, rows)
-		} else if err := structured(experiments.Fig11cTable(rows)); err != nil {
-			return err
-		}
+		return show(w, format, rows, err, experiments.RenderFig11c, experiments.Fig11cTable)
 	case "fig12":
 		rows, err := experiments.Fig12(opt)
-		if err != nil {
-			return err
-		}
-		if textOnly {
-			experiments.RenderFig12(w, rows)
-		} else if err := structured(experiments.Fig12Table(rows)); err != nil {
-			return err
-		}
+		return show(w, format, rows, err, experiments.RenderFig12, experiments.Fig12Table)
 	case "fig13a":
 		rows, err := experiments.Fig13a(opt)
-		if err != nil {
-			return err
-		}
-		if textOnly {
-			experiments.RenderFig13a(w, rows)
-		} else if err := structured(experiments.Fig13aTable(rows)); err != nil {
-			return err
-		}
+		return show(w, format, rows, err, experiments.RenderFig13a, experiments.Fig13aTable)
 	case "fig13b":
 		rows, err := experiments.Fig13b(opt)
-		if err != nil {
-			return err
-		}
-		if textOnly {
-			experiments.RenderFig13b(w, rows)
-		} else if err := structured(experiments.Fig13bTable(rows)); err != nil {
-			return err
-		}
+		return show(w, format, rows, err, experiments.RenderFig13b, experiments.Fig13bTable)
 	case "fig14a":
 		rows, err := experiments.Fig14a(opt)
-		if err != nil {
-			return err
-		}
-		if textOnly {
-			experiments.RenderFig14a(w, rows)
-		} else if err := structured(experiments.Fig14aTable(rows)); err != nil {
-			return err
-		}
+		return show(w, format, rows, err, experiments.RenderFig14a, experiments.Fig14aTable)
 	case "fig14b":
 		rows, err := experiments.Fig14b(opt)
-		if err != nil {
-			return err
-		}
-		if textOnly {
-			experiments.RenderFig14b(w, rows)
-		} else if err := structured(experiments.Fig14bTable(rows)); err != nil {
-			return err
-		}
+		return show(w, format, rows, err, experiments.RenderFig14b, experiments.Fig14bTable)
 	case "sweep":
 		rows, err := experiments.MemorySweep(opt, experiments.DefaultSweepGrid(opt),
 			experiments.SweepEngine{TargetRSE: targetRSE})
-		if err != nil && rows == nil {
-			return err
-		}
-		if textOnly {
-			experiments.RenderSweep(w, rows)
-		} else if rerr := structured(experiments.SweepTable(rows)); rerr != nil {
-			return rerr
-		}
-		if err != nil {
-			return err
-		}
+		return show(w, format, rows, err, experiments.RenderSweep, experiments.SweepTable)
 	case "traj":
 		cfg := experiments.DefaultTrajConfig(opt)
 		cfg.ReweightFactor = reweightFactor
@@ -372,38 +299,27 @@ func run(name string, opt experiments.Options, format report.Format, targetRSE, 
 			cfg.Layout = &traj.LayoutConfig{Patches: lay.patches, Program: lay.program, Ops: lay.ops}
 		}
 		rows, err := experiments.TrajectoryScan(opt, cfg, experiments.DefaultTrajModes())
-		if err != nil {
-			return err
-		}
-		if textOnly {
-			experiments.RenderTraj(w, cfg.Horizon, rows)
-		} else if err := structured(experiments.TrajTable(rows)); err != nil {
-			return err
-		}
+		return show(w, format, rows, err,
+			func(w io.Writer, rows []experiments.TrajRow) { experiments.RenderTraj(w, cfg.Horizon, rows) },
+			experiments.TrajTable)
 	case "pipeline":
 		res, err := experiments.DetectionPipeline(opt)
 		if err != nil {
 			return err
 		}
-		if textOnly {
+		if format == report.Text {
 			experiments.RenderPipeline(w, res)
-		} else if err := structured(experiments.PipelineTable(res)); err != nil {
-			return err
+			return nil
 		}
+		return experiments.PipelineTable(res).Write(w, format)
 	case "calibrate":
 		rows, err := experiments.Calibrate(opt, calPs, calDs, experiments.SweepEngine{TargetRSE: targetRSE})
-		if err != nil && rows == nil {
-			return err
-		}
 		model, fitErr := estimator.Fit(calPs[0], experiments.CalibrationPoints(rows))
-		if textOnly {
-			experiments.RenderCalibrate(w, rows, model, fitErr)
-		} else if rerr := structured(experiments.CalibrateTable(rows, model)); rerr != nil {
-			return rerr
-		}
-		if err != nil {
-			return err
-		}
+		return show(w, format, rows, err,
+			func(w io.Writer, rows []experiments.CalibrateRow) {
+				experiments.RenderCalibrate(w, rows, model, fitErr)
+			},
+			func(rows []experiments.CalibrateRow) *report.Table { return experiments.CalibrateTable(rows, model) })
 	case "all":
 		for _, n := range []string{"table1", "table2", "fig11a", "fig11b", "fig11c",
 			"fig12", "fig13a", "fig13b", "fig14a", "fig14b"} {
@@ -412,11 +328,26 @@ func run(name string, opt experiments.Options, format report.Format, targetRSE, 
 				return fmt.Errorf("%s: %w", n, err)
 			}
 		}
-	default:
-		usage()
-		return fmt.Errorf("unknown experiment %q", name)
+		return nil
 	}
-	return nil
+	usage()
+	return fmt.Errorf("unknown experiment %q", name)
+}
+
+// show renders one grid experiment's rows — the text table for -format
+// text, the structured table otherwise — and returns the run error. Rows
+// that finished before an isolated point failure print before the failure
+// report; nil rows (a canceled or failed run) print nothing.
+func show[R any](w io.Writer, format report.Format, rows []R, err error, render func(io.Writer, []R), table func([]R) *report.Table) error {
+	if rows == nil {
+		return err
+	}
+	if format == report.Text {
+		render(w, rows)
+	} else if werr := table(rows).Write(w, format); werr != nil {
+		return werr
+	}
+	return err
 }
 
 func usage() {

@@ -154,7 +154,9 @@ func TestMemoryLogicalErrorScalesWithDistance(t *testing.T) {
 	model := noise.Uniform(4e-3)
 	run := func(d int) float64 {
 		c := code.FromPatch(lattice.NewPatch(lattice.Coord{Row: 0, Col: 0}, d))
-		res, err := sim.RunMemory(c, model, 4, 4000, lattice.ZCheck, UnionFindFactory(), 99)
+		res, err := sim.RunMemoryOpts(c, model, nil, sim.RunOptions{
+			Rounds: 4, Basis: lattice.ZCheck, Factory: UnionFindFactory(), Shots: 4000, Seed: 99,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +183,8 @@ func TestDefectRemovalBeatsUntreated(t *testing.T) {
 	// Untreated: the hardware errors at 50% in the defect region but the
 	// decoder keeps its nominal priors (nobody told it about the defect).
 	untreated := code.FromPatch(lattice.NewPatch(lattice.Coord{Row: 0, Col: 0}, 5))
-	resU, err := sim.RunMemoryMismatched(untreated, model, nominal, 4, 2000, lattice.ZCheck, UnionFindFactory(), 7)
+	run := sim.RunOptions{Rounds: 4, Basis: lattice.ZCheck, Factory: UnionFindFactory(), Shots: 2000, Seed: 7}
+	resU, err := sim.RunMemoryOpts(untreated, model, nominal, run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +209,7 @@ func TestDefectRemovalBeatsUntreated(t *testing.T) {
 	if err := treated.RefreshLogicals(); err != nil {
 		t.Fatal(err)
 	}
-	resT, err := sim.RunMemory(treated, model, 4, 2000, lattice.ZCheck, UnionFindFactory(), 7)
+	resT, err := sim.RunMemoryOpts(treated, model, nil, run)
 	if err != nil {
 		t.Fatal(err)
 	}

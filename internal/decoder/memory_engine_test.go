@@ -50,27 +50,6 @@ func TestRunMemoryDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// The legacy wrappers must be exactly the engine path.
-func TestRunMemoryWrapperMatchesOpts(t *testing.T) {
-	c := engineTestCode(t, 3)
-	model := noise.Uniform(5e-3)
-	wrapped, err := sim.RunMemory(c, model, 4, 3000, lattice.ZCheck, UnionFindFactory(), 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := sim.RunMemoryOpts(c, model, nil, sim.RunOptions{
-		Rounds: 4, Basis: lattice.ZCheck, Factory: UnionFindFactory(),
-		Shots: 3000, Seed: 17,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrapped.Failures != direct.Failures || wrapped.Shots != direct.Shots {
-		t.Errorf("RunMemory (failures=%d shots=%d) != RunMemoryOpts (%d %d)",
-			wrapped.Failures, wrapped.Shots, direct.Failures, direct.Shots)
-	}
-}
-
 // Early stopping must agree with the fixed-budget estimate within its
 // confidence interval, while spending far fewer shots than the cap.
 func TestRunMemoryEarlyStopWithinCI(t *testing.T) {

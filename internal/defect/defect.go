@@ -129,7 +129,7 @@ func (s *Sampler) SampleWindow(cycles int64, rng *rand.Rand) []Event {
 	}
 	windowSeconds := float64(cycles) * s.model.CycleSeconds
 	lambda := s.model.PoissonLambda(len(s.sites), windowSeconds)
-	n := poisson(lambda, rng)
+	n := Poisson(lambda, rng)
 	events := make([]Event, 0, n)
 	for i := 0; i < n; i++ {
 		center := s.sites[rng.Intn(len(s.sites))]
@@ -165,16 +165,18 @@ func ActiveAt(events []Event, cycle int64) []lattice.Coord {
 	return out
 }
 
-// maxPoisson caps the normal-approximation branch of poisson. No modeled
+// maxPoisson caps the normal-approximation branch of Poisson. No modeled
 // process draws anywhere near this many events; the cap exists so that a
 // huge or infinite λ cannot push the float→int conversion out of range
 // (which is implementation-defined in Go and lands on negative values on
 // amd64) and feed a nonsense count to callers sizing slices from it.
 const maxPoisson = math.MaxInt32
 
-// poisson samples a Poisson variate by inversion (small λ) or the
-// normal approximation (large λ).
-func poisson(lambda float64, rng *rand.Rand) int {
+// Poisson samples a Poisson variate by inversion (λ ≤ 30) or the normal
+// approximation (larger λ). It is the one Poisson sampler of the repository:
+// the defect models, the retry-risk estimator and the throughput study all
+// draw from it, so a draw is a pure function of (λ, RNG stream).
+func Poisson(lambda float64, rng *rand.Rand) int {
 	if lambda <= 0 {
 		return 0
 	}

@@ -143,7 +143,7 @@ func TestPoissonDeterministic(t *testing.T) {
 		var out []int
 		for _, l := range lambdas {
 			for i := 0; i < 8; i++ {
-				out = append(out, poisson(l, rng))
+				out = append(out, Poisson(l, rng))
 			}
 		}
 		return out
@@ -164,7 +164,7 @@ func TestPoissonMoments(t *testing.T) {
 		const n = 20000
 		var sum, sumSq float64
 		for i := 0; i < n; i++ {
-			x := float64(poisson(lambda, rng))
+			x := float64(Poisson(lambda, rng))
 			sum += x
 			sumSq += x * x
 		}
@@ -187,15 +187,15 @@ func TestPoissonHugeLambda(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, lambda := range []float64{1e12, 1e18, 1e300, math.Inf(1)} {
 		for i := 0; i < 32; i++ {
-			n := poisson(lambda, rng)
+			n := Poisson(lambda, rng)
 			if n < 0 {
-				t.Fatalf("poisson(%g) = %d, want non-negative", lambda, n)
+				t.Fatalf("Poisson(%g) = %d, want non-negative", lambda, n)
 			}
 			if n > maxPoisson {
-				t.Fatalf("poisson(%g) = %d exceeds cap %d", lambda, n, maxPoisson)
+				t.Fatalf("Poisson(%g) = %d exceeds cap %d", lambda, n, maxPoisson)
 			}
 			if lambda >= 1e12 && n == 0 {
-				t.Fatalf("poisson(%g) = 0; huge λ must clamp high, not collapse", lambda)
+				t.Fatalf("Poisson(%g) = 0; huge λ must clamp high, not collapse", lambda)
 			}
 		}
 	}

@@ -43,7 +43,7 @@ func (m *LeakageModel) SampleLeakage(sites []lattice.Coord, cycles int64, rng *r
 	var events []Event
 	for _, q := range sites {
 		lambda := m.RatePerQubit * float64(cycles)
-		n := poisson(lambda, rng)
+		n := Poisson(lambda, rng)
 		for i := 0; i < n; i++ {
 			start := int64(rng.Float64() * float64(cycles))
 			dur := int64(1)
@@ -102,7 +102,7 @@ func (m *DriftModel) SampleDrift(sites []lattice.Coord, cycles int64, cycleSecon
 	var events []Event
 	windowSeconds := float64(cycles) * cycleSeconds
 	for _, q := range sites {
-		n := poisson(m.RatePerQubit*windowSeconds, rng)
+		n := Poisson(m.RatePerQubit*windowSeconds, rng)
 		for i := 0; i < n; i++ {
 			start := int64(rng.Float64() * float64(cycles))
 			dur := int64(1)

@@ -137,7 +137,7 @@ func EstimateProgram(prog *program.Program, fw Framework, d, deltaD int,
 		blocked := false
 		totalEvents := 0
 		for patch := 0; patch < nPatches; patch++ {
-			nEvents := poissonRand(lambdaEvents, rng)
+			nEvents := defect.Poisson(lambdaEvents, rng)
 			totalEvents += nEvents
 			if nEvents == 0 {
 				logSurvive += float64(cycles) * math.Log1p(-baseRate)
@@ -226,39 +226,8 @@ func patchLogSurvive(cycles, duration int64, nEvents, d int, fw Framework, lm *L
 		windowCycles = cycles - transientCycles
 	}
 	quiet := cycles - transientCycles - windowCycles
-	out := logAt(lm.Rate(maxInt(2, d-fw.Loss.TransientLoss)), transientCycles)
-	out += logAt(lm.Rate(maxInt(2, d-fw.Loss.WindowLoss)), windowCycles)
+	out := logAt(lm.Rate(max(2, d-fw.Loss.TransientLoss)), transientCycles)
+	out += logAt(lm.Rate(max(2, d-fw.Loss.WindowLoss)), windowCycles)
 	out += logAt(lm.Rate(d), quiet)
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int { return maxInt(a, b) }
-
-func poissonRand(lambda float64, rng *rand.Rand) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 30 {
-		n := int(math.Round(rng.NormFloat64()*math.Sqrt(lambda) + lambda))
-		if n < 0 {
-			return 0
-		}
-		return n
-	}
-	l := math.Exp(-lambda)
-	k, p := 0, 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }

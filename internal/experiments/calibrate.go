@@ -40,7 +40,7 @@ type calConfig struct {
 // Options.Store each basis half is committed (kind "calibrate") and
 // Options.Resume serves or tops it up. Distances below 3 and rates outside
 // (0, 0.5) fail before any point runs; isolated point failures return the
-// completed rows with the error (gridRows).
+// finished rows with the error (runGrid).
 func Calibrate(opt Options, ps []float64, ds []int, eng SweepEngine) ([]CalibrateRow, error) {
 	if len(ps) == 0 || len(ds) == 0 {
 		return nil, fmt.Errorf("experiments: calibration needs at least one p and one d")
@@ -62,9 +62,7 @@ func Calibrate(opt Options, ps []float64, ds []int, eng SweepEngine) ([]Calibrat
 		}
 	}
 	shots := eng.shots(opt)
-	rows := make([]CalibrateRow, len(grid))
-	err := opt.forEachPoint(len(grid), func(i int) error {
-		pt := grid[i]
+	return runGrid(opt, grid, func(pt estimator.CalibrationPoint) (CalibrateRow, error) {
 		c := code.FromPatch(lattice.NewPatch(lattice.Coord{Row: 0, Col: 0}, pt.D))
 		z, x, lambda, fromStore, err := sim.RunMemoryBothStored(c, noise.Uniform(pt.P), sim.RunOptions{
 			Rounds:    opt.Rounds,
@@ -82,7 +80,7 @@ func Calibrate(opt Options, ps []float64, ds []int, eng SweepEngine) ([]Calibrat
 				Decoder: "uf", Seed: opt.Seed, TargetRSE: eng.TargetRSE},
 		})
 		if err != nil {
-			return err
+			return CalibrateRow{}, err
 		}
 		if fromStore {
 			opt.Stats.AddSkipped()
@@ -90,10 +88,8 @@ func Calibrate(opt Options, ps []float64, ds []int, eng SweepEngine) ([]Calibrat
 			opt.Stats.AddComputed()
 		}
 		pt.Lambda = lambda
-		rows[i] = CalibrateRow{CalibrationPoint: pt, Z: *z, X: *x}
-		return nil
+		return CalibrateRow{CalibrationPoint: pt, Z: *z, X: *x}, nil
 	})
-	return gridRows(rows, err)
 }
 
 // CalibrationPoints returns the rows estimator.Fit can use: those with a

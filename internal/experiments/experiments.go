@@ -7,13 +7,15 @@
 // treats them that way: each point derives all of its randomness from
 // (Options.Seed, point content) via mc.DeriveSeed — never from a shared
 // generator — so results are bit-identical regardless of grid order,
-// subsetting, Options.PointWorkers, or resume order. Grids fan out over a
-// point-level worker pool (mc.ForEach) and, when Options.Store is set,
-// commit each completed point to the persistent result store keyed by a
-// canonical hash of its configuration; Options.Resume then serves completed
-// points from the store instead of recomputing them, and memory-type points
-// whose stored shots fall short of the requested budget compute only the
-// remainder under fresh segment streams (see DESIGN.md §7).
+// subsetting, Options.PointWorkers, or resume order. Grids run through
+// runGrid, which fans the points out over a point-level worker pool
+// (mc.ForEach) and keeps the finished rows when single points fail. When
+// Options.Store is set, grids commit each completed point to the
+// persistent result store keyed by a canonical hash of its configuration;
+// Options.Resume then serves completed points from the store instead of
+// recomputing them, and memory-type points whose stored shots fall short
+// of the requested budget compute only the remainder under fresh segment
+// streams (see DESIGN.md §7).
 //
 // Absolute numbers depend on decoder and scale (see DESIGN.md §1 and
 // EXPERIMENTS.md); the shapes — who wins, by what factor, where crossovers
@@ -175,23 +177,20 @@ func Fig11a(opt Options) ([]Fig11aRow, error) {
 			grid = append(grid, point{d, k})
 		}
 	}
-	rows := make([]Fig11aRow, len(grid))
-	err := opt.forEachPoint(len(grid), func(i int) error {
-		pt := grid[i]
+	return runGrid(opt, grid, func(pt point) (Fig11aRow, error) {
 		cfg := fig11aConfig{D: pt.d, K: pt.k, Samples: samples, Shots: opt.Shots, Rounds: opt.Rounds, Seed: opt.Seed}
-		row, err := cachedRow(opt, "fig11a", cfg, func() (Fig11aRow, error) {
+		return cachedRow(opt, "fig11a", cfg, func() (Fig11aRow, error) {
 			return fig11aPoint(opt, pt.d, pt.k, samples)
 		})
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+}
+
+// memoryOpts configures the fixed-budget memory-Z runs of the figure
+// grids: Shots shots of Rounds rounds decoded by union-find, canceled with
+// Ctx like every other Monte-Carlo run of a grid.
+func (o Options) memoryOpts(seed int64) sim.RunOptions {
+	return sim.RunOptions{Rounds: o.Rounds, Basis: lattice.ZCheck, Factory: decoder.UnionFindFactory(),
+		Shots: o.Shots, Seed: seed, Ctx: o.Ctx}
 }
 
 // fig11aPoint measures one (d, k) configuration. All randomness — fault
@@ -212,9 +211,8 @@ func fig11aPoint(opt Options, d, k, samples int) (Fig11aRow, error) {
 		if err != nil {
 			return Fig11aRow{}, err
 		}
-		resU, err := sim.RunMemoryMismatched(untreated, defModel, nominal,
-			opt.Rounds, opt.Shots, lattice.ZCheck, decoder.UnionFindFactory(),
-			opt.pointSeed(kindFig11a, int64(d), int64(k), int64(s), 0))
+		resU, err := sim.RunMemoryOpts(untreated, defModel, nominal,
+			opt.memoryOpts(opt.pointSeed(kindFig11a, int64(d), int64(k), int64(s), 0)))
 		if err != nil {
 			return Fig11aRow{}, err
 		}
@@ -230,9 +228,8 @@ func fig11aPoint(opt Options, d, k, samples int) (Fig11aRow, error) {
 		if err != nil {
 			continue // severed pattern
 		}
-		resR, err := sim.RunMemory(removedCode, nominal, opt.Rounds, opt.Shots,
-			lattice.ZCheck, decoder.UnionFindFactory(),
-			opt.pointSeed(kindFig11a, int64(d), int64(k), int64(s), 1))
+		resR, err := sim.RunMemoryOpts(removedCode, nominal, nil,
+			opt.memoryOpts(opt.pointSeed(kindFig11a, int64(d), int64(k), int64(s), 1)))
 		if err != nil {
 			return Fig11aRow{}, err
 		}
@@ -289,9 +286,7 @@ func Fig11b(opt Options) ([]Fig11bRow, error) {
 			grid = append(grid, point{d, k})
 		}
 	}
-	rows := make([]Fig11bRow, len(grid))
-	err := opt.forEachPoint(len(grid), func(i int) error {
-		pt := grid[i]
+	return runGrid(opt, grid, func(pt point) (Fig11bRow, error) {
 		rng := opt.pointRNG(kindFig11b, int64(pt.d), int64(pt.k))
 		ascSum, surfSum := 0.0, 0.0
 		for s := 0; s < samples; s++ {
@@ -301,14 +296,9 @@ func Fig11b(opt Options) ([]Fig11bRow, error) {
 			ascSum += float64(removalDistance(defects, pt.d, deform.PolicyASC))
 			surfSum += float64(removalDistance(defects, pt.d, deform.PolicySurfDeformer))
 		}
-		rows[i] = Fig11bRow{D: pt.d, NumDefects: pt.k,
-			ASCMean: ascSum / float64(samples), SurfMean: surfSum / float64(samples)}
-		return nil
+		return Fig11bRow{D: pt.d, NumDefects: pt.k,
+			ASCMean: ascSum / float64(samples), SurfMean: surfSum / float64(samples)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // removalDistance applies the policy and returns the remaining min

@@ -81,12 +81,10 @@ func Fig11c(opt Options) ([]Fig11cRow, error) {
 			}
 		}
 	}
-	rows := make([]Fig11cRow, len(grid))
-	err := opt.forEachPoint(len(grid), func(i int) error {
-		pt := grid[i]
+	return runGrid(opt, grid, func(pt point) (Fig11cRow, error) {
 		cfg := fig11cConfig{TaskSet: pt.set + 1, Rate: pt.rate, Scheme: pt.scheme.String(),
 			Samples: samples, Seed: opt.Seed, Rev: 1}
-		row, err := cachedRow(opt, "fig11c", cfg, func() (Fig11cRow, error) {
+		return cachedRow(opt, "fig11c", cfg, func() (Fig11cRow, error) {
 			ops := taskSet(pt.set, gridSide, opt.pointRNG(kindFig11c, int64(pt.set)))
 			// The stream derives from the rate VALUE so a point's result
 			// survives reordering or subsetting the rates grid.
@@ -98,7 +96,7 @@ func Fig11c(opt Options) ([]Fig11cRow, error) {
 				// Strikes per patch over the window.
 				lambda := pt.rate * float64(patchQubits) * exposureSeconds
 				for cell := 0; cell < nQubits; cell++ {
-					strikes := samplePoisson(lambda, rng)
+					strikes := defect.Poisson(lambda, rng)
 					if strikes == 0 {
 						continue
 					}
@@ -125,16 +123,7 @@ func Fig11c(opt Options) ([]Fig11cRow, error) {
 				Stalls:     stalls,
 			}, nil
 		})
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // taskSet builds the three workloads of increasing serialization: 5 tasks ×
@@ -160,22 +149,6 @@ func taskSet(level, gridSide int, rng *rand.Rand) []route.CNOT {
 		}
 	}
 	return ops
-}
-
-func samplePoisson(lambda float64, rng *rand.Rand) int {
-	if lambda <= 0 {
-		return 0
-	}
-	// Inversion; the rates of this study keep λ small.
-	l := math.Exp(-lambda)
-	k, p := 0, 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }
 
 // RenderFig11c prints the throughput series.

@@ -74,9 +74,7 @@ func Fig12(opt Options) ([]Fig12Row, error) {
 			grid = append(grid, point{prog, scheme})
 		}
 	}
-	rows := make([]Fig12Row, len(grid))
-	err := opt.forEachPoint(len(grid), func(i int) error {
-		pt := grid[i]
+	return runGrid(opt, grid, func(pt point) (Fig12Row, error) {
 		cfg := fig12Config{Benchmark: pt.prog.Name, Scheme: pt.scheme.String(),
 			Trials: opt.Trials, Seed: opt.Seed, FitLosses: opt.FitLosses}
 		pay, err := cachedRow(opt, "fig12", cfg, func() (fig12Payload, error) {
@@ -84,17 +82,9 @@ func Fig12(opt Options) ([]Fig12Row, error) {
 			est, ok := estimator.MinimalDistance(pt.prog, fws[pt.scheme], 0.01, deltaDFor, dm, lm, opt.Trials, maxD, rng)
 			return fig12Payload{D: est.D, Qubits: est.PhysicalQubits, Risk: est.RetryRisk, Reached: ok}, nil
 		})
-		if err != nil {
-			return err
-		}
-		rows[i] = Fig12Row{Program: pt.prog, Scheme: pt.scheme,
-			D: pay.D, Qubits: pay.Qubits, Risk: pay.Risk, Reached: pay.Reached}
-		return nil
+		return Fig12Row{Program: pt.prog, Scheme: pt.scheme,
+			D: pay.D, Qubits: pay.Qubits, Risk: pay.Risk, Reached: pay.Reached}, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderFig12 prints the bars.
@@ -153,9 +143,7 @@ func Fig13a(opt Options) ([]Fig13aRow, error) {
 			grid = append(grid, point{d, scheme})
 		}
 	}
-	rows := make([]Fig13aRow, len(grid))
-	err := opt.forEachPoint(len(grid), func(i int) error {
-		pt := grid[i]
+	return runGrid(opt, grid, func(pt point) (Fig13aRow, error) {
 		cfg := fig13aConfig{Benchmark: prog.Name, Scheme: pt.scheme.String(), D: pt.d,
 			Trials: opt.Trials, Seed: opt.Seed, FitLosses: opt.FitLosses}
 		pay, err := cachedRow(opt, "fig13a", cfg, func() (fig13aPayload, error) {
@@ -164,16 +152,8 @@ func Fig13a(opt Options) ([]Fig13aRow, error) {
 			est := estimator.EstimateProgram(prog, fws[pt.scheme], pt.d, deltaD, dm, lm, opt.Trials, rng)
 			return fig13aPayload{Qubits: est.PhysicalQubits, Risk: est.RetryRisk}, nil
 		})
-		if err != nil {
-			return err
-		}
-		rows[i] = Fig13aRow{Scheme: pt.scheme, D: pt.d, Qubits: pay.Qubits, Risk: pay.Risk}
-		return nil
+		return Fig13aRow{Scheme: pt.scheme, D: pt.d, Qubits: pay.Qubits, Risk: pay.Risk}, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderFig13a prints the trade-off lines.
@@ -212,9 +192,7 @@ func Fig13b(opt Options) ([]Fig13bRow, error) {
 	if samples < 3 {
 		samples = 3
 	}
-	rows := make([]Fig13bRow, len(counts))
-	err := opt.forEachPoint(len(counts), func(i int) error {
-		k := counts[i]
+	return runGrid(opt, counts, func(k int) (Fig13bRow, error) {
 		rng := opt.pointRNG(kindFig13b, int64(l), int64(k))
 		ascOK, surfOK := 0, 0
 		for s := 0; s < samples; s++ {
@@ -228,17 +206,12 @@ func Fig13b(opt Options) ([]Fig13bRow, error) {
 				surfOK++
 			}
 		}
-		rows[i] = Fig13bRow{
+		return Fig13bRow{
 			NumFaults: k,
 			ASCYield:  float64(ascOK) / float64(samples),
 			SurfYield: float64(surfOK) / float64(samples),
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderFig13b prints the yield curves.

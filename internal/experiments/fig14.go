@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 
-	"surfdeformer/internal/decoder"
 	"surfdeformer/internal/defect"
 	"surfdeformer/internal/deform"
 	"surfdeformer/internal/detect"
@@ -59,23 +58,12 @@ func Fig14a(opt Options) ([]Fig14aRow, error) {
 			grid = append(grid, point{pc, k})
 		}
 	}
-	rows := make([]Fig14aRow, len(grid))
-	err := opt.forEachPoint(len(grid), func(i int) error {
-		pt := grid[i]
+	return runGrid(opt, grid, func(pt point) (Fig14aRow, error) {
 		cfg := fig14aConfig{PCorrelated: pt.pc, K: pt.k, D: d, Shots: opt.Shots, Rounds: opt.Rounds, Seed: opt.Seed}
-		row, err := cachedRow(opt, "fig14a", cfg, func() (Fig14aRow, error) {
+		return cachedRow(opt, "fig14a", cfg, func() (Fig14aRow, error) {
 			return fig14aPoint(opt, d, pt.pc, pt.k)
 		})
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 func fig14aPoint(opt Options, d int, pc float64, k int) (Fig14aRow, error) {
@@ -91,9 +79,8 @@ func fig14aPoint(opt Options, d int, pc float64, k int) (Fig14aRow, error) {
 	if err != nil {
 		return Fig14aRow{}, err
 	}
-	resU, err := sim.RunMemoryMismatched(untreated, defModel, nominal,
-		opt.Rounds, opt.Shots, lattice.ZCheck, decoder.UnionFindFactory(),
-		opt.pointSeed(kindFig14a, pcPart, int64(k), 0))
+	resU, err := sim.RunMemoryOpts(untreated, defModel, nominal,
+		opt.memoryOpts(opt.pointSeed(kindFig14a, pcPart, int64(k), 0)))
 	if err != nil {
 		return Fig14aRow{}, err
 	}
@@ -104,9 +91,8 @@ func fig14aPoint(opt Options, d int, pc float64, k int) (Fig14aRow, error) {
 	}
 	removedLE := 0.5
 	if removedCode, err := spec.Build(); err == nil {
-		resR, err := sim.RunMemory(removedCode, nominal, opt.Rounds, opt.Shots,
-			lattice.ZCheck, decoder.UnionFindFactory(),
-			opt.pointSeed(kindFig14a, pcPart, int64(k), 1))
+		resR, err := sim.RunMemoryOpts(removedCode, nominal, nil,
+			opt.memoryOpts(opt.pointSeed(kindFig14a, pcPart, int64(k), 1)))
 		if err != nil {
 			return Fig14aRow{}, err
 		}
@@ -159,11 +145,9 @@ func Fig14b(opt Options) ([]Fig14bRow, error) {
 	}
 	const fp, fn = 0.01, 0.01
 	nominal := noise.Uniform(noise.DefaultPhysical)
-	rows := make([]Fig14bRow, len(counts))
-	err := opt.forEachPoint(len(counts), func(i int) error {
-		k := counts[i]
+	return runGrid(opt, counts, func(k int) (Fig14bRow, error) {
 		cfg := fig14bConfig{K: k, D: d, Shots: opt.Shots, Rounds: opt.Rounds, Seed: opt.Seed}
-		row, err := cachedRow(opt, "fig14b", cfg, func() (Fig14bRow, error) {
+		return cachedRow(opt, "fig14b", cfg, func() (Fig14bRow, error) {
 			rng := opt.pointRNG(kindFig14b, int64(k))
 			base := deform.NewSquareSpec(lattice.Coord{Row: 0, Col: 0}, d)
 			min, max := base.Bounds()
@@ -174,15 +158,17 @@ func Fig14b(opt Options) ([]Fig14bRow, error) {
 			if err != nil {
 				return Fig14bRow{}, err
 			}
-			resU, err := sim.RunMemoryMismatched(untreated, defModel, nominal,
-				opt.Rounds, opt.Shots, lattice.ZCheck, decoder.UnionFindFactory(),
-				opt.pointSeed(kindFig14b, int64(k), 0))
+			resU, err := sim.RunMemoryOpts(untreated, defModel, nominal,
+				opt.memoryOpts(opt.pointSeed(kindFig14b, int64(k), 0)))
 			if err != nil {
 				return Fig14bRow{}, err
 			}
 
 			// Precise removal.
-			preciseLE := removalRate(truth, truth, d, nominal, opt, opt.pointSeed(kindFig14b, int64(k), 1))
+			preciseLE, err := removalRate(truth, truth, d, nominal, opt, opt.pointSeed(kindFig14b, int64(k), 1))
+			if err != nil {
+				return Fig14bRow{}, err
+			}
 
 			// Imprecise removal: distort the report.
 			var healthy []lattice.Coord
@@ -199,34 +185,26 @@ func Fig14b(opt Options) ([]Fig14bRow, error) {
 				}
 			}
 			report := detect.Oracle(truth, healthy, fp, fn, rng)
-			impreciseLE := removalRate(report, truth, d, nominal, opt, opt.pointSeed(kindFig14b, int64(k), 2))
-
+			impreciseLE, err := removalRate(report, truth, d, nominal, opt, opt.pointSeed(kindFig14b, int64(k), 2))
 			return Fig14bRow{NumDefects: k, UntreatedLE: resU.PerRound,
-				PreciseLE: preciseLE, ImpreciseLE: impreciseLE}, nil
+				PreciseLE: preciseLE, ImpreciseLE: impreciseLE}, err
 		})
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // removalRate deforms the patch per the reported defects and measures the
 // per-cycle logical error rate under the TRUE defect model: reported qubits
-// leave the code, missed qubits remain hot with the decoder unaware.
-func removalRate(report, truth []lattice.Coord, d int, nominal *noise.Model, opt Options, seed int64) float64 {
+// leave the code, missed qubits remain hot with the decoder unaware. A
+// report the removal cannot absorb severs the patch (rate 0.5); a failed or
+// canceled memory run is an error.
+func removalRate(report, truth []lattice.Coord, d int, nominal *noise.Model, opt Options, seed int64) (float64, error) {
 	spec := deform.NewSquareSpec(lattice.Coord{Row: 0, Col: 0}, d)
 	if err := deform.ApplyDefects(spec, report, deform.PolicySurfDeformer); err != nil {
-		return 0.5
+		return 0.5, nil
 	}
 	c, err := spec.Build()
 	if err != nil {
-		return 0.5
+		return 0.5, nil
 	}
 	// Missed defects (in truth, still in the code) stay defective.
 	var remaining []lattice.Coord
@@ -239,12 +217,11 @@ func removalRate(report, truth []lattice.Coord, d int, nominal *noise.Model, opt
 	if len(remaining) > 0 {
 		sampleModel = nominal.WithDefects(remaining, noise.DefaultDefectRate)
 	}
-	res, err := sim.RunMemoryMismatched(c, sampleModel, nominal, opt.Rounds, opt.Shots,
-		lattice.ZCheck, decoder.UnionFindFactory(), seed)
+	res, err := sim.RunMemoryOpts(c, sampleModel, nominal, opt.memoryOpts(seed))
 	if err != nil {
-		return 0.5
+		return 0, err
 	}
-	return res.PerRound
+	return res.PerRound, nil
 }
 
 // RenderFig14b prints the series.

@@ -173,17 +173,10 @@ func DetectionPipeline(opt Options) (*PipelineResult, error) {
 // RenderPipeline prints the integration-study summary.
 func RenderPipeline(w io.Writer, r *PipelineResult) {
 	fmt.Fprintf(w, "trials: %d, detected: %d (%.0f%%)\n", r.Trials, r.Detected,
-		100*float64(r.Detected)/float64(maxInt(1, r.Trials)))
+		100*float64(r.Detected)/float64(max(1, r.Trials)))
 	fmt.Fprintf(w, "detection latency: %.1f rounds after onset\n", r.DetectionLatency)
 	fmt.Fprintf(w, "region recall: %.2f  precision: %.2f\n", r.Recall, r.Precision)
 	fmt.Fprintf(w, "mean distance after mitigation: %.2f\n", r.DistanceAfter)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------------
@@ -290,13 +283,11 @@ func DefaultSweepGrid(opt Options) []SweepPoint {
 // (Wilson CIs recomputed from the merged counts). Severed points carry no
 // Monte-Carlo work and are always recomputed (they are pure functions of
 // the config, decided in microseconds). Isolated point failures return the
-// completed rows with the error (gridRows).
+// finished rows with the error (runGrid).
 func MemorySweep(opt Options, grid []SweepPoint, eng SweepEngine) ([]SweepRow, error) {
 	shots := eng.shots(opt)
 	nominal := noise.Uniform(noise.DefaultPhysical)
-	rows := make([]SweepRow, len(grid))
-	err := opt.forEachPoint(len(grid), func(i int) error {
-		pt := grid[i]
+	return runGrid(opt, grid, func(pt SweepPoint) (SweepRow, error) {
 		row := SweepRow{SweepPoint: pt}
 		faultSeed := opt.pointSeed(kindSweep, append(pt.seedParts(), 0)...)
 		rng := rand.New(rand.NewSource(faultSeed))
@@ -307,16 +298,14 @@ func MemorySweep(opt Options, grid []SweepPoint, eng SweepEngine) ([]SweepRow, e
 			if err := deform.ApplyDefects(spec, defects, pt.Policy); err != nil {
 				row.Severed = true
 				row.PerRound = 0.5
-				rows[i] = row
-				return nil
+				return row, nil
 			}
 		}
 		c, err := spec.Build()
 		if err != nil {
 			row.Severed = true
 			row.PerRound = 0.5
-			rows[i] = row
-			return nil
+			return row, nil
 		}
 		row.DistanceAfter = c.Distance()
 		res, fromStore, err := sim.RunMemoryStored(c, nominal, nil, sim.RunOptions{
@@ -338,7 +327,7 @@ func MemorySweep(opt Options, grid []SweepPoint, eng SweepEngine) ([]SweepRow, e
 			},
 		})
 		if err != nil {
-			return err
+			return SweepRow{}, err
 		}
 		if fromStore {
 			opt.Stats.AddSkipped()
@@ -350,10 +339,8 @@ func MemorySweep(opt Options, grid []SweepPoint, eng SweepEngine) ([]SweepRow, e
 		row.Failures = res.Failures
 		row.CILow, row.CIHigh = res.CILow, res.CIHigh
 		row.EarlyStopped = res.EarlyStopped
-		rows[i] = row
-		return nil
+		return row, nil
 	})
-	return gridRows(rows, err)
 }
 
 // RenderSweep prints the sweep table.

@@ -70,13 +70,24 @@ func (o Options) forEachPoint(n int, fn func(i int) error) error {
 	})
 }
 
-// gridRows is the end-of-grid contract of the Monte-Carlo grids. On
+// runGrid is the one way an evaluation grid runs: it computes fn for every
+// point on the point-level pool and returns the rows in point order. On
 // isolated point failures (a panicking worker, exhausted transient
-// retries) the other rows are valid and already committed to the store,
-// so it returns the completed ones — a never-filled slot is the zero row —
-// alongside the aggregate error, for callers to render before surfacing
-// the failure report. Cancellation or any other error returns no rows.
-func gridRows[R comparable](rows []R, err error) ([]R, error) {
+// retries) the other rows are valid and already committed to the store, so
+// it returns the finished ones, still in point order, alongside the
+// aggregate error, for callers to render before surfacing the failure
+// report. Cancellation or any other error returns no rows.
+func runGrid[P, R any](opt Options, points []P, fn func(P) (R, error)) ([]R, error) {
+	rows := make([]R, len(points))
+	done := make([]bool, len(points))
+	err := opt.forEachPoint(len(points), func(i int) error {
+		row, err := fn(points[i])
+		if err != nil {
+			return err
+		}
+		rows[i], done[i] = row, true
+		return nil
+	})
 	if err == nil {
 		return rows, nil
 	}
@@ -84,14 +95,13 @@ func gridRows[R comparable](rows []R, err error) ([]R, error) {
 	if !errors.As(err, &perrs) || errors.Is(err, mc.ErrCanceled) {
 		return nil, err
 	}
-	var zero R
-	done := rows[:0:0]
-	for _, r := range rows {
-		if r != zero {
-			done = append(done, r)
+	var finished []R
+	for i, row := range rows {
+		if done[i] {
+			finished = append(finished, row)
 		}
 	}
-	return done, err
+	return finished, err
 }
 
 // RunStats counts grid points computed versus served from the store. Share

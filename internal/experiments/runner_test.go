@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"surfdeformer/internal/chaos"
 	"surfdeformer/internal/mc"
+	"surfdeformer/internal/noise"
 	"surfdeformer/internal/store"
 )
 
@@ -195,25 +199,107 @@ func TestResumeTrialStyleRows(t *testing.T) {
 	}
 }
 
-// gridRows keeps the completed rows on isolated point failures and returns
-// none on cancellation or a fatal error.
-func TestGridRows(t *testing.T) {
-	rows := []SweepRow{{SweepPoint: SweepPoint{D: 5}}, {}, {SweepPoint: SweepPoint{D: 7}}}
-	perrs := &mc.PointErrors{Total: 3, Failures: []mc.PointFailure{{Index: 1, Err: errors.New("boom"), Attempts: 1}}}
-	if got, err := gridRows(rows, nil); err != nil || len(got) != 3 {
-		t.Errorf("clean grid: %d rows, %v", len(got), err)
+// runGrid returns every row of a clean grid, the other rows in point
+// order plus one PointFailure when a point panics, and no rows on a fatal
+// error or a cancellation — at any worker count.
+func TestRunGrid(t *testing.T) {
+	points := []int{10, 11, 12, 13}
+	double := func(p int) (int, error) { return 2 * p, nil }
+	failAt := func(at int, fail func() error) func(int) (int, error) {
+		return func(p int) (int, error) {
+			if p == at {
+				return 0, fail()
+			}
+			return double(p)
+		}
 	}
-	got, err := gridRows(rows, perrs)
-	if err != perrs || len(got) != 2 || got[0].D != 5 || got[1].D != 7 {
-		t.Errorf("isolated failure: rows %+v, err %v", got, err)
+	for _, workers := range []int{1, 3} {
+		opt := Options{PointWorkers: workers}
+		if rows, err := runGrid(opt, points, double); err != nil || !reflect.DeepEqual(rows, []int{20, 22, 24, 26}) {
+			t.Errorf("workers %d, clean grid: rows %v, err %v", workers, rows, err)
+		}
+
+		rows, err := runGrid(opt, points, failAt(11, func() error { panic("boom") }))
+		var perrs *mc.PointErrors
+		if !errors.As(err, &perrs) || len(perrs.Failures) != 1 || perrs.Failures[0].Index != 1 {
+			t.Errorf("workers %d, panicking point: err %v, want one PointFailure at index 1", workers, err)
+		}
+		if !reflect.DeepEqual(rows, []int{20, 24, 26}) {
+			t.Errorf("workers %d, panicking point: rows %v, want the other rows in point order", workers, rows)
+		}
+
+		fatal := errors.New("disk full")
+		if rows, err := runGrid(opt, points, failAt(12, func() error { return fatal })); rows != nil || err != fatal {
+			t.Errorf("workers %d, fatal error: rows %v, err %v", workers, rows, err)
+		}
+		canceled := failAt(12, func() error { return fmt.Errorf("engine: %w", mc.ErrCanceled) })
+		if rows, err := runGrid(opt, points, canceled); rows != nil || !errors.Is(err, mc.ErrCanceled) {
+			t.Errorf("workers %d, canceled point: rows %v, err %v", workers, rows, err)
+		}
+		// A panic and a cancellation in one grid: the cancellation wins.
+		both := func(p int) (int, error) {
+			if p == 10 {
+				panic("boom")
+			}
+			return canceled(p)
+		}
+		if rows, err := runGrid(opt, points, both); rows != nil || !errors.Is(err, mc.ErrCanceled) {
+			t.Errorf("workers %d, panic + cancel: rows %v, err %v", workers, rows, err)
+		}
 	}
-	for name, err := range map[string]error{
-		"canceled":          mc.ErrCanceled,
-		"canceled+isolated": errors.Join(mc.ErrCanceled, perrs),
-		"fatal":             errors.New("disk full"),
+}
+
+// A figure grid keeps its finished rows on an isolated point failure: on a
+// store whose second append panics, the grid returns every other row, in
+// grid order, plus the one failure.
+func TestFigureGridKeepsFinishedRows(t *testing.T) {
+	t.Run("Fig11c", func(t *testing.T) { checkPartialGrid(t, Fig11c) })
+	t.Run("Table2", func(t *testing.T) { checkPartialGrid(t, Table2) })
+}
+
+func checkPartialGrid[R any](t *testing.T, run func(Options) ([]R, error)) {
+	fresh, err := run(QuickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.OpenWith(filepath.Join(t.TempDir(), "faulted.jsonl"),
+		store.Options{BeforeAppend: chaos.PanicOnAppend(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	opt := QuickOptions()
+	opt.Store = st
+	rows, err := run(opt)
+	var perrs *mc.PointErrors
+	if !errors.As(err, &perrs) || len(perrs.Failures) != 1 {
+		t.Fatalf("err = %v, want one isolated point failure", err)
+	}
+	// One worker appends in grid order, so the second append is point 1's.
+	want := append(fresh[:1:1], fresh[2:]...)
+	if len(rows) != len(fresh)-1 || !reflect.DeepEqual(rows, want) {
+		t.Fatalf("got %d rows, want the %d rows other than point 1, in grid order", len(rows), len(want))
+	}
+}
+
+// Cancellation reaches the Monte-Carlo runs inside a figure point: on an
+// already-canceled context a point with a large shot budget stops at the
+// next shard boundary with mc.ErrCanceled instead of running to the end
+// and committing a row.
+func TestFigurePointHonorsCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opt := QuickOptions()
+	opt.Shots = 200_000
+	opt.Ctx = ctx
+	nominal := noise.Uniform(noise.DefaultPhysical)
+	for name, point := range map[string]func() error{
+		"fig11a": func() error { _, err := fig11aPoint(opt, 5, 1, 1); return err },
+		"fig14a": func() error { _, err := fig14aPoint(opt, 5, 1e-3, 1); return err },
+		"fig14b": func() error { _, err := removalRate(nil, nil, 5, nominal, opt, 1); return err },
 	} {
-		if got, gerr := gridRows(rows, err); got != nil || gerr != err {
-			t.Errorf("%s: rows %+v, err %v", name, got, gerr)
+		if err := point(); !errors.Is(err, mc.ErrCanceled) {
+			t.Errorf("%s: err %v, want one wrapping mc.ErrCanceled", name, err)
 		}
 	}
 }

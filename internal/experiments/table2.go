@@ -70,9 +70,7 @@ func Table2(opt Options) ([]Table2Row, error) {
 			grid = append(grid, point{prog, d})
 		}
 	}
-	rows := make([]Table2Row, len(grid))
-	err := opt.forEachPoint(len(grid), func(i int) error {
-		pt := grid[i]
+	return runGrid(opt, grid, func(pt point) (Table2Row, error) {
 		cfg := table2Config{Benchmark: pt.prog.Name, D: pt.d,
 			Trials: opt.Trials, Seed: opt.Seed, FitLosses: opt.FitLosses}
 		pay, err := cachedRow(opt, "table2", cfg, func() (table2Payload, error) {
@@ -91,10 +89,7 @@ func Table2(opt Options) ([]Table2Row, error) {
 				SurfRetryRisk:   surf.RetryRisk,
 			}, nil
 		})
-		if err != nil {
-			return err
-		}
-		rows[i] = Table2Row{
+		return Table2Row{
 			Program:         pt.prog,
 			D:               pt.d,
 			DeltaD:          pay.DeltaD,
@@ -104,13 +99,8 @@ func Table2(opt Options) ([]Table2Row, error) {
 			ASCRetryRisk:    pay.ASCRetryRisk,
 			SurfQubits:      pay.SurfQubits,
 			SurfRetryRisk:   pay.SurfRetryRisk,
-		}
-		return nil
+		}, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderTable2 prints the table in the paper's format.

@@ -229,7 +229,8 @@ type TrajRow struct {
 // TrajectoryScan runs Options.Trials closed-loop trajectories per mode and
 // aggregates them into one comparison row per arm. See the package comment
 // of internal/traj for the simulation model and the block comment above for
-// the determinism and resume contract.
+// the determinism and resume contract. Unlike the other grids, the scan
+// returns no rows on any error, isolated point failures included.
 func TrajectoryScan(opt Options, cfg traj.Config, modes []traj.Mode) ([]TrajRow, error) {
 	if opt.Trials < 1 {
 		return nil, fmt.Errorf("experiments: trajectory scan needs at least 1 trial per arm, got %d", opt.Trials)
@@ -291,29 +292,10 @@ func TrajectoryScan(opt Options, cfg traj.Config, modes []traj.Mode) ([]TrajRow,
 		return res, nil
 	}
 
-	// results holds each arm's committed in-order prefix: with adaptive
-	// stopping off (or a single arm, where separation is undefined) every
-	// arm runs the full Trials; otherwise arms may retire early and hold
-	// shorter prefixes.
+	// results holds each arm's committed in-order prefix: the full Trials,
+	// or a shorter prefix for an arm adaptive stopping retired early.
 	results := make([][]traj.Result, len(modes))
-	if !opt.AdaptiveStop || len(modes) < 2 {
-		n := len(modes) * opt.Trials
-		flat := make([]traj.Result, n)
-		err := opt.forEachPoint(n, func(i int) error {
-			res, err := runPoint(i/opt.Trials, i%opt.Trials)
-			if err != nil {
-				return err
-			}
-			flat[i] = res
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for mi := range modes {
-			results[mi] = flat[mi*opt.Trials : (mi+1)*opt.Trials]
-		}
-	} else if err := trajectoryScanAdaptive(opt, modes, results, runPoint); err != nil {
+	if err := trajectoryScanAdaptive(opt, modes, results, runPoint); err != nil {
 		return nil, err
 	}
 
@@ -414,22 +396,28 @@ func TrajectoryScan(opt Options, cfg traj.Config, modes []traj.Mode) ([]TrajRow,
 	return rows, nil
 }
 
-// trajectoryScanAdaptive runs the arms in barrier-synchronized blocks and
-// retires an arm once its failure confidence interval separates from every
-// other arm's. The first barrier sits at MinTrials (so no arm can stop on
-// fewer trajectories than the floor), later barriers every max(1,
-// MinTrials/2) trajectories. Within a block the (arm, index) tasks fan out
-// over the point pool like any grid, but a stop decision reads only the
-// committed prefixes at a barrier — results every worker schedule has
-// fully materialized — so the stopping pattern, and with it every row, is
-// bit-identical for any PointWorkers value. A stopped arm's interval stays
-// in play at its frozen count: later arms still have to separate from it.
+// trajectoryScanAdaptive is the block loop every trajectory scan runs: it
+// runs the arms in barrier-synchronized blocks and, under
+// Options.AdaptiveStop, retires an arm once its failure confidence
+// interval separates from every other arm's. The first barrier sits at
+// MinTrials (so no arm can stop on fewer trajectories than the floor),
+// later barriers every max(1, MinTrials/2) trajectories. Without adaptive
+// stopping, or with a single arm (where separation is undefined), the
+// first block is the whole budget: arm-major (arm, index) tasks in one
+// grid and no barrier. Each block's tasks run through runGrid like any
+// grid, but a stop decision reads only the committed prefixes at a barrier
+// — results every worker schedule has fully materialized — so the
+// stopping pattern, and with it every row, is bit-identical for any
+// PointWorkers value. A stopped arm's interval stays in play at its frozen
+// count: later arms still have to separate from it. Any block error,
+// isolated failures included, ends the scan: per-arm aggregates over a
+// trajectory set with holes would break the paired comparison.
 func trajectoryScanAdaptive(opt Options, modes []traj.Mode, results [][]traj.Result, runPoint func(mi, j int) (traj.Result, error)) error {
 	minT := opt.MinTrials
 	if minT <= 0 {
 		minT = DefaultMinTrials
 	}
-	if minT > opt.Trials {
+	if !opt.AdaptiveStop || len(modes) < 2 || minT > opt.Trials {
 		minT = opt.Trials
 	}
 	step := minT / 2
@@ -461,14 +449,8 @@ func trajectoryScanAdaptive(opt Options, modes []traj.Mode, results [][]traj.Res
 		if len(tasks) == 0 {
 			break
 		}
-		block := make([]traj.Result, len(tasks))
-		err := opt.forEachPoint(len(tasks), func(i int) error {
-			res, err := runPoint(tasks[i].mi, tasks[i].j)
-			if err != nil {
-				return err
-			}
-			block[i] = res
-			return nil
+		block, err := runGrid(opt, tasks, func(t task) (traj.Result, error) {
+			return runPoint(t.mi, t.j)
 		})
 		if err != nil {
 			return err

@@ -45,7 +45,7 @@ func DeriveSeed(seed int64, path ...int64) int64 {
 // derivation depends only on (seed, shard) — never on worker count or
 // scheduling order — which is what makes engine results bit-identical for
 // any parallelism. The user seed is hashed first so that adjacent seeds
-// (the seed/seed+1 convention used by RunMemoryBothOpts) yield uncorrelated
+// (the seed/seed+1 convention used by RunMemoryBothStored) yield uncorrelated
 // shard families.
 func ShardSeed(seed int64, shard int) int64 {
 	return DeriveSeed(seed, int64(shard))

@@ -32,7 +32,7 @@ func TestShardSeedStableAndDistinct(t *testing.T) {
 	}
 }
 
-// Adjacent user seeds are the RunMemoryBothOpts convention (seed,
+// Adjacent user seeds are the RunMemoryBothStored convention (seed,
 // seed+1); the families they spawn must not overlap.
 func TestShardSeedAdjacentUserSeeds(t *testing.T) {
 	a := map[int64]bool{}

@@ -14,7 +14,8 @@ import (
 
 // Process-wide cache metrics, aggregated across every DEMCache instance
 // (shared and per-trajectory hot caches alike); the per-instance ints in
-// CacheStats stay authoritative for instance-local consumers like demMemo.
+// CacheStats stay authoritative for instance-local consumers like the
+// trajectory engine's hot cache.
 var (
 	obsCacheHits   = obs.Default().Counter("sim.dem_cache.hits")
 	obsCacheMisses = obs.Default().Counter("sim.dem_cache.misses")
@@ -37,14 +38,10 @@ var (
 type DEMCache struct {
 	mu      sync.Mutex
 	entries map[string]*DEM
-	// byPtr mirrors entries keyed by DEM identity so Has is O(1) — memo
-	// layers call it per memoized entry after a clear, and a linear scan
-	// under this mutex would serialize every concurrent trajectory on it.
-	byPtr  map[*DEM]struct{}
-	limit  int
-	hits   int
-	misses int
-	clears int
+	limit   int
+	hits    int
+	misses  int
+	clears  int
 }
 
 // NewDEMCache returns an empty cache bounded at the given number of
@@ -53,7 +50,7 @@ func NewDEMCache(limit int) *DEMCache {
 	if limit <= 0 {
 		limit = 256
 	}
-	return &DEMCache{entries: make(map[string]*DEM), byPtr: make(map[*DEM]struct{}), limit: limit}
+	return &DEMCache{entries: make(map[string]*DEM), limit: limit}
 }
 
 var sharedDEMCache = NewDEMCache(0)
@@ -123,12 +120,10 @@ func (dc *DEMCache) BuildDEMPatched(pt *Patcher, base *DEM, c *code.Code, model 
 	}
 	if len(dc.entries) >= dc.limit {
 		dc.entries = make(map[string]*DEM)
-		dc.byPtr = make(map[*DEM]struct{})
 		dc.clears++
 		obsCacheClears.Inc()
 	}
 	dc.entries[key] = dem
-	dc.byPtr[dem] = struct{}{}
 	dc.misses++
 	obsCacheMisses.Inc()
 	return dem, key, nil
@@ -155,25 +150,6 @@ func (dc *DEMCache) Stats() CacheStats {
 	dc.mu.Lock()
 	defer dc.mu.Unlock()
 	return CacheStats{Hits: dc.hits, Misses: dc.misses, Clears: dc.clears, Entries: len(dc.entries)}
-}
-
-// Clears reports how many wholesale evictions the cache has performed.
-// Pointer-keyed memo maps layered on the cache (per-DEM decoders and
-// samplers) watch this to learn when cached *DEM identities may have been
-// replaced and their entries need pruning.
-func (dc *DEMCache) Clears() int {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	return dc.clears
-}
-
-// Has reports whether the exact DEM pointer is currently cached (O(1);
-// memo-eviction consumers call it per memoized entry after a clear).
-func (dc *DEMCache) Has(dem *DEM) bool {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	_, ok := dc.byPtr[dem]
-	return ok
 }
 
 // demCacheKey serializes everything BuildDEM's output depends on: the

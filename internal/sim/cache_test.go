@@ -130,7 +130,7 @@ func TestDEMCacheStatsMonotoneAcrossClears(t *testing.T) {
 	if before.Hits != 1 || before.Misses != 2 || before.Clears != 0 || before.Entries != 2 {
 		t.Fatalf("pre-clear stats %+v, want 1 hit / 2 misses / 0 clears / 2 entries", before)
 	}
-	kept := build(4) // working set at the limit: clears, then inserts
+	build(4) // working set at the limit: clears, then inserts
 	after := dc.Stats()
 	if after.Hits < before.Hits || after.Misses < before.Misses {
 		t.Errorf("counters went backwards across a clear: %+v -> %+v", before, after)
@@ -138,23 +138,10 @@ func TestDEMCacheStatsMonotoneAcrossClears(t *testing.T) {
 	if after.Clears != 1 {
 		t.Errorf("clears = %d, want 1", after.Clears)
 	}
-	if dc.Clears() != 1 {
-		t.Errorf("Clears() = %d, want 1", dc.Clears())
-	}
 	if after.Entries != 1 {
 		t.Errorf("post-clear working set %d, want 1", after.Entries)
 	}
 	if after.Misses != 3 {
 		t.Errorf("misses = %d, want 3 (counters survive the clear)", after.Misses)
-	}
-	// Has tracks the working set, not history: the survivor is present, the
-	// cleared entries are not.
-	if !dc.Has(kept) {
-		t.Error("Has must report the just-inserted DEM")
-	}
-	old := build(2) // rebuilt after the clear: a fresh pointer
-	_ = old
-	if dc.Has(nil) {
-		t.Error("Has(nil) must be false")
 	}
 }

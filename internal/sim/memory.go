@@ -82,10 +82,8 @@ type RunOptions struct {
 	// boundaries (see mc.Config.Ctx); the run returns an error wrapping
 	// mc.ErrCanceled and nothing is committed for the point.
 	Ctx context.Context
-	// Cache overrides the shared DEM cache (tests); DisableCache forces a
-	// fresh build, the pre-engine behavior.
-	Cache        *DEMCache
-	DisableCache bool
+	// Cache overrides the shared DEM cache (tests).
+	Cache *DEMCache
 }
 
 // RunMemoryOpts performs a memory experiment on the concurrent engine:
@@ -99,23 +97,17 @@ func RunMemoryOpts(c *code.Code, sampleModel, decodeModel *noise.Model, o RunOpt
 	if o.Factory == nil {
 		return nil, fmt.Errorf("sim: RunOptions.Factory is required")
 	}
-	build := func(m *noise.Model) (*DEM, error) {
-		if o.DisableCache {
-			return BuildDEM(c, m, o.Rounds, o.Basis)
-		}
-		cache := o.Cache
-		if cache == nil {
-			cache = sharedDEMCache
-		}
-		return cache.BuildDEM(c, m, o.Rounds, o.Basis)
+	cache := o.Cache
+	if cache == nil {
+		cache = sharedDEMCache
 	}
-	sampleDEM, err := build(sampleModel)
+	sampleDEM, err := cache.BuildDEM(c, sampleModel, o.Rounds, o.Basis)
 	if err != nil {
 		return nil, err
 	}
 	decodeDEM := sampleDEM
 	if decodeModel != nil && decodeModel != sampleModel {
-		decodeDEM, err = build(decodeModel)
+		decodeDEM, err = cache.BuildDEM(c, decodeModel, o.Rounds, o.Basis)
 		if err != nil {
 			return nil, err
 		}
@@ -179,50 +171,12 @@ func RunMemoryOpts(c *code.Code, sampleModel, decodeModel *noise.Model, o RunOpt
 	return res, nil
 }
 
-// RunMemory performs a memory experiment: build the DEM for the code under
-// the noise model, sample shots across the engine's worker pool, decode
-// each, and count logical failures. It is a thin wrapper over
-// RunMemoryOpts with a fixed shot budget.
-func RunMemory(c *code.Code, model *noise.Model, rounds, shots int, basis lattice.CheckType, factory DecoderFactory, seed int64) (*MemoryResult, error) {
-	return RunMemoryOpts(c, model, nil, RunOptions{
-		Rounds: rounds, Basis: basis, Factory: factory, Shots: shots, Seed: seed,
-	})
-}
-
-// RunMemoryMismatched performs a memory experiment in which shots are drawn
-// from sampleModel while the decoder is built from decodeModel — the
-// untreated-defect configuration. It is a thin wrapper over RunMemoryOpts.
-func RunMemoryMismatched(c *code.Code, sampleModel, decodeModel *noise.Model, rounds, shots int, basis lattice.CheckType, factory DecoderFactory, seed int64) (*MemoryResult, error) {
-	return RunMemoryOpts(c, sampleModel, decodeModel, RunOptions{
-		Rounds: rounds, Basis: basis, Factory: factory, Shots: shots, Seed: seed,
-	})
-}
-
 var errDetectorMismatch = errMismatch{}
 
 type errMismatch struct{}
 
 func (errMismatch) Error() string {
 	return "sim: sampling and decoding DEMs disagree on detector layout"
-}
-
-// RunMemoryBothOpts runs memory-Z and memory-X and returns the combined
-// per-round logical error rate (the union rate of either logical failing).
-// o.Basis is ignored: both bases run, Z at o.Seed and X at o.Seed+1.
-func RunMemoryBothOpts(c *code.Code, model *noise.Model, o RunOptions) (z, x *MemoryResult, combined float64, err error) {
-	o.Basis = lattice.ZCheck
-	z, err = RunMemoryOpts(c, model, nil, o)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	o.Basis = lattice.XCheck
-	o.Seed++
-	x, err = RunMemoryOpts(c, model, nil, o)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	combined = 1 - (1-z.PerRound)*(1-x.PerRound)
-	return z, x, combined, nil
 }
 
 // PerRoundRate inverts p_shot = (1 - (1-2λ)^R)/2 for the per-round logical

@@ -230,10 +230,12 @@ type basisConfig struct {
 	Config any    `json:"config"`
 }
 
-// RunMemoryBothStored is RunMemoryBothOpts behind the persistent store;
-// the Z and X halves are stored as separate points (config nested under a
-// basis tag, X at Seed+1 per the RunMemoryBothOpts convention). fromStore
-// reports whether *both* halves were served without Monte-Carlo work.
+// RunMemoryBothStored runs memory-Z and memory-X behind the persistent
+// store and returns the combined per-round logical error rate (the union
+// rate of either logical failing). o.Basis is ignored: Z runs at o.Seed
+// and X at o.Seed+1, and the halves are stored as separate points (config
+// nested under a basis tag). fromStore reports whether *both* halves were
+// served without Monte-Carlo work.
 func RunMemoryBothStored(c *code.Code, model *noise.Model, o RunOptions, so StoreOptions) (z, x *MemoryResult, combined float64, fromStore bool, err error) {
 	zo := o
 	zo.Basis = lattice.ZCheck

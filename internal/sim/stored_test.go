@@ -210,12 +210,21 @@ func TestRunMemoryBothStoredRoundTrip(t *testing.T) {
 	if fromStore {
 		t.Fatal("first run cannot come from the store")
 	}
-	bz, bx, bcomb, err := RunMemoryBothOpts(c, model, o)
+	// The reference halves: memory-Z at the seed, memory-X at seed+1.
+	zo, xo := o, o
+	zo.Basis = lattice.ZCheck
+	xo.Basis, xo.Seed = lattice.XCheck, o.Seed+1
+	bz, err := RunMemoryOpts(c, model, nil, zo)
 	if err != nil {
 		t.Fatal(err)
 	}
+	bx, err := RunMemoryOpts(c, model, nil, xo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bcomb := 1 - (1-bz.PerRound)*(1-bx.PerRound)
 	if !reflect.DeepEqual(z1, bz) || !reflect.DeepEqual(x1, bx) || comb1 != bcomb {
-		t.Fatal("stored both-path diverges from plain both-path")
+		t.Fatal("stored both-path diverges from plain per-basis runs")
 	}
 	z2, x2, comb2, fromStore, err := RunMemoryBothStored(c, model, o, so)
 	if err != nil {

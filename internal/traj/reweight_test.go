@@ -93,7 +93,7 @@ func TestMemoPrunedAfterCacheClear(t *testing.T) {
 				i, len(memo.entries), demMemoLimit)
 		}
 	}
-	if hot.Clears() == 0 {
+	if hot.Stats().Clears == 0 {
 		t.Fatal("test never forced a cache clear; the bound was not exercised")
 	}
 	// Rebuild configuration 0: the 2-entry cache evicted it long ago, so
