@@ -2,19 +2,21 @@
 // (possibly deformed) surface codes and samples them efficiently.
 //
 // The approach mirrors Stim's: the syndrome-extraction circuit is
-// materialized once, every elementary fault location is propagated through
-// the Clifford circuit as a Pauli frame, and the resulting set of flipped
-// detectors (parity comparisons that are deterministic in the noiseless
-// circuit) plus the logical-observable flip is recorded as a mechanism.
-// Identical mechanisms are merged. Sampling then draws each mechanism as an
-// independent Bernoulli event and XORs signatures — orders of magnitude
-// faster than stepping the circuit per shot.
+// materialized once, and one backward pass over it (Stim's error analyzer)
+// gives, for every elementary fault location, the set of flipped detectors
+// (parity comparisons that are deterministic in the noiseless circuit) plus
+// the logical-observable flip, at a cost linear in the circuit size. Each
+// fault is recorded as a mechanism and identical mechanisms are merged.
+// Sampling then draws each mechanism as an independent Bernoulli event and
+// XORs signatures — orders of magnitude faster than stepping the circuit
+// per shot.
 package sim
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"time"
 
@@ -56,8 +58,8 @@ type DEM struct {
 	// defect detector uses it to turn flagged observables into regions.
 	Observables []ObsInfo
 
-	// Decomposed counts mechanisms whose signature touched more than two
-	// detectors and had to be split for the matching decoder.
+	// rawMechs counts the positive-probability fault components enumerated
+	// before merging (RawMechanisms).
 	rawMechs int
 
 	// plan, when non-nil, records how each mechanism's probability was
@@ -117,17 +119,6 @@ type ObsInfo struct {
 	Type     lattice.CheckType
 	Support  []lattice.Coord
 	Ancillas []lattice.Coord
-}
-
-// mergedMech accumulates one signature's merged probability during fault
-// enumeration, along with the sorted detector list (kept so emission never
-// re-parses the key) and, for patch-base builds, the ordered elementary
-// contributions whose XOR-composition produced the probability.
-type mergedMech struct {
-	p        float64
-	dets     []int32
-	obs      bool
-	contribs []planContrib
 }
 
 // BuildDEM constructs the detector error model of a memory experiment in
@@ -320,198 +311,121 @@ func buildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis la
 		obsRec[rec] = true
 	}
 
-	// Fault enumeration. Signatures key on the sorted detector list plus the
-	// observable flag, serialized as "<det>,<det>,...,\x00<obs>" — the NUL
-	// separator sorts below every digit, so lexicographic key order
-	// reproduces the (dets string, obs) emission order exactly, which fixes
-	// the Mechs order the samplers' draw streams depend on.
-	merged := map[string]*mergedMech{}
-	var keyBuf []byte
-	addMech := func(p float64, dets []int32, obs bool, contrib planContrib) {
-		if p <= 0 || (len(dets) == 0 && !obs) {
-			return
-		}
-		dem.rawMechs++
-		slices.Sort(dets)
-		keyBuf = keyBuf[:0]
-		for _, d := range dets {
-			keyBuf = strconv.AppendInt(keyBuf, int64(d), 10)
-			keyBuf = append(keyBuf, ',')
-		}
-		keyBuf = append(keyBuf, 0)
-		if obs {
-			keyBuf = append(keyBuf, 1)
-		} else {
-			keyBuf = append(keyBuf, 0)
-		}
-		m, ok := merged[string(keyBuf)]
-		if !ok {
-			m = &mergedMech{dets: append([]int32(nil), dets...), obs: obs}
-			merged[string(keyBuf)] = m
-		}
-		m.p = m.p + p - 2*m.p*p
-		if record != nil {
-			m.contribs = append(m.contribs, contrib)
+	// Backward sensitivity pass (Stim's error analyzer). Walking the circuit
+	// from the readout back to the start, sx[q] and sz[q] hold the signature
+	// — flipped detectors and observable — that an X or a Z inserted on
+	// qubit q at the current point would produce. Undoing a reset clears
+	// both; undoing a CX xors the target's X signature into the control's
+	// and the control's Z signature into the target's; undoing a Z-basis
+	// (X-basis) measurement xors its record into the X (Z) signature. A
+	// reset or CX fault acts right after its op, so it reads the signatures
+	// before the op is undone; round r's idle channel acts right before op
+	// roundStart[r], so it reads them after.
+	var sigs sigArena
+	recSig := make([]sig, nRec)
+	for r, dets := range recDets {
+		recSig[r] = sigs.add(dets, obsRec[r])
+	}
+	sx := make([]sig, len(coords))
+	sz := make([]sig, len(coords))
+	// opSigs holds, in op order, each reset's fault signature and each CX's
+	// four generator signatures X_a, X_b, Z_a, Z_b; it fills back to front.
+	// Data qubits are dense indices [0, nData), so idleX/idleZ hold round
+	// r's idle signatures at [r*nData, (r+1)*nData). maxFolds bounds the
+	// components emission folds: one per reset and measurement, 15 + 2
+	// correlated per CX, three idle Paulis per data qubit and round.
+	nData := len(dataQubits)
+	nOpSigs, maxFolds := 0, 3*rounds*nData
+	for _, op := range ops {
+		switch op.kind {
+		case opReset:
+			nOpSigs++
+			maxFolds++
+		case opMeas:
+			maxFolds++
+		case opCX:
+			nOpSigs += 4
+			maxFolds += 17
 		}
 	}
-
-	// propagate seeds a single-qubit Pauli frame right after op index start
-	// and returns the flipped detectors (sorted) and the observable flip.
-	// Scratch is dense: a per-qubit frame array with a touched list and a
-	// live-frame counter (the enumeration calls this thousands of times per
-	// build, and the former map-based scratch dominated build time).
-	frame := make([]uint8, len(coords))
-	touchedQ := make([]int32, 0, len(coords))
-	live := 0
-	setQ := func(q int32, v uint8) {
-		old := frame[q]
-		if old == v {
-			return
-		}
-		if old == 0 {
-			live++
-			touchedQ = append(touchedQ, q)
-		} else if v == 0 {
-			live--
-		}
-		frame[q] = v
-	}
-	detCnt := make([]int32, dem.NumDets)
-	touchedD := make([]int32, 0, 64)
-	propagate := func(start int, seedQ int32, seedV uint8) ([]int32, bool) {
-		for _, q := range touchedQ {
-			frame[q] = 0
-		}
-		touchedQ = touchedQ[:0]
-		live = 0
-		if seedV != 0 {
-			setQ(seedQ, seedV)
-		}
-		obsFlip := false
-		for i := start; i < len(ops) && live > 0; i++ {
-			op := ops[i]
-			switch op.kind {
-			case opReset:
-				setQ(op.a, 0)
-			case opCX:
-				fa, fb := frame[op.a], frame[op.b]
-				nb := fb ^ (fa & 1) // X propagates control -> target
-				na := fa ^ (fb & 2) // Z propagates target -> control
-				setQ(op.a, na)
-				setQ(op.b, nb)
-			case opMeas:
-				f := frame[op.a]
-				flip := false
-				if op.basis == lattice.ZCheck {
-					flip = f&1 != 0 // X frame flips a Z measurement
-				} else {
-					flip = f&2 != 0 // Z frame flips an X measurement
-				}
-				if flip {
-					for _, d := range recDets[op.rec] {
-						if detCnt[d] == 0 {
-							touchedD = append(touchedD, d)
-						}
-						detCnt[d]++
-					}
-					if obsRec[op.rec] {
-						obsFlip = !obsFlip
-					}
-				}
+	opSigs := make([]sig, nOpSigs)
+	idleX := make([]sig, rounds*nData)
+	idleZ := make([]sig, rounds*nData)
+	k, r := nOpSigs, rounds-1
+	for i := len(ops) - 1; i >= 0; i-- {
+		op := ops[i]
+		switch op.kind {
+		case opReset:
+			k--
+			opSigs[k] = sx[op.a] // the reset flip: X after |0>, Z after |+>
+			if op.basis == lattice.XCheck {
+				opSigs[k] = sz[op.a]
+			}
+			sx[op.a], sz[op.a] = sig{}, sig{}
+		case opCX:
+			k -= 4
+			opSigs[k], opSigs[k+1], opSigs[k+2], opSigs[k+3] = sx[op.a], sx[op.b], sz[op.a], sz[op.b]
+			sx[op.a] = sigs.xor(sx[op.a], sx[op.b])
+			sz[op.b] = sigs.xor(sz[op.b], sz[op.a])
+		case opMeas:
+			if op.basis == lattice.ZCheck {
+				sx[op.a] = sigs.xor(sx[op.a], recSig[op.rec])
+			} else {
+				sz[op.a] = sigs.xor(sz[op.a], recSig[op.rec])
 			}
 		}
-		var dets []int32
-		for _, d := range touchedD {
-			if detCnt[d]%2 == 1 {
-				dets = append(dets, d)
-			}
-			detCnt[d] = 0
+		for ; r >= 0 && roundStart[r] == i; r-- {
+			copy(idleX[r*nData:], sx[:nData])
+			copy(idleZ[r*nData:], sz[:nData])
 		}
-		touchedD = touchedD[:0]
-		slices.Sort(dets)
-		return dets, obsFlip
 	}
 
-	flipRecord := func(rec int32) ([]int32, bool) {
-		var dets []int32
-		dets = append(dets, recDets[rec]...)
-		return dets, obsRec[rec]
+	// Forward emission, with k back at 0: fold every fault component in the
+	// order a forward walk over the circuit visits it — ops first, then the
+	// idle channel round by round — so merged probabilities, rawMechs and
+	// the recorded contribution order do not depend on the pass that found
+	// them. Surface-code circuits have about one unique mechanism per two
+	// ops, which sizes the merge index and the mechanism list.
+	mg := merger{index: make(map[string]int32, len(ops)/2), mechs: make([]mergedMech, 0, len(ops)/2)}
+	if record != nil {
+		mg.folds = make([]mechFold, 0, maxFolds)
 	}
-
-	// xorSig is the symmetric difference of two sorted detector lists.
-	xorSig := func(a, b []int32, oa, ob bool) ([]int32, bool) {
-		var out []int32
-		i, j := 0, 0
-		for i < len(a) && j < len(b) {
-			switch {
-			case a[i] < b[j]:
-				out = append(out, a[i])
-				i++
-			case b[j] < a[i]:
-				out = append(out, b[j])
-				j++
-			default:
-				i++
-				j++
-			}
-		}
-		out = append(out, a[i:]...)
-		out = append(out, b[j:]...)
-		return out, oa != ob
-	}
-
-	for i, op := range ops {
+	var scratch sigArena
+	var comp [16]sig
+	for _, op := range ops {
 		switch op.kind {
 		case opReset:
 			// Pauli-X channel on reset: the state flips to the orthogonal
 			// basis state (X after |0>, Z after |+>).
-			p := modelAt(int(op.round)).RateM(coords[op.a])
-			var seed uint8 = 1
-			if op.basis == lattice.XCheck {
-				seed = 2
-			}
-			dets, obs := propagate(i+1, op.a, seed)
-			addMech(p, dets, obs, planContrib{kind: contribMeasReset, a: op.a})
+			s := opSigs[k]
+			k++
+			mg.add(modelAt(int(op.round)).RateM(coords[op.a]), sigs.dets(s), s.obs, planContrib{kind: contribMeasReset, a: op.a})
 		case opMeas:
 			// Classical measurement flip.
-			p := modelAt(int(op.round)).RateM(coords[op.a])
-			dets, obs := flipRecord(op.rec)
-			addMech(p, dets, obs, planContrib{kind: contribMeasReset, a: op.a})
+			s := recSig[op.rec]
+			mg.add(modelAt(int(op.round)).RateM(coords[op.a]), sigs.dets(s), s.obs, planContrib{kind: contribMeasReset, a: op.a})
 		case opCX:
 			model := modelAt(int(op.round))
 			p2 := model.Rate2(coords[op.a], coords[op.b])
-			// Propagate the four generator seeds; compose the 15 Paulis.
-			type comp struct {
-				dets []int32
-				obs  bool
+			// The 15 two-qubit Paulis, composed from the four generators
+			// comp[1<<g] = opSigs[k+g]: comp[m] = comp[m&(m-1)] ⊕ comp[m&-m].
+			scratch.buf = scratch.buf[:0]
+			for g := 0; g < 4; g++ {
+				s := opSigs[k+g]
+				comp[1<<g] = scratch.add(sigs.dets(s), s.obs)
 			}
-			gen := [4]comp{}
-			seeds := [4]struct {
-				q int32
-				v uint8
-			}{
-				{op.a, 1}, {op.b, 1}, {op.a, 2}, {op.b, 2},
-			}
-			for gi, sd := range seeds {
-				d, o := propagate(i+1, sd.q, sd.v)
-				gen[gi] = comp{d, o}
-			}
-			for mask := 1; mask < 16; mask++ {
-				var dets []int32
-				obs := false
-				for gi := 0; gi < 4; gi++ {
-					if mask&(1<<gi) != 0 {
-						dets, obs = xorSig(dets, gen[gi].dets, obs, gen[gi].obs)
-					}
+			k += 4
+			for m := 1; m < 16; m++ {
+				if m&(m-1) != 0 {
+					comp[m] = scratch.xor(comp[m&(m-1)], comp[m&-m])
 				}
-				addMech(p2/15, dets, obs, planContrib{kind: contribCX, a: op.a, b: op.b})
+				mg.add(p2/15, scratch.dets(comp[m]), comp[m].obs, planContrib{kind: contribCX, a: op.a, b: op.b})
 			}
 			if model.PCorrelated > 0 {
 				// Correlated X⊗X and Z⊗Z with equal shares.
-				dxx, oxx := xorSig(gen[0].dets, gen[1].dets, gen[0].obs, gen[1].obs)
-				addMech(model.PCorrelated/2, dxx, oxx, planContrib{kind: contribCorr})
-				dzz, ozz := xorSig(gen[2].dets, gen[3].dets, gen[2].obs, gen[3].obs)
-				addMech(model.PCorrelated/2, dzz, ozz, planContrib{kind: contribCorr})
+				for _, m := range [2]int{0b0011, 0b1100} {
+					mg.add(model.PCorrelated/2, scratch.dets(comp[m]), comp[m].obs, planContrib{kind: contribCorr})
+				}
 			}
 		}
 	}
@@ -520,49 +434,197 @@ func buildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis la
 	// (the identity gate while ancillas are measured); this is also where
 	// 50%-rate defect regions act when their checks have been disabled.
 	for r := 0; r < rounds; r++ {
-		start := roundStart[r]
-		for _, q := range dataQubits {
+		for qi, q := range dataQubits {
 			p1 := modelAt(r).Rate1(q)
 			if p1 <= 0 {
 				continue
 			}
-			qi := qIdx[q]
-			dx, ox := propagate(start, qi, 1)
-			dz, oz := propagate(start, qi, 2)
-			dy, oy := xorSig(dx, dz, ox, oz)
-			addMech(p1/3, dx, ox, planContrib{kind: contribIdle, a: qi})
-			addMech(p1/3, dz, oz, planContrib{kind: contribIdle, a: qi})
-			addMech(p1/3, dy, oy, planContrib{kind: contribIdle, a: qi})
+			x, z := idleX[r*nData+qi], idleZ[r*nData+qi]
+			y := sigs.xor(x, z)
+			for _, s := range [3]sig{x, z, y} {
+				mg.add(p1/3, sigs.dets(s), s.obs, planContrib{kind: contribIdle, a: int32(qi)})
+			}
 		}
 	}
 
-	// Emit merged mechanisms deterministically (lexicographic key order —
-	// see the key-format comment above).
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	dem.Mechs = make([]Mechanism, 0, len(keys))
-	for _, k := range keys {
-		m := merged[k]
-		dem.Mechs = append(dem.Mechs, Mechanism{P: m.p, Dets: m.dets, Obs: m.obs})
-	}
-
+	dem.rawMechs = mg.raw
+	rank := mg.emit(dem)
 	if record != nil {
 		core := &planCore{coords: coords, qIdx: qIdx}
-		core.mechOff = make([]int32, len(keys)+1)
-		total := 0
-		for _, k := range keys {
-			total += len(merged[k].contribs)
-		}
-		core.contribs = make([]planContrib, 0, total)
-		for mi, k := range keys {
-			core.contribs = append(core.contribs, merged[k].contribs...)
-			core.mechOff[mi+1] = int32(len(core.contribs))
-		}
+		core.mechOff, core.contribs = mg.plan(rank)
 		core.buildSiteIndex()
 		dem.plan = &demPlan{core: core, base: record, codeFP: c.Fingerprint()}
 	}
 	return dem, nil
+}
+
+// sig is a fault signature: the sorted detectors it flips, held as a span
+// of a sigArena, and whether it flips the logical observable. The zero sig
+// flips nothing.
+type sig struct {
+	off, n int32
+	obs    bool
+}
+
+// sigArena stores signatures as spans of one append-only array. A span is
+// never rewritten, so a sig stays valid while the arena grows, and copying
+// a sig copies the signature.
+type sigArena struct{ buf []int32 }
+
+func (a *sigArena) dets(s sig) []int32 { return a.buf[s.off : s.off+s.n : s.off+s.n] }
+
+func (a *sigArena) add(dets []int32, obs bool) sig {
+	off := int32(len(a.buf))
+	a.buf = append(a.buf, dets...)
+	return sig{off: off, n: int32(len(dets)), obs: obs}
+}
+
+// xor returns the signature of faults x and y together: the symmetric
+// difference of their detectors and the parity of their observable flips.
+func (a *sigArena) xor(x, y sig) sig {
+	obs := x.obs != y.obs
+	if y.n == 0 {
+		return sig{off: x.off, n: x.n, obs: obs}
+	}
+	if x.n == 0 {
+		return sig{off: y.off, n: y.n, obs: obs}
+	}
+	xs, ys := a.dets(x), a.dets(y)
+	off := int32(len(a.buf))
+	i, j := 0, 0
+	for i < len(xs) && j < len(ys) {
+		switch {
+		case xs[i] < ys[j]:
+			a.buf = append(a.buf, xs[i])
+			i++
+		case ys[j] < xs[i]:
+			a.buf = append(a.buf, ys[j])
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	a.buf = append(a.buf, xs[i:]...)
+	a.buf = append(a.buf, ys[j:]...)
+	return sig{off: off, n: int32(len(a.buf)) - off, obs: obs}
+}
+
+// merger folds fault components into unique mechanisms, numbered in
+// first-seen order until emit sorts them.
+type merger struct {
+	index map[string]int32 // binary signature key → mechanism number
+	key   []byte
+	mechs []mergedMech
+	dets  sigArena
+	raw   int
+	folds []mechFold // every folded component in fold order; nil unless recording a plan
+}
+
+// mergedMech accumulates one unique signature's merged probability; the
+// signature is a span of the merger's own arena.
+type mergedMech struct {
+	p   float64
+	sig sig
+}
+
+// mechFold is one component folded into mechanism mech.
+type mechFold struct {
+	mech    int32
+	contrib planContrib
+}
+
+// add folds one fault component. Components with no effect or no
+// probability are dropped; rawMechs counts the rest. Equal signatures merge
+// as independent XOR events, p ⊕ q = p + q − 2pq, in fold order.
+func (mg *merger) add(p float64, dets []int32, obs bool, contrib planContrib) {
+	if p <= 0 || (len(dets) == 0 && !obs) {
+		return
+	}
+	mg.raw++
+	mg.key = mg.key[:0]
+	for _, d := range dets {
+		mg.key = binary.LittleEndian.AppendUint32(mg.key, uint32(d))
+	}
+	if obs {
+		mg.key = append(mg.key, 1) // 4n+1 bytes: never another list's key
+	}
+	id, ok := mg.index[string(mg.key)]
+	if !ok {
+		id = int32(len(mg.mechs))
+		mg.index[string(mg.key)] = id
+		mg.mechs = append(mg.mechs, mergedMech{sig: mg.dets.add(dets, obs)})
+	}
+	m := &mg.mechs[id]
+	m.p = m.p + p - 2*m.p*p
+	if mg.folds != nil {
+		mg.folds = append(mg.folds, mechFold{mech: id, contrib: contrib})
+	}
+}
+
+// emit writes the merged mechanisms into dem.Mechs, their detector lists
+// packed into one exactly sized array, and returns each mechanism's index
+// there. The order is the lexicographic order of the decimal keys
+// "<det>,<det>,…,\x00<obs>": the NUL sorts below every digit and the
+// comma, so a detector list precedes its extensions. The samplers' draw
+// streams, and so every stored result, depend on this order.
+func (mg *merger) emit(dem *DEM) []int32 {
+	n := len(mg.mechs)
+	var keys []byte
+	keyOff := make([]int32, n+1)
+	order := make([]int32, n)
+	for i, m := range mg.mechs {
+		for _, d := range mg.dets.dets(m.sig) {
+			keys = strconv.AppendInt(keys, int64(d), 10)
+			keys = append(keys, ',')
+		}
+		obs := byte(0)
+		if m.sig.obs {
+			obs = 1
+		}
+		keys = append(keys, 0, obs)
+		keyOff[i+1] = int32(len(keys))
+		order[i] = int32(i)
+	}
+	key := func(i int32) []byte { return keys[keyOff[i]:keyOff[i+1]] }
+	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(key(a), key(b)) })
+
+	flat := make([]int32, len(mg.dets.buf))
+	dem.Mechs = make([]Mechanism, n)
+	rank := make([]int32, n)
+	off := int32(0)
+	for i, id := range order {
+		rank[id] = int32(i)
+		m := mg.mechs[id]
+		dem.Mechs[i] = Mechanism{P: m.p, Obs: m.sig.obs}
+		if m.sig.n > 0 {
+			end := off + m.sig.n
+			dem.Mechs[i].Dets = flat[off:end:end]
+			copy(dem.Mechs[i].Dets, mg.dets.dets(m.sig))
+			off = end
+		}
+	}
+	return rank
+}
+
+// plan lays the recorded folds out as the patch plan's CSR: a stable
+// counting sort by emitted mechanism index, which keeps each mechanism's
+// contributions in fold order.
+func (mg *merger) plan(rank []int32) (mechOff []int32, contribs []planContrib) {
+	n := len(mg.mechs)
+	mechOff = make([]int32, n+1)
+	for _, f := range mg.folds {
+		mechOff[rank[f.mech]+1]++
+	}
+	for i := 0; i < n; i++ {
+		mechOff[i+1] += mechOff[i]
+	}
+	next := slices.Clone(mechOff[:n])
+	contribs = make([]planContrib, len(mg.folds))
+	for _, f := range mg.folds {
+		r := rank[f.mech]
+		contribs[next[r]] = f.contrib
+		next[r]++
+	}
+	return mechOff, contribs
 }

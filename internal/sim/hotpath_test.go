@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"surfdeformer/internal/code"
 	"surfdeformer/internal/lattice"
 	"surfdeformer/internal/noise"
 )
@@ -30,6 +32,57 @@ func TestShotZeroAllocs(t *testing.T) {
 	_ = sink
 	if allocs != 0 {
 		t.Errorf("Shot allocates %.1f per 16-shot run, want 0", allocs)
+	}
+}
+
+// TestBuildDEMAllocs bounds a full build's allocations. The backward pass
+// stores signatures as arena spans and merges them under reused key
+// scratch, so allocations scale with the unique mechanisms (~470 here) and
+// the circuit layout, not with the ~7.5k fault components a d=5, 8-round
+// build folds; allocating per signature (the forward enumeration's ~22k)
+// fails.
+func TestBuildDEMAllocs(t *testing.T) {
+	c := freshCode(t, 5)
+	model := noise.Uniform(1e-3)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := BuildDEM(c, model, 8, lattice.ZCheck); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4000 {
+		t.Errorf("BuildDEM allocates %.0f per d=5, 8-round build, want <= 4000", allocs)
+	}
+}
+
+var benchDEM *DEM
+
+// BenchmarkBuildDEM times one full build of a fresh code's memory-Z DEM
+// with the backward pass ("new") and with the forward reference
+// enumeration ("ref"), so one run gives the speed-up at each size.
+func BenchmarkBuildDEM(b *testing.B) {
+	for _, sz := range []struct{ d, rounds int }{{5, 8}, {9, 16}} {
+		c := code.FromPatch(lattice.NewPatch(lattice.Coord{}, sz.d))
+		model := noise.Uniform(1e-3)
+		modelAt := func(int) *noise.Model { return model }
+		builds := []struct {
+			name  string
+			build func() (*DEM, error)
+		}{
+			{"new", func() (*DEM, error) { return BuildDEM(c, model, sz.rounds, lattice.ZCheck) }},
+			{"ref", func() (*DEM, error) { return refBuildDEM(c, modelAt, sz.rounds, lattice.ZCheck, model) }},
+		}
+		for _, bd := range builds {
+			b.Run(fmt.Sprintf("d%d-r%d/%s", sz.d, sz.rounds, bd.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					dem, err := bd.build()
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchDEM = dem
+				}
+			})
+		}
 	}
 }
 

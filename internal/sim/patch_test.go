@@ -15,8 +15,7 @@ import (
 )
 
 // deformedCode builds a d=5 patch with the centre qubit removed and
-// super-stabilizers installed, mirroring what the deform package produces
-// (inlined to keep the dependency graph acyclic).
+// super-stabilizers installed, mirroring what the deform package produces.
 func deformedCode(t *testing.T) *code.Code {
 	t.Helper()
 	c := freshCode(t, 5)

@@ -7,7 +7,6 @@ import (
 	"surfdeformer/internal/code"
 	"surfdeformer/internal/lattice"
 	"surfdeformer/internal/noise"
-	"surfdeformer/internal/pauli"
 )
 
 func freshCode(t *testing.T, d int) *code.Code {
@@ -95,32 +94,7 @@ func TestSamplerStatistics(t *testing.T) {
 func TestDeformedCodeDEMBuilds(t *testing.T) {
 	// A deformed code with gauges (alternating-round measurements) must
 	// produce a consistent DEM in both bases.
-	c := freshCode(t, 5)
-	// Build a deformed code via manual removal of the centre qubit, like
-	// the deform package would (super-stabilizer structure exercised here
-	// without importing deform to keep the dependency graph acyclic).
-	q0 := lattice.Coord{Row: 5, Col: 5}
-	notQ0 := func(q lattice.Coord) bool { return q != q0 }
-	for _, typ := range []lattice.CheckType{lattice.XCheck, lattice.ZCheck} {
-		stabs := c.StabsOn(q0, typ)
-		var ids []int
-		var prod pauli.Op
-		for _, s := range stabs {
-			prod = pauli.Mul(prod, s.Op)
-			c.RemoveStab(s.ID)
-			ids = append(ids, c.AddGauge(s.Op.RestrictedTo(notQ0), s.Ancilla, false))
-		}
-		c.AddSuperStab(prod.RestrictedTo(notQ0), ids)
-	}
-	if err := c.RemoveDataQubit(q0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RefreshLogicals(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	c := deformedCode(t)
 	for _, basis := range []lattice.CheckType{lattice.ZCheck, lattice.XCheck} {
 		dem, err := BuildDEM(c, noise.Uniform(1e-3), 4, basis)
 		if err != nil {
