@@ -6,8 +6,12 @@ import (
 	"surfdeformer/internal/code"
 	"surfdeformer/internal/gf2"
 	"surfdeformer/internal/lattice"
+	"surfdeformer/internal/obs"
 	"surfdeformer/internal/pauli"
 )
+
+// obsSpecBuilds counts Build calls: every spec compiled in the process.
+var obsSpecBuilds = obs.Default().Counter("deform.spec_builds")
 
 // Build compiles the spec into a concrete code.
 //
@@ -30,8 +34,11 @@ import (
 //     stabilizer structure and repair them against the gauge operators.
 //
 // The result is validated structurally; callers requiring the full
-// (expensive) invariant check should call Validate on the result.
+// (expensive) invariant check should call Validate on the result. Every
+// call compiles afresh and returns a new code the caller owns; callers that
+// need only the distances use Distances.
 func (s *Spec) Build() (*code.Code, error) {
+	obsSpecBuilds.Inc()
 	rect := s.Rect()
 	dataSet := make(map[lattice.Coord]bool, len(rect.Data))
 	for _, q := range rect.Data {

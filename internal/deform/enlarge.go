@@ -9,6 +9,9 @@ import (
 
 // EnlargeResult reports what the adaptive enlargement achieved.
 type EnlargeResult struct {
+	// Code is the final spec, compiled once into a fresh code the caller
+	// owns. The trials were judged by their distances alone
+	// (Spec.Distances).
 	Code        *code.Code
 	LayersAdded map[lattice.Side]int
 	ReachedX    int // X distance of the final code
@@ -35,6 +38,11 @@ func UniformBudget(layers int) Budget {
 // the given policy before the layer is judged; a layer that fails to improve
 // the distance (a defect straddles it) triggers a second layer on the same
 // side when the budget allows (fig. 9d).
+//
+// The base spec and every trial are judged by Spec.Distances, so a layout
+// seen before costs a memo lookup rather than a compile. Apart from the
+// memo's misses, Enlarge compiles only the spec it returns, and not even
+// that when a miss has already compiled it.
 func Enlarge(s *Spec, targetX, targetZ int, defective func(lattice.Coord) bool, policy Policy, budget Budget) (*EnlargeResult, error) {
 	if defective == nil {
 		defective = func(lattice.Coord) bool { return false }
@@ -43,11 +51,11 @@ func Enlarge(s *Spec, targetX, targetZ int, defective func(lattice.Coord) bool, 
 		budget = Budget{}
 	}
 	res := &EnlargeResult{LayersAdded: map[lattice.Side]int{}}
-	c, err := s.Build()
+	// c is the compiled current spec when a memo miss produced it, else nil.
+	dx, dz, c, err := s.distances()
 	if err != nil {
 		return nil, err
 	}
-	dx, dz := c.DistanceX(), c.DistanceZ()
 
 	// grow attempts to raise the distance of the given type by one unit,
 	// trying each allowed side with one layer (and two on the same side if
@@ -66,6 +74,7 @@ func Enlarge(s *Spec, targetX, targetZ int, defective func(lattice.Coord) bool, 
 			layers  int
 			defects int
 			dist    int
+			dx, dz  int
 		}
 		var best *attempt
 		current := dz
@@ -83,18 +92,18 @@ func Enlarge(s *Spec, targetX, targetZ int, defective func(lattice.Coord) bool, 
 				if err := ApplyDefects(trial, newDefects, policy); err != nil {
 					continue // this growth direction is not viable
 				}
-				tc, err := trial.Build()
+				tdx, tdz, tc, err := trial.distances()
 				if err != nil {
 					continue
 				}
-				dist := tc.DistanceZ()
+				dist := tdz
 				if typ == lattice.XCheck {
-					dist = tc.DistanceX()
+					dist = tdx
 				}
 				if dist <= current {
 					continue // layer defeated by defects; try more layers
 				}
-				a := &attempt{spec: trial, code: tc, side: side, layers: layers, defects: len(newDefects), dist: dist}
+				a := &attempt{spec: trial, code: tc, side: side, layers: layers, defects: len(newDefects), dist: dist, dx: tdx, dz: tdz}
 				if best == nil ||
 					a.layers < best.layers ||
 					(a.layers == best.layers && a.dist > best.dist) ||
@@ -109,7 +118,7 @@ func Enlarge(s *Spec, targetX, targetZ int, defective func(lattice.Coord) bool, 
 		}
 		*s = *best.spec
 		c = best.code
-		dx, dz = c.DistanceX(), c.DistanceZ()
+		dx, dz = best.dx, best.dz
 		res.LayersAdded[best.side] += best.layers
 		res.NewDefects += best.defects
 		return true, nil
@@ -134,6 +143,11 @@ func Enlarge(s *Spec, targetX, targetZ int, defective func(lattice.Coord) bool, 
 		}
 		if !progressed {
 			break // budgets exhausted or defects block further recovery
+		}
+	}
+	if c == nil {
+		if c, err = s.Build(); err != nil {
+			return nil, err
 		}
 	}
 	res.Code = c

@@ -122,8 +122,9 @@ func applySyndromeDefect(s *Spec, q lattice.Coord, policy Policy) error {
 	return s.SyndromeQRM(q)
 }
 
-// balancedPatchQRM evaluates both boundary-fix choices and records the one
-// with the better balanced distance profile.
+// balancedPatchQRM evaluates both boundary-fix choices by their memoized
+// distances (Spec.Distances) and records the one with the better balanced
+// distance profile.
 func balancedPatchQRM(s *Spec, q lattice.Coord) error {
 	type option struct {
 		fix  lattice.CheckType
@@ -137,12 +138,11 @@ func balancedPatchQRM(s *Spec, q lattice.Coord) error {
 		if err := trial.PatchQRM(q, fix); err != nil {
 			return err
 		}
-		c, err := trial.Build()
+		dx, dz, err := trial.Distances()
 		if err != nil {
 			opts = append(opts, option{fix: fix, ok: false})
 			continue
 		}
-		dx, dz := c.DistanceX(), c.DistanceZ()
 		dMin, dSum := dx, dx+dz
 		if dz < dMin {
 			dMin = dz

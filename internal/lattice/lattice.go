@@ -15,8 +15,9 @@
 package lattice
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Coord is a position on the 2-D lattice. Row grows downward, Col rightward.
@@ -88,9 +89,14 @@ func abs(x int) int {
 	return x
 }
 
-// SortCoords sorts a coordinate slice in row-major order.
+// SortCoords sorts a coordinate slice in row-major order (Coord.Less).
 func SortCoords(cs []Coord) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Less(cs[j]) })
+	slices.SortFunc(cs, func(a, b Coord) int {
+		if c := cmp.Compare(a.Row, b.Row); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Col, b.Col)
+	})
 }
 
 // CheckType distinguishes the two stabilizer flavours.

@@ -114,8 +114,9 @@ func Split(m *deform.Spec, leftDX, splitCols int) (*deform.Spec, *deform.Spec, e
 // MergeBlocked reports whether defective sites obstruct the ancilla strip
 // between two patches: a merge requires a clean distance-d channel, so any
 // unremovable defect cluster wider than the spare space blocks it. The
-// check is conservative: it builds the would-be merged code and fails if
-// the defects sever it or drop its distance below minDistance.
+// check is conservative: it judges the would-be merged spec by its
+// distances (deform.Spec.Distances, memoized across calls) and fails if the
+// defects sever it or drop its distance below minDistance.
 func MergeBlocked(a, b *deform.Spec, defects []lattice.Coord, minDistance int) (bool, error) {
 	merged, err := Merge(a, b)
 	if err != nil {
@@ -124,11 +125,11 @@ func MergeBlocked(a, b *deform.Spec, defects []lattice.Coord, minDistance int) (
 	if err := deform.ApplyDefects(merged, defects, deform.PolicySurfDeformer); err != nil {
 		return true, nil
 	}
-	c, err := merged.Build()
+	dx, dz, err := merged.Distances()
 	if err != nil {
 		return true, nil // severed: merge impossible
 	}
-	return c.Distance() < minDistance, nil
+	return min(dx, dz) < minDistance, nil
 }
 
 // GrowTowards extends patch a rightwards until its boundary reaches the

@@ -1,6 +1,7 @@
 package surgery
 
 import (
+	"math/rand"
 	"testing"
 
 	"surfdeformer/internal/deform"
@@ -312,5 +313,55 @@ func TestMergeBlockedGrowRetry(t *testing.T) {
 	}
 	if c.Distance() < 4 {
 		t.Errorf("merged distance %d below the relaxed tolerance 4", c.Distance())
+	}
+}
+
+// TestMergeBlockedMatchesFromScratch pins MergeBlocked, which judges the
+// merged spec by its memoized distances, to a from-scratch compile: on
+// random strip defects its verdict must equal Merge + ApplyDefects +
+// Build().Distance(), on the first call and on a repeat served by the memo.
+func TestMergeBlockedMatchesFromScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	a := deform.NewSquareSpec(co(0, 0), 3)
+	b := deform.NewSquareSpec(co(0, 12), 3)
+	_, aMax := a.Bounds()
+	bMin, _ := b.Bounds()
+	const trials = 40
+	blocked := 0
+	for trial := 0; trial < trials; trial++ {
+		var strip []lattice.Coord
+		for n := 1 + rng.Intn(4); len(strip) < n; {
+			q := co(rng.Intn(aMax.Row+1), aMax.Col+1+rng.Intn(bMin.Col-aMax.Col-1))
+			if q.IsData() || q.IsCheck() {
+				strip = append(strip, q)
+			}
+		}
+		minDistance := 2 + rng.Intn(2)
+		m, err := Merge(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := true
+		if deform.ApplyDefects(m, strip, deform.PolicySurfDeformer) == nil {
+			if c, err := m.Build(); err == nil {
+				want = c.Distance() < minDistance
+			}
+		}
+		if want {
+			blocked++
+		}
+		for pass := 0; pass < 2; pass++ {
+			got, err := MergeBlocked(a, b, strip, minDistance)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("trial %d pass %d: strip %v at distance %d: blocked %v, from scratch %v",
+					trial, pass, strip, minDistance, got, want)
+			}
+		}
+	}
+	if blocked == 0 || blocked == trials {
+		t.Errorf("%d of %d strips blocked; both verdicts must occur", blocked, trials)
 	}
 }

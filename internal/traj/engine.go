@@ -747,16 +747,19 @@ func (e *engine) recoverPatch(i int, cycle int64) error {
 	if len(sites) == 0 || sys == nil {
 		return nil
 	}
+	// Both calls rebuild through Unit.Code, not Spec().Build(), so permanent
+	// bandages (boot adaptation) survive the rebuild; st.Code is that code.
+	var st *deform.StepResult
+	var err error
 	recovered := 0
 	switch {
 	case e.mit.Handles(defect.SeverityRemove):
-		if _, err := sys.Recover(i, sites); err != nil {
+		if st, err = sys.Recover(i, sites); err != nil {
 			return err
 		}
 		recovered = len(sites)
 	case e.mit.Handles(defect.SeveritySuper):
-		st, err := sys.Unbandage(i, sites)
-		if err != nil {
+		if st, err = sys.Unbandage(i, sites); err != nil {
 			return err
 		}
 		recovered = len(st.Defects)
@@ -766,12 +769,7 @@ func (e *engine) recoverPatch(i int, cycle int64) error {
 	}
 	e.res.Recoveries++
 	e.res.Patches[i].Recoveries++
-	// Rebuild through Unit.Code, not Spec().Build(), so permanent bandages
-	// (boot adaptation) survive the rebuild.
-	var err error
-	if ps.curCode, err = sys.Unit(i).Code(); err != nil {
-		return err
-	}
+	ps.curCode = st.Code
 	ps.blocked = sys.Blocked(i)
 	e.noteDistance(i)
 	e.emit(obs.TraceEvent{Type: obs.TraceRecover, Cycle: cycle, Patch: i,
