@@ -39,11 +39,14 @@ func SharedGraph(dem *sim.DEM) *Graph {
 
 // SharedGraphFrom is SharedGraph with a structural fast path: on a cache
 // miss, when base is a DEM sharing dem's patch core (sim.SamePatchCore —
-// same mechanism/detector structure by construction) whose graph is
-// already cached, the new graph is derived by replaying that graph's merge
-// skeleton with dem's probabilities instead of re-running the full merge.
-// The result is identical to NewGraph(dem) — rederive bails to the full
-// build whenever it cannot guarantee that — and is cached like any other.
+// same mechanism/detector structure by construction), the new graph is
+// derived by replaying base's merge skeleton with dem's probabilities
+// instead of re-running the full merge. If base's graph is not cached (it
+// was never requested, or a wholesale reset evicted it), it is built and
+// cached first, so one full build serves every later variant of the same
+// base. The result is identical to NewGraph(dem) — rederive bails to the
+// full build whenever it cannot guarantee that — and is cached like any
+// other.
 func SharedGraphFrom(dem, base *sim.DEM) *Graph {
 	graphCacheMu.Lock()
 	defer graphCacheMu.Unlock()
@@ -51,19 +54,28 @@ func SharedGraphFrom(dem, base *sim.DEM) *Graph {
 		obsGraphCacheHits.Inc()
 		return g
 	}
-	if len(graphCache) >= graphCacheLimit {
-		graphCache = make(map[*sim.DEM]*Graph)
-	}
-	var g *Graph
+	var g, bg *Graph
+	fresh := 1
 	if base != nil && base != dem && sim.SamePatchCore(dem, base) {
-		if bg, ok := graphCache[base]; ok {
-			if g = bg.rederive(dem); g != nil {
-				obsGraphRederives.Inc()
-			}
+		var ok bool
+		if bg, ok = graphCache[base]; !ok {
+			bg = NewGraph(base)
+			fresh++
+		}
+		if g = bg.rederive(dem); g != nil {
+			obsGraphRederives.Inc()
 		}
 	}
 	if g == nil {
 		g = NewGraph(dem)
+	}
+	// Reset before inserting so a freshly built template and its variant
+	// land in the same generation of the bounded cache.
+	if len(graphCache)+fresh > graphCacheLimit {
+		graphCache = make(map[*sim.DEM]*Graph)
+	}
+	if bg != nil {
+		graphCache[base] = bg
 	}
 	graphCache[dem] = g
 	obsGraphCacheMisses.Inc()

@@ -190,25 +190,7 @@ func TestDefectRemovalBeatsUntreated(t *testing.T) {
 	}
 
 	// Removed: deform the code by hand (DataQRM structure).
-	treated := code.FromPatch(lattice.NewPatch(lattice.Coord{Row: 0, Col: 0}, 5))
-	q0 := defects[0]
-	notQ0 := func(q lattice.Coord) bool { return q != q0 }
-	for _, typ := range []lattice.CheckType{lattice.XCheck, lattice.ZCheck} {
-		var ids []int
-		var prod pauli.Op
-		for _, s := range treated.StabsOn(q0, typ) {
-			prod = pauli.Mul(prod, s.Op)
-			treated.RemoveStab(s.ID)
-			ids = append(ids, treated.AddGauge(s.Op.RestrictedTo(notQ0), s.Ancilla, false))
-		}
-		treated.AddSuperStab(prod.RestrictedTo(notQ0), ids)
-	}
-	if err := treated.RemoveDataQubit(q0); err != nil {
-		t.Fatal(err)
-	}
-	if err := treated.RefreshLogicals(); err != nil {
-		t.Fatal(err)
-	}
+	treated := removedDataQubit(t, 5, defects[0])
 	resT, err := sim.RunMemoryOpts(treated, model, nil, run)
 	if err != nil {
 		t.Fatal(err)
@@ -218,4 +200,30 @@ func TestDefectRemovalBeatsUntreated(t *testing.T) {
 		t.Errorf("removal (%.4f) should beat untreated 50%% defect (%.4f)",
 			resT.LogicalErrorRate, resU.LogicalErrorRate)
 	}
+}
+
+// removedDataQubit is a distance-d patch deformed by hand to drop data
+// qubit q0 (DataQRM structure): each X and Z check on q0 becomes a gauge
+// restricted off q0, and their product a super-stabilizer.
+func removedDataQubit(t *testing.T, d int, q0 lattice.Coord) *code.Code {
+	t.Helper()
+	c := code.FromPatch(lattice.NewPatch(lattice.Coord{Row: 0, Col: 0}, d))
+	notQ0 := func(q lattice.Coord) bool { return q != q0 }
+	for _, typ := range []lattice.CheckType{lattice.XCheck, lattice.ZCheck} {
+		var ids []int
+		var prod pauli.Op
+		for _, s := range c.StabsOn(q0, typ) {
+			prod = pauli.Mul(prod, s.Op)
+			c.RemoveStab(s.ID)
+			ids = append(ids, c.AddGauge(s.Op.RestrictedTo(notQ0), s.Ancilla, false))
+		}
+		c.AddSuperStab(prod.RestrictedTo(notQ0), ids)
+	}
+	if err := c.RemoveDataQubit(q0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RefreshLogicals(); err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

@@ -124,3 +124,63 @@ func TestSharedGraphFromUsesTemplate(t *testing.T) {
 	}
 	_ = bg
 }
+
+// TestSharedGraphFromRebuildsMissingTemplate pins the evicted-template
+// path: when base's graph is not cached, SharedGraphFrom builds and caches
+// it once and rederives the variant from it, so every later variant of the
+// same base rederives without a full build. A template and variant
+// inserted at the bound reset the cache and land together.
+func TestSharedGraphFromRebuildsMissingTemplate(t *testing.T) {
+	c := code.FromPatch(lattice.NewPatch(lattice.Coord{Row: 0, Col: 0}, 3))
+	nominal := noise.Uniform(1e-3)
+	base, err := sim.BuildDEM(c, nominal, 4, lattice.ZCheck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := &sim.Patcher{}
+	variant := func(rate float64) *sim.DEM {
+		patched, ok := pt.Patch(base, nominal.WithSiteRates(map[lattice.Coord]float64{c.DataQubits()[0]: rate}))
+		if !ok {
+			t.Fatal("patch refused")
+		}
+		return patched
+	}
+	resetGraphCache := func(fill int) {
+		graphCacheMu.Lock()
+		defer graphCacheMu.Unlock()
+		graphCache = make(map[*sim.DEM]*Graph)
+		for i := 0; i < fill; i++ {
+			graphCache[&sim.DEM{}] = nil
+		}
+	}
+	t.Cleanup(func() { resetGraphCache(0) })
+
+	resetGraphCache(0)
+	first := variant(8e-3)
+	r0 := obsGraphRederives.Value()
+	g := SharedGraphFrom(first, base)
+	if obsGraphRederives.Value() != r0+1 {
+		t.Error("miss with an uncached same-core base must rebuild the template and rederive")
+	}
+	graphsIdentical(t, g, NewGraph(first), "first variant")
+
+	second := variant(2e-2)
+	r0, b0 := obsGraphRederives.Value(), obsGraphBuilds.Value()
+	g = SharedGraphFrom(second, base)
+	if obsGraphRederives.Value() != r0+1 || obsGraphBuilds.Value() != b0 {
+		t.Errorf("second variant: %d rederives, %d builds; want 1, 0",
+			obsGraphRederives.Value()-r0, obsGraphBuilds.Value()-b0)
+	}
+	graphsIdentical(t, g, NewGraph(second), "second variant")
+
+	resetGraphCache(graphCacheLimit - 1)
+	third := variant(4e-2)
+	g = SharedGraphFrom(third, base)
+	graphCacheMu.Lock()
+	n, bg, vg := len(graphCache), graphCache[base], graphCache[third]
+	graphCacheMu.Unlock()
+	if n != 2 || bg == nil || vg != g {
+		t.Errorf("at the bound: %d entries (template cached %v, variant cached %v); want the template and variant alone",
+			n, bg != nil, vg == g)
+	}
+}

@@ -1,7 +1,7 @@
 package decoder
 
 import (
-	"slices"
+	"math/bits"
 
 	"surfdeformer/internal/obs"
 	"surfdeformer/internal/sim"
@@ -23,13 +23,14 @@ var (
 // is the decoder's prediction.
 //
 // The implementation is allocation-free at steady state: every map the
-// algorithm conceptually needs (active roots, frontier multiplicities,
-// peeling visitation, parent edges, per-node incidence) is a flat array
-// stamped with a monotonically increasing epoch, so nothing is cleared
-// between shots — a stale entry is simply one whose stamp is not the
-// current epoch. All scratch slices are preallocated at their worst-case
-// bound in NewUnionFind, so a single decoder instance performs zero heap
-// allocations per shot from the very first call.
+// algorithm conceptually needs (active roots, peeling visitation, parent
+// edges, per-node incidence) is a flat array stamped with a monotonically
+// increasing epoch, so nothing is cleared between shots — a stale entry is
+// simply one whose stamp is not the current epoch. Frontier membership is a
+// per-edge bitset that the frontier scan clears as it reads it. All scratch
+// slices are preallocated at their worst-case bound in NewUnionFind, so a
+// single decoder instance performs zero heap allocations per shot from the
+// very first call.
 type UnionFind struct {
 	g *Graph
 
@@ -50,8 +51,7 @@ type UnionFind struct {
 	epoch      uint64
 	rootSeen   []uint64 // per node: root deduped this growth iteration
 	activeRoot []uint64 // per node: root is odd and boundary-free this iteration
-	edgeSeen   []uint64 // per edge: on the frontier this iteration
-	edgeSides  []uint8  // active sides of a frontier edge (valid per edgeSeen)
+	edgeSides  []uint8  // active sides of a frontier edge (valid per frontierBits)
 	visited    []uint64 // per node: reached by this shot's peeling BFS
 	parentEdge []int32  // BFS tree edge into a node (valid per visited)
 	incStamp   []uint64 // per node: incidence row built this peel
@@ -59,9 +59,10 @@ type UnionFind struct {
 	incCur     []int32  // CSR fill cursor; row end after the fill pass
 	incList    []int32  // backing array for per-shot incidence rows
 
-	frontier []int64 // packed int64(ei)<<2|sides keys, sorted per iteration
-	order    []int32 // peeling BFS order; doubles as the BFS queue
-	corr     []int32 // correction scratch returned by DecodeToEdges
+	frontierBits []uint64 // per edge: on this iteration's frontier; all zero between iterations
+	frontier     []int64  // packed int64(ei)<<2|sides keys in ascending edge order
+	order        []int32  // peeling BFS order; doubles as the BFS queue
+	corr         []int32  // correction scratch returned by DecodeToEdges
 
 	// Truncations counts shots whose syndrome the decoder failed to
 	// annihilate: after peeling, a cluster root still carried a flag, so
@@ -92,7 +93,6 @@ func NewUnionFind(g *Graph) *UnionFind {
 
 		rootSeen:   make([]uint64, n),
 		activeRoot: make([]uint64, n),
-		edgeSeen:   make([]uint64, m),
 		edgeSides:  make([]uint8, m),
 		visited:    make([]uint64, n),
 		parentEdge: make([]int32, n),
@@ -101,9 +101,10 @@ func NewUnionFind(g *Graph) *UnionFind {
 		incCur:     make([]int32, n),
 		incList:    make([]int32, 2*m),
 
-		frontier: make([]int64, 0, m),
-		order:    make([]int32, 0, n),
-		corr:     make([]int32, 0, n),
+		frontierBits: make([]uint64, (m+63)/64),
+		frontier:     make([]int64, 0, m),
+		order:        make([]int32, 0, n),
+		corr:         make([]int32, 0, n),
 	}
 	for i := range u.parent {
 		u.parent[i] = int32(i)
@@ -196,10 +197,9 @@ func (u *UnionFind) DecodeToEdges(flagged []int32) []int32 {
 		if len(u.frontier) == 0 {
 			break
 		}
-		// Process the frontier in ascending edge order: the packed keys
-		// sort by edge index first, so the union/absorb sequence — and
-		// therefore Monte-Carlo failure counts — is deterministic.
-		slices.Sort(u.frontier)
+		// The frontier arrives in ascending edge order, so the union/absorb
+		// sequence, the order of u.edges that peeling walks, and therefore
+		// every correction and Monte-Carlo failure count is deterministic.
 		for _, key := range u.frontier {
 			ei := int32(key >> 2)
 			sides := float64(key & 3)
@@ -249,13 +249,18 @@ func (u *UnionFind) markActive() int {
 }
 
 // gatherFrontier collects the non-grown edges incident to active clusters
-// into u.frontier as packed int64(ei)<<2|sides keys, where sides is the
-// number of active sides (an edge grown from both sides completes twice as
-// fast, capped at 2). It returns the uniform growth step: the smallest
-// remaining weight over the frontier at the per-edge growth rate.
+// into u.frontier as packed int64(ei)<<2|sides keys in ascending edge
+// order, where sides is the number of active sides (an edge grown from both
+// sides completes twice as fast, capped at 2). It returns the uniform growth
+// step: the smallest remaining weight over the frontier at the per-edge
+// growth rate.
+//
+// Each frontier edge sets its bit in u.frontierBits; scanning the words
+// between the lowest and highest one touched emits the keys already in edge
+// order and clears every bit, leaving the bitset all zero on return.
 func (u *UnionFind) gatherFrontier() float64 {
 	e := u.epoch
-	u.frontier = u.frontier[:0]
+	lo, hi := len(u.frontierBits), -1
 	for _, n := range u.touched {
 		if u.activeRoot[u.find(n)] != e {
 			continue
@@ -264,27 +269,31 @@ func (u *UnionFind) gatherFrontier() float64 {
 			if u.grown[ei] {
 				continue
 			}
-			if u.edgeSeen[ei] != e {
-				u.edgeSeen[ei] = e
+			w, bit := int(ei>>6), uint64(1)<<(ei&63)
+			if u.frontierBits[w]&bit == 0 {
+				u.frontierBits[w] |= bit
 				u.edgeSides[ei] = 1
-				u.frontier = append(u.frontier, int64(ei))
+				lo, hi = min(lo, w), max(hi, w)
 			} else {
 				u.edgeSides[ei]++
 			}
 		}
 	}
+	u.frontier = u.frontier[:0]
 	minStep := -1.0
-	for i, key := range u.frontier {
-		ei := int32(key)
-		sides := u.edgeSides[ei]
-		if sides > 2 {
-			sides = 2
+	for w := lo; w <= hi; w++ {
+		word := u.frontierBits[w]
+		u.frontierBits[w] = 0
+		for word != 0 {
+			ei := int32(w<<6 | bits.TrailingZeros64(word))
+			word &= word - 1
+			sides := min(u.edgeSides[ei], 2)
+			rem := (u.g.Edges[ei].Weight - u.growth[ei]) / float64(sides)
+			if minStep < 0 || rem < minStep {
+				minStep = rem
+			}
+			u.frontier = append(u.frontier, int64(ei)<<2|int64(sides))
 		}
-		rem := (u.g.Edges[ei].Weight - u.growth[ei]) / float64(sides)
-		if minStep < 0 || rem < minStep {
-			minStep = rem
-		}
-		u.frontier[i] = int64(ei)<<2 | int64(sides)
 	}
 	return minStep
 }

@@ -9,6 +9,7 @@ package decoder
 // divergence means the refactor changed decoding behavior, not just speed.
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -295,7 +296,9 @@ func differentialCorpus(t *testing.T, dem *sim.DEM, shots int, seed int64) [][]i
 // TestUnionFindMatchesReference runs the flat decoder and the pre-refactor
 // map-based reference over seeded corpora and requires bit-identical
 // corrections (same edges in the same order) and identical observable
-// predictions, shot for shot.
+// predictions, shot for shot. The corpora span the benchmark's memory point
+// (d=9, p=5e-3, 9 rounds) and a deformed code whose super-stabilizers give
+// the graph irregular adjacency.
 func TestUnionFindMatchesReference(t *testing.T) {
 	configs := []struct {
 		name       string
@@ -303,18 +306,25 @@ func TestUnionFindMatchesReference(t *testing.T) {
 		p          float64
 		shots      int
 		defectSite *lattice.Coord
+		removed    bool // drop the data qubit at defectSite instead of raising its rate
 	}{
 		{name: "d3-low-p", d: 3, rounds: 4, p: 2e-3, shots: 400},
 		{name: "d5-mid-p", d: 5, rounds: 5, p: 8e-3, shots: 400},
 		{name: "d5-high-p", d: 5, rounds: 4, p: 2e-2, shots: 300},
 		{name: "d5-defect", d: 5, rounds: 4, p: 1e-3, shots: 300,
 			defectSite: &lattice.Coord{Row: 5, Col: 5}},
+		{name: "d9-memory", d: 9, rounds: 9, p: 5e-3, shots: 400},
+		{name: "d5-super-stab", d: 5, rounds: 5, p: 8e-3, shots: 400,
+			defectSite: &lattice.Coord{Row: 5, Col: 5}, removed: true},
 	}
 	for ci, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
 			c := code.FromPatch(lattice.NewPatch(lattice.Coord{Row: 0, Col: 0}, cfg.d))
 			model := noise.Uniform(cfg.p)
-			if cfg.defectSite != nil {
+			switch {
+			case cfg.removed:
+				c = removedDataQubit(t, cfg.d, *cfg.defectSite)
+			case cfg.defectSite != nil:
 				// Defect-laden weights exercise irregular cluster growth
 				// steps (the fuzz-corpus regime of heavy local noise).
 				model = model.WithDefects([]lattice.Coord{*cfg.defectSite}, noise.DefaultDefectRate)
@@ -335,6 +345,7 @@ func TestUnionFindMatchesReference(t *testing.T) {
 					t.Fatalf("shot %d: corrections diverge\nflat: %v\nref:  %v\nflagged: %v",
 						i, got, want, flagged)
 				}
+				requireFrontierClear(t, flat, i)
 				gObs, wObs := obsOf(g, got), obsOf(g, want)
 				if gObs != wObs {
 					t.Fatalf("shot %d: observable prediction diverges", i)
@@ -354,6 +365,90 @@ func TestUnionFindMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzUnionFindMatchesReference decodes a seeded corpus on a fresh
+// distance-d memory DEM at rate p with the flat decoder and the reference:
+// corrections must be equal shot for shot (same edges, same order), the
+// frontier bitset must be clear after every shot, and the flat decoder's
+// Truncations must count exactly the shots whose reference correction
+// leaves part of the syndrome unannihilated.
+func FuzzUnionFindMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(0), 2e-3)
+	f.Add(int64(2), uint8(1), 8e-3)
+	f.Add(int64(3), uint8(2), 5e-3)
+	f.Add(int64(4), uint8(1), 2e-2)
+	f.Fuzz(func(t *testing.T, seed int64, d uint8, p float64) {
+		dist := 3 + 2*int(d%3) // 3, 5 or 7
+		p = math.Abs(p)
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			t.Skip("rate must be finite")
+		}
+		if p > 2e-2 {
+			p = math.Mod(p, 2e-2)
+		}
+		if p == 0 {
+			t.Skip("rate must be positive")
+		}
+		c := code.FromPatch(lattice.NewPatch(lattice.Coord{Row: 0, Col: 0}, dist))
+		dem, err := sim.BuildDEM(c, noise.Uniform(p), dist, lattice.ZCheck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := NewGraph(dem)
+		flat := NewUnionFind(g)
+		ref := newRefUnionFind(g)
+		refTruncations := 0
+		for i, flagged := range differentialCorpus(t, dem, 100, seed) {
+			got := slices.Clone(flat.DecodeToEdges(flagged))
+			want := ref.DecodeToEdges(flagged)
+			if !slices.Equal(got, want) {
+				t.Fatalf("d=%d p=%g shot %d: corrections diverge\nflat: %v\nref:  %v\nflagged: %v",
+					dist, p, i, got, want, flagged)
+			}
+			requireFrontierClear(t, flat, i)
+			if !annihilates(g, flagged, want) {
+				refTruncations++
+			}
+		}
+		if flat.Truncations != refTruncations {
+			t.Fatalf("d=%d p=%g: flat counted %d truncations, reference left %d syndromes unannihilated",
+				dist, p, flat.Truncations, refTruncations)
+		}
+	})
+}
+
+// requireFrontierClear fails unless the decoder's frontier bitset is all
+// zero, as every growth iteration must leave it.
+func requireFrontierClear(t *testing.T, u *UnionFind, shot int) {
+	t.Helper()
+	for w, word := range u.frontierBits {
+		if word != 0 {
+			t.Fatalf("shot %d: frontier bitset word %d left at %#x", shot, w, word)
+		}
+	}
+}
+
+// annihilates reports whether the correction's boundary, ignoring the
+// virtual boundary node, is exactly the flagged detector set.
+func annihilates(g *Graph, flagged, correction []int32) bool {
+	odd := map[int32]bool{}
+	for _, d := range flagged {
+		odd[d] = !odd[d]
+	}
+	for _, ei := range correction {
+		e := g.Edges[ei]
+		odd[e.U] = !odd[e.U]
+		if e.V != Boundary {
+			odd[e.V] = !odd[e.V]
+		}
+	}
+	for _, v := range odd {
+		if v {
+			return false
+		}
+	}
+	return true
 }
 
 func obsOf(g *Graph, correction []int32) bool {
