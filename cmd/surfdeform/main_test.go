@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -30,6 +32,33 @@ func TestShow(t *testing.T) {
 		}
 		if !strings.Contains(out.String(), "7.25") || !strings.Contains(out.String(), "8.5") {
 			t.Errorf("%s, partial rows: output %q lacks the finished row", format, out.String())
+		}
+	}
+}
+
+// TestNaNFlagsFail runs the command with each traj flag that feeds a float
+// range check set to NaN. NaN compares false against every bound, so a
+// check that NaN passes would run the scan on it and exit 0; each run must
+// instead exit 1 with nothing on stdout. The test binary re-executes itself
+// as the command (SURFDEFORM_TEST_ARGS carries the arguments).
+func TestNaNFlagsFail(t *testing.T) {
+	if args := os.Getenv("SURFDEFORM_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"surfdeform"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, name := range []string{"-reweight-factor", "-halflife", "-device-defect-rate", "-super-threshold"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestNaNFlagsFail$")
+		cmd.Env = append(os.Environ(), "SURFDEFORM_TEST_ARGS=-quick -trials 1 "+name+" NaN traj")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s NaN: exit %v, want status 1; stderr:\n%s", name, err, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s NaN printed a table:\n%s", name, stdout.String())
 		}
 	}
 }

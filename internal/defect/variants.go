@@ -190,7 +190,8 @@ func ClassifyAt(localRate, superThreshold, removeThreshold float64) Severity {
 // describes a well-ordered three-tier ladder after default resolution
 // (non-positive values select the package defaults, mirroring ClassifyAt).
 // A resolved superThreshold at or above the resolved removeThreshold would
-// silently erase the super tier — reject it loudly instead.
+// silently erase the super tier — reject it loudly instead. A NaN threshold
+// orders against nothing, so it is rejected too.
 func ValidateThresholds(superThreshold, removeThreshold float64) error {
 	s, r := superThreshold, removeThreshold
 	if s <= 0 {
@@ -199,7 +200,7 @@ func ValidateThresholds(superThreshold, removeThreshold float64) error {
 	if r <= 0 {
 		r = RemoveThreshold
 	}
-	if s >= r {
+	if !(s < r) {
 		return fmt.Errorf("defect: super threshold %g must be below remove threshold %g", s, r)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package defect
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -160,5 +161,11 @@ func TestValidateThresholds(t *testing.T) {
 	}
 	if err := ValidateThresholds(RemoveThreshold*2, 0); err == nil {
 		t.Error("custom super above the default remove threshold must be rejected")
+	}
+	// NaN orders against nothing: it must not slip past the ordering check.
+	for _, pair := range [][2]float64{{math.NaN(), 0}, {0, math.NaN()}, {math.NaN(), math.NaN()}} {
+		if err := ValidateThresholds(pair[0], pair[1]); err == nil {
+			t.Errorf("ValidateThresholds(%v, %v) accepted a NaN threshold", pair[0], pair[1])
+		}
 	}
 }

@@ -118,50 +118,65 @@ func (m *Model) IsDefective(q lattice.Coord) bool {
 	return m.Defective[q]
 }
 
-// siteRate returns the override rate at q and whether one applies.
-func (m *Model) siteRate(q lattice.Coord) (float64, bool) {
+// Override is one qubit's resolved rate override: when Set, Rate replaces
+// the base rate of every operation on the qubit, even when it is lower.
+// The zero value is no override.
+type Override struct {
+	Rate float64
+	Set  bool
+}
+
+// Or returns the override's rate when set and base otherwise.
+func (o Override) Or(base float64) float64 {
+	if o.Set {
+		return o.Rate
+	}
+	return base
+}
+
+// GateRate is the two-qubit precedence rule: the larger of two set
+// overrides (b's on a tie), else whichever is set, else base. Rate2 and
+// sim.Patcher, which resolves overrides into a dense per-qubit vector,
+// both rate gates through it.
+func GateRate(a, b Override, base float64) float64 {
+	switch {
+	case a.Set && b.Set:
+		if a.Rate > b.Rate {
+			return a.Rate
+		}
+		return b.Rate
+	case a.Set:
+		return a.Rate
+	}
+	return b.Or(base)
+}
+
+// override returns the override at q: its SiteRates entry, else DefectRate
+// when q is Defective.
+func (m *Model) override(q lattice.Coord) Override {
 	if r, ok := m.SiteRates[q]; ok {
-		return r, true
+		return Override{Rate: r, Set: true}
 	}
 	if m.Defective[q] {
-		return m.DefectRate, true
+		return Override{Rate: m.DefectRate, Set: true}
 	}
-	return 0, false
+	return Override{}
 }
 
 // Rate1 returns the single-qubit depolarizing rate at q.
 func (m *Model) Rate1(q lattice.Coord) float64 {
-	if r, ok := m.siteRate(q); ok {
-		return r
-	}
-	return m.P1
+	return m.override(q).Or(m.P1)
 }
 
-// Rate2 returns the two-qubit depolarizing rate for a gate on a and b: the
-// largest override among the touched qubits, or the base rate.
+// Rate2 returns the two-qubit depolarizing rate for a gate on a and b (see
+// GateRate).
 func (m *Model) Rate2(a, b lattice.Coord) float64 {
-	ra, oka := m.siteRate(a)
-	rb, okb := m.siteRate(b)
-	switch {
-	case oka && okb:
-		if ra > rb {
-			return ra
-		}
-		return rb
-	case oka:
-		return ra
-	case okb:
-		return rb
-	}
-	return m.P2
+	return GateRate(m.override(a), m.override(b), m.P2)
 }
 
 // RateM returns the measurement/reset flip rate at q.
 func (m *Model) RateM(q lattice.Coord) float64 {
-	if r, ok := m.siteRate(q); ok {
-		return r
-	}
-	return m.PM
+	return m.override(q).Or(m.PM)
 }
 
 // DefaultPhysical is the paper's physical error rate p = 10⁻³.

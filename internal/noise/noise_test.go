@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"math"
 	"testing"
 
 	"surfdeformer/internal/lattice"
@@ -80,6 +81,45 @@ func TestSiteRateOverrides(t *testing.T) {
 	both.SiteRates = m.SiteRates
 	if got := both.Rate1(warm); got != 1e-2 {
 		t.Errorf("Rate1 with both overrides = %v, want the SiteRates value", got)
+	}
+}
+
+// TestGateRatePrecedence pins the precedence rule that Rate1/Rate2/RateM
+// and sim.Patcher's dense override vector share: an override replaces the
+// base rate even when it is lower, and a gate takes the larger of two set
+// overrides, b's on a tie (visible only in the sign of a zero).
+func TestGateRatePrecedence(t *testing.T) {
+	low, high := Override{Rate: 2.5e-4, Set: true}, Override{Rate: 8e-3, Set: true}
+	cases := []struct {
+		a, b Override
+		want float64
+	}{
+		{Override{}, Override{}, 1e-3},
+		{low, Override{}, 2.5e-4},
+		{Override{}, low, 2.5e-4},
+		{low, high, 8e-3},
+		{high, low, 8e-3},
+		{Override{Rate: 0.3}, Override{}, 1e-3}, // an unset rate is ignored
+	}
+	for _, tc := range cases {
+		if got := GateRate(tc.a, tc.b, 1e-3); got != tc.want {
+			t.Errorf("GateRate(%v, %v, 1e-3) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
+	}
+	pos, neg := Override{Rate: 0, Set: true}, Override{Rate: math.Copysign(0, -1), Set: true}
+	if !math.Signbit(GateRate(pos, neg, 1e-3)) || math.Signbit(GateRate(neg, pos, 1e-3)) {
+		t.Error("a tie must resolve to b's override")
+	}
+	if got := (Override{}).Or(1e-3); got != 1e-3 {
+		t.Errorf("unset Or = %v, want the base", got)
+	}
+	lowQ, highQ, cold := lattice.Coord{Row: 1, Col: 1}, lattice.Coord{Row: 1, Col: 3}, lattice.Coord{Row: 3, Col: 3}
+	m := Uniform(1e-3).WithSiteRates(map[lattice.Coord]float64{lowQ: 2.5e-4, highQ: 8e-3})
+	if m.Rate1(lowQ) != 2.5e-4 || m.RateM(lowQ) != 2.5e-4 || m.Rate2(lowQ, cold) != 2.5e-4 || m.Rate2(cold, lowQ) != 2.5e-4 {
+		t.Error("an override below the base rate must replace it")
+	}
+	if m.Rate2(lowQ, highQ) != 8e-3 || m.Rate2(highQ, lowQ) != 8e-3 {
+		t.Error("a gate must take the larger of two overrides")
 	}
 }
 

@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 
 	"surfdeformer/internal/code"
@@ -154,31 +152,45 @@ func (dc *DEMCache) Stats() CacheStats {
 
 // demCacheKey serializes everything BuildDEM's output depends on: the
 // structural content of the code (its Fingerprint, computed once per code
-// state) and of the noise model (rates plus the defective set).
+// state) and of the noise model (rates plus the defective set). Every cache
+// lookup encodes one, so it appends into a single pre-sized buffer with
+// strconv instead of formatting through fmt; refDemCacheKey
+// (cache_ref_test.go), the fmt encoder it replaced, pins the bytes.
 func demCacheKey(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) string {
 	fp := c.Fingerprint()
-	var sb strings.Builder
-	sb.Grow(len(fp) + 128)
-	fmt.Fprintf(&sb, "r%d|b%d|", rounds, basis)
-	sb.WriteString(fp)
-	sb.WriteByte('|')
-	writeModelFingerprint(&sb, model)
-	return sb.String()
+	// Room for the round/basis prefix, five rates of at most 24 bytes with
+	// their tags, and typical coordinates; a longer key only grows b.
+	b := make([]byte, 0, len(fp)+160+12*len(model.Defective)+40*len(model.SiteRates))
+	b = append(b, 'r')
+	b = strconv.AppendInt(b, int64(rounds), 10)
+	b = append(b, "|b"...)
+	b = strconv.AppendUint(b, uint64(basis), 10)
+	b = append(b, '|')
+	b = append(b, fp...)
+	b = append(b, '|')
+	return string(appendModelFingerprint(b, model))
 }
 
-func writeModelFingerprint(sb *strings.Builder, m *noise.Model) {
-	fmt.Fprintf(sb, "p1:%g,p2:%g,pm:%g,pc:%g,dr:%g,def:", m.P1, m.P2, m.PM, m.PCorrelated, m.DefectRate)
-	var defs []lattice.Coord
+func appendModelFingerprint(b []byte, m *noise.Model) []byte {
+	for _, f := range [...]struct {
+		tag  string
+		rate float64
+	}{{"p1:", m.P1}, {",p2:", m.P2}, {",pm:", m.PM}, {",pc:", m.PCorrelated}, {",dr:", m.DefectRate}} {
+		b = append(b, f.tag...)
+		b = strconv.AppendFloat(b, f.rate, 'g', -1, 64)
+	}
+	b = append(b, ",def:"...)
+	defs := make([]lattice.Coord, 0, len(m.Defective))
 	for q := range m.Defective {
 		defs = append(defs, q)
 	}
 	lattice.SortCoords(defs)
 	for _, q := range defs {
-		fmt.Fprintf(sb, "%d.%d,", q.Row, q.Col)
+		b = append(appendCoord(b, q), ',')
 	}
 	if len(m.SiteRates) > 0 {
-		sb.WriteString("sr:")
-		var sites []lattice.Coord
+		b = append(b, "sr:"...)
+		sites := make([]lattice.Coord, 0, len(m.SiteRates))
 		for q := range m.SiteRates {
 			sites = append(sites, q)
 		}
@@ -188,9 +200,17 @@ func writeModelFingerprint(sb *strings.Builder, m *noise.Model) {
 			// quantized power-of-two multipliers and physical rates, and the
 			// key must never identify two models whose rates differ in any
 			// bit — nor split one overlay into two keys by formatting.
-			fmt.Fprintf(sb, "%d.%d=", q.Row, q.Col)
-			sb.WriteString(strconv.FormatFloat(m.SiteRates[q], 'x', -1, 64))
-			sb.WriteByte(',')
+			b = append(appendCoord(b, q), '=')
+			b = strconv.AppendFloat(b, m.SiteRates[q], 'x', -1, 64)
+			b = append(b, ',')
 		}
 	}
+	return b
+}
+
+// appendCoord appends q as "<row>.<col>".
+func appendCoord(b []byte, q lattice.Coord) []byte {
+	b = strconv.AppendInt(b, int64(q.Row), 10)
+	b = append(b, '.')
+	return strconv.AppendInt(b, int64(q.Col), 10)
 }

@@ -86,6 +86,34 @@ func BenchmarkBuildDEM(b *testing.B) {
 	}
 }
 
+// BenchmarkDEMPatch times one Patcher.Patch of a fresh d=5 code's 8-round
+// memory-Z DEM from its nominal base under a six-site overlay at 4–16×
+// the base rate: the refold of every mechanism those sites feed, plus the
+// cloned mechanism vector.
+func BenchmarkDEMPatch(b *testing.B) {
+	c := code.FromPatch(lattice.NewPatch(lattice.Coord{}, 5))
+	nominal := noise.Uniform(1e-3)
+	base, err := BuildDEM(c, nominal, 8, lattice.ZCheck)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sites := append(c.DataQubits(), c.SyndromeQubits()...)
+	rates := map[lattice.Coord]float64{}
+	for i, q := range sites[10:16] {
+		rates[q] = []float64{4e-3, 8e-3, 16e-3}[i%3]
+	}
+	variant := nominal.WithSiteRates(rates)
+	pt := &Patcher{}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dem, ok := pt.Patch(base, variant)
+		if !ok {
+			b.Fatal("patch refused")
+		}
+		benchDEM = dem
+	}
+}
+
 // TestShotScratchReuse documents the ownership contract: the slice
 // returned by Shot is sampler-owned scratch, overwritten by the next call
 // — and reusing the sampler must not change what is sampled.

@@ -137,6 +137,9 @@ func SamePatchCore(a, b *DEM) bool {
 type Patcher struct {
 	marked   []bool
 	affected []int32
+	// rates is the target model's SiteRates resolved onto the plan's dense
+	// qubit index (planCore.qIdx), rebuilt by every Patch.
+	rates []noise.Override
 }
 
 // Patch returns a DEM equal (value-identical, per the equivalence suite) to
@@ -173,11 +176,13 @@ func (pt *Patcher) Patch(base *DEM, model *noise.Model) (*DEM, bool) {
 	}
 	pt.marked = pt.marked[:nm]
 	pt.affected = pt.affected[:0]
-	markSite := func(q lattice.Coord) {
-		qi, ok := core.qIdx[q]
-		if !ok {
-			return // site off the circuit: no mechanism depends on it
-		}
+	nq := len(core.coords)
+	if cap(pt.rates) < nq {
+		pt.rates = make([]noise.Override, nq)
+	}
+	rates := pt.rates[:nq]
+	clear(rates)
+	mark := func(qi int32) {
 		for _, mi := range core.siteMechs[core.siteOff[qi]:core.siteOff[qi+1]] {
 			if !pt.marked[mi] {
 				pt.marked[mi] = true
@@ -185,10 +190,13 @@ func (pt *Patcher) Patch(base *DEM, model *noise.Model) (*DEM, bool) {
 			}
 		}
 	}
-	// A mechanism needs refolding when any of its sites changes effective
-	// rate between the base's model and the target — overrides added,
-	// removed, or re-valued. Sites overridden identically in both models
-	// are already folded into the base at the target rate.
+	// One pass over the target's overrides resolves them onto the dense
+	// qubit index, so the refold below reads no map. A mechanism needs
+	// refolding when any of its sites changes effective rate between the
+	// base's model and the target — overrides added, removed, or
+	// re-valued. Sites overridden identically in both models are already
+	// folded into the base at the target rate, and sites off the circuit
+	// feed no mechanism.
 	for q, r := range model.SiteRates {
 		if r <= 0 {
 			// A non-positive override could erase mechanisms from the
@@ -198,13 +206,20 @@ func (pt *Patcher) Patch(base *DEM, model *noise.Model) (*DEM, bool) {
 			}
 			return nil, false
 		}
+		qi, ok := core.qIdx[q]
+		if !ok {
+			continue
+		}
+		rates[qi] = noise.Override{Rate: r, Set: true}
 		if pb.SiteRates[q] != r {
-			markSite(q)
+			mark(qi)
 		}
 	}
 	for q, r := range pb.SiteRates {
 		if model.SiteRates[q] != r {
-			markSite(q)
+			if qi, ok := core.qIdx[q]; ok {
+				mark(qi)
+			}
 		}
 	}
 	if len(pt.affected) == 0 {
@@ -219,18 +234,17 @@ func (pt *Patcher) Patch(base *DEM, model *noise.Model) (*DEM, bool) {
 	for _, mi := range pt.affected {
 		pt.marked[mi] = false
 		q := 0.0
-		for ci := core.mechOff[mi]; ci < core.mechOff[mi+1]; ci++ {
-			c := core.contribs[ci]
+		for _, c := range core.contribs[core.mechOff[mi]:core.mechOff[mi+1]] {
 			var p float64
 			switch c.kind {
 			case contribMeasReset:
-				p = model.RateM(core.coords[c.a])
+				p = rates[c.a].Or(model.PM)
 			case contribCX:
-				p = model.Rate2(core.coords[c.a], core.coords[c.b]) / 15
+				p = noise.GateRate(rates[c.a], rates[c.b], model.P2) / 15
 			case contribCorr:
 				p = model.PCorrelated / 2
 			default: // contribIdle
-				p = model.Rate1(core.coords[c.a]) / 3
+				p = rates[c.a].Or(model.P1) / 3
 			}
 			q = q + p - 2*q*p
 		}

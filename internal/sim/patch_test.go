@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
+	"surfdeformer/internal/circuit"
 	"surfdeformer/internal/code"
 	"surfdeformer/internal/lattice"
 	"surfdeformer/internal/noise"
@@ -74,14 +76,17 @@ func demValuesEqual(t *testing.T, got, want *DEM, ctx string) {
 
 // randomOverlay draws a site-rate overlay over the code's qubits with
 // quantized power-of-two multipliers, the shape reweightOverlay and defect
-// events produce.
+// events produce, plus ¼× and ½× overrides below the base rate.
 func randomOverlay(rng *rand.Rand, sites []lattice.Coord, base float64) map[lattice.Coord]float64 {
 	n := 1 + rng.Intn(4)
 	out := make(map[lattice.Coord]float64, n)
 	for i := 0; i < n; i++ {
 		q := sites[rng.Intn(len(sites))]
-		mult := float64(int64(2) << rng.Intn(6)) // 2..64
-		r := mult * base
+		e := rng.Intn(8) - 2 // ¼, ½, then 2..64
+		if e >= 0 {
+			e++
+		}
+		r := math.Ldexp(base, e)
 		if r > 0.45 {
 			r = 0.45
 		}
@@ -164,6 +169,148 @@ func TestIncrementalDEMMatchesFullRebuild(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDEMPatchLowerOverrideMatchesBuild pins overrides below the base rate.
+// An override replaces the base rate even when it is lower, and a gate
+// between two overridden qubits takes the larger override, so a lowered
+// site must refold exactly as a full build rates it. One site at 2.5e-4
+// slides over the code with a CX partner at 8e-3 and a third site at 1e-4;
+// every variant is patched from the nominal base and from the previous
+// patch.
+func TestDEMPatchLowerOverrideMatchesBuild(t *testing.T) {
+	codes := []struct {
+		name string
+		c    *code.Code
+	}{
+		{"d3", freshCode(t, 3)},
+		{"d5-deformed", deformedCode(t)},
+	}
+	for _, tc := range codes {
+		sched, err := circuit.NewSchedule(tc.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		partner := map[lattice.Coord]lattice.Coord{}
+		for _, m := range sched.Ops {
+			if m.Direct {
+				continue
+			}
+			for _, q := range m.Data {
+				if _, ok := partner[q]; !ok {
+					partner[q] = m.Ancilla
+				}
+				if _, ok := partner[m.Ancilla]; !ok {
+					partner[m.Ancilla] = q
+				}
+			}
+		}
+		sites := append(tc.c.DataQubits(), tc.c.SyndromeQubits()...)
+		for _, basis := range []lattice.CheckType{lattice.ZCheck, lattice.XCheck} {
+			nominal := noise.Uniform(1e-3).WithCorrelated(2e-4)
+			base, err := BuildDEM(tc.c, nominal, 4, basis)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pt := &Patcher{}
+			prev := base
+			for i, q := range sites {
+				nb, ok := partner[q]
+				if !ok {
+					nb = sites[(i+1)%len(sites)]
+				}
+				rates := map[lattice.Coord]float64{q: 2.5e-4, nb: 8e-3}
+				if third := sites[(i+len(sites)/2)%len(sites)]; rates[third] == 0 {
+					rates[third] = 1e-4
+				}
+				variant := nominal.WithSiteRates(rates)
+				want, err := BuildDEM(tc.c, variant, 4, basis)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx := fmt.Sprintf("%s/basis %v/site %v", tc.name, basis, q)
+				fromBase, ok := pt.Patch(base, variant)
+				if !ok {
+					t.Fatalf("%s: patch from base refused", ctx)
+				}
+				demValuesEqual(t, fromBase, want, ctx+"/from-base")
+				fromPrev, ok := pt.Patch(prev, variant)
+				if !ok {
+					t.Fatalf("%s: patch from previous refused", ctx)
+				}
+				demValuesEqual(t, fromPrev, want, ctx+"/from-prev")
+				prev = fromPrev
+			}
+		}
+	}
+}
+
+// FuzzPatchMatchesBuild drives one Patcher through a sequence of random
+// overlays on a fresh d=3 or d=5 code: up to n positive overrides each,
+// some below the base rate, some above and some off the circuit. Every
+// patch, from the nominal base and from the previous patch, must equal a
+// full BuildDEM of the same model bit for bit.
+func FuzzPatchMatchesBuild(f *testing.F) {
+	f.Add(int64(1), 3, uint8(0), 4)
+	f.Add(int64(2), 5, uint8(1), 8)
+	f.Add(int64(3), 3, uint8(1), 12)
+	f.Add(int64(4), 5, uint8(0), 2)
+	f.Fuzz(func(t *testing.T, seed int64, d int, basis uint8, n int) {
+		if d != 5 {
+			d = 3
+		}
+		b := lattice.ZCheck
+		if basis&1 == 1 {
+			b = lattice.XCheck
+		}
+		n = int(uint(n) % 17)
+		rng := rand.New(rand.NewSource(seed))
+		c := freshCode(t, d)
+		p := 1e-3 * float64(1+rng.Intn(4))
+		nominal := noise.Uniform(p)
+		if rng.Intn(2) == 0 {
+			nominal = nominal.WithCorrelated(p / 5)
+		}
+		rounds := 2 + rng.Intn(4)
+		base, err := BuildDEM(c, nominal, rounds, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites := append(c.DataQubits(), c.SyndromeQubits()...)
+		pt := &Patcher{}
+		prev := base
+		for step := 0; step < 4; step++ {
+			rates := map[lattice.Coord]float64{}
+			for i := rng.Intn(n + 1); i > 0; i-- {
+				q := sites[rng.Intn(len(sites))]
+				if rng.Intn(5) == 0 {
+					q = lattice.Coord{Row: -1 - rng.Intn(3), Col: rng.Intn(3)} // off the circuit
+				}
+				r := math.Ldexp(p, rng.Intn(9)-4) // p/16 .. 16p
+				if rng.Intn(2) == 0 {
+					r *= 1 + rng.Float64()
+				}
+				rates[q] = r
+			}
+			model := nominal.WithSiteRates(rates)
+			want, err := BuildDEM(c, model, rounds, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := fmt.Sprintf("d=%d basis %v rounds %d step %d", d, b, rounds, step)
+			fromBase, ok := pt.Patch(base, model)
+			if !ok {
+				t.Fatalf("%s: patch from base refused", ctx)
+			}
+			demValuesEqual(t, fromBase, want, ctx+"/from-base")
+			fromPrev, ok := pt.Patch(prev, model)
+			if !ok {
+				t.Fatalf("%s: patch from previous refused", ctx)
+			}
+			demValuesEqual(t, fromPrev, want, ctx+"/from-prev")
+			prev = fromPrev
+		}
+	})
 }
 
 func cloneRates(m map[lattice.Coord]float64) map[lattice.Coord]float64 {

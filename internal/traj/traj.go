@@ -436,6 +436,8 @@ func Run(cfg Config, mode Mode, seed int64) (*Result, error) {
 	return res, nil
 }
 
+// validate rejects configs the engine cannot run. Every float check is
+// written as the negation of the valid range, so a NaN fails it.
 func (cfg Config) validate() error {
 	switch {
 	case cfg.D < 3:
@@ -444,22 +446,22 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("traj: horizon %d too short", cfg.Horizon)
 	case cfg.ChunkRounds < 2:
 		return fmt.Errorf("traj: chunk of %d rounds (DEMs need ≥ 2)", cfg.ChunkRounds)
-	case cfg.Window < 1 || cfg.Threshold <= 0 || cfg.Threshold >= 1:
+	case cfg.Window < 1 || !(cfg.Threshold > 0 && cfg.Threshold < 1):
 		return fmt.Errorf("traj: invalid detector window %d/threshold %g", cfg.Window, cfg.Threshold)
-	case cfg.PhysicalRate <= 0 || cfg.PhysicalRate >= 0.5:
+	case !(cfg.PhysicalRate > 0 && cfg.PhysicalRate < 0.5):
 		return fmt.Errorf("traj: physical rate %g", cfg.PhysicalRate)
-	case cfg.ReweightFactor != 0 && cfg.ReweightFactor <= 1:
+	case cfg.ReweightFactor != 0 && !(cfg.ReweightFactor > 1):
 		return fmt.Errorf("traj: reweight factor %g must exceed 1 (0 selects the default)", cfg.ReweightFactor)
-	case cfg.Halflife < 0:
-		return fmt.Errorf("traj: negative estimator half-life %g", cfg.Halflife)
+	case !(cfg.Halflife >= 0):
+		return fmt.Errorf("traj: estimator half-life %g must be non-negative", cfg.Halflife)
 	}
 	if dv := cfg.Device; dv != nil {
 		switch {
-		case dv.QubitDefectRate < 0 || dv.QubitDefectRate > 1:
+		case !(dv.QubitDefectRate >= 0 && dv.QubitDefectRate <= 1):
 			return fmt.Errorf("traj: device qubit defect rate %g outside [0, 1]", dv.QubitDefectRate)
-		case dv.CouplerDefectRate < 0 || dv.CouplerDefectRate > 1:
+		case !(dv.CouplerDefectRate >= 0 && dv.CouplerDefectRate <= 1):
 			return fmt.Errorf("traj: device coupler defect rate %g outside [0, 1]", dv.CouplerDefectRate)
-		case dv.ErrorRate < 0 || dv.ErrorRate > 0.5:
+		case !(dv.ErrorRate >= 0 && dv.ErrorRate <= 0.5):
 			return fmt.Errorf("traj: device error rate %g outside [0, 0.5]", dv.ErrorRate)
 		}
 	}

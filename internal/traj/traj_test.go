@@ -2,9 +2,11 @@ package traj
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
+	"surfdeformer/internal/defect"
 	"surfdeformer/internal/sim"
 )
 
@@ -193,6 +195,16 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Layout = &LayoutConfig{Patches: 1, Ops: 2} },
 		func(c *Config) { c.Layout = &LayoutConfig{Patches: 2, Ops: -1} },
 		func(c *Config) { c.Layout = &LayoutConfig{Patches: 2, Program: "nope"} },
+		// NaN compares false against every bound, so each float check must
+		// be written to fail on it.
+		func(c *Config) { c.Threshold = math.NaN() },
+		func(c *Config) { c.PhysicalRate = math.NaN() },
+		func(c *Config) { c.ReweightFactor = math.NaN() },
+		func(c *Config) { c.Halflife = math.NaN() },
+		func(c *Config) { c.SuperThreshold = math.NaN() },
+		func(c *Config) { c.Device = defect.NewDeviceModel(math.NaN()) },
+		func(c *Config) { c.Device = &defect.DeviceModel{CouplerDefectRate: math.NaN()} },
+		func(c *Config) { c.Device = &defect.DeviceModel{ErrorRate: math.NaN()} },
 	}
 	for i, mutate := range bad {
 		cfg := QuickConfig()
