@@ -36,29 +36,38 @@ func TestShow(t *testing.T) {
 	}
 }
 
-// TestNaNFlagsFail runs the command with each traj flag that feeds a float
-// range check set to NaN. NaN compares false against every bound, so a
-// check that NaN passes would run the scan on it and exit 0; each run must
-// instead exit 1 with nothing on stdout. The test binary re-executes itself
-// as the command (SURFDEFORM_TEST_ARGS carries the arguments).
+// TestNaNFlagsFail runs the command with each flag that feeds a float
+// range check set to NaN — each traj flag on a quick scan, -target-rse on a
+// tiny calibration, where -1 must fail as well. NaN compares false against
+// every bound, so a check that NaN passes would run on it and exit 0; each
+// run must instead exit 1 with nothing on stdout. The test binary
+// re-executes itself as the command (SURFDEFORM_TEST_ARGS carries the
+// arguments).
 func TestNaNFlagsFail(t *testing.T) {
 	if args := os.Getenv("SURFDEFORM_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"surfdeform"}, strings.Fields(args)...)
 		main()
 		return
 	}
+	var runs []string
 	for _, name := range []string{"-reweight-factor", "-halflife", "-device-defect-rate", "-super-threshold"} {
+		runs = append(runs, "-quick -trials 1 "+name+" NaN traj")
+	}
+	for _, v := range []string{"NaN", "-1"} {
+		runs = append(runs, "-target-rse "+v+" -d 3 -p 4e-3 -shots 200 -rounds 3 calibrate")
+	}
+	for _, args := range runs {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestNaNFlagsFail$")
-		cmd.Env = append(os.Environ(), "SURFDEFORM_TEST_ARGS=-quick -trials 1 "+name+" NaN traj")
+		cmd.Env = append(os.Environ(), "SURFDEFORM_TEST_ARGS="+args)
 		var stdout, stderr bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Errorf("%s NaN: exit %v, want status 1; stderr:\n%s", name, err, stderr.String())
+			t.Errorf("%s: exit %v, want status 1; stderr:\n%s", args, err, stderr.String())
 		}
 		if stdout.Len() != 0 {
-			t.Errorf("%s NaN printed a table:\n%s", name, stdout.String())
+			t.Errorf("%s printed a table:\n%s", args, stdout.String())
 		}
 	}
 }

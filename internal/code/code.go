@@ -13,16 +13,19 @@
 // All mutation goes through the exported mutators so that the gauge layer
 // (package gauge) and the instruction layer (package deform) can maintain
 // the invariants checked by Validate, and so that the values memoized per
-// code state (Fingerprint, DistanceX, DistanceZ) are cleared on every change.
+// code state (Fingerprint, ID, DistanceX, DistanceZ) are cleared on every
+// change.
 package code
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"surfdeformer/internal/lattice"
+	"surfdeformer/internal/obs"
 	"surfdeformer/internal/pauli"
 )
 
@@ -68,12 +71,14 @@ type Code struct {
 	// concurrent readers of one shared code stay race-free; two first reads
 	// may both compute, and store the same value.
 	fingerprint  atomic.Pointer[string]
-	distX, distZ atomic.Int32 // 0 = not computed (a logical has weight ≥ 1)
+	id           atomic.Uint64 // 0 = not interned (IDs start at 1)
+	distX, distZ atomic.Int32  // 0 = not computed (a logical has weight ≥ 1)
 }
 
 // invalidate clears the memoized derived values after a content change.
 func (c *Code) invalidate() {
 	c.fingerprint.Store(nil)
+	c.id.Store(0)
 	c.distX.Store(0)
 	c.distZ.Store(0)
 }
@@ -491,6 +496,61 @@ func (c *Code) Fingerprint() string {
 	fp := sb.String()
 	c.fingerprint.Store(&fp)
 	return fp
+}
+
+// ID returns the code's interned identity: a process-wide table maps each
+// Fingerprint to an integer, so codes with equal fingerprints in one table
+// generation share an ID, and the DEM caches key on the 8-byte ID instead
+// of the ~1 KB fingerprint. IDs come from a counter that never rewinds, so
+// an ID is never reused: when the table resets at internLimit entries,
+// codes still holding an old ID keep it, a fingerprint interned afterwards
+// gets a fresh one, and the reset costs cache misses, never a wrong hit.
+// Like the fingerprint, the ID is computed once per code state.
+func (c *Code) ID() uint64 {
+	if id := c.id.Load(); id != 0 {
+		return id
+	}
+	id := intern(c.Fingerprint())
+	c.id.Store(id)
+	return id
+}
+
+// internLimit bounds the intern table. The table holds the fingerprints of
+// codes that may be long dead (a d=3 fingerprint is ~0.4 KB, d=5 ~1.2 KB),
+// so it resets wholesale past the bound, like the DEM caches do. A reset
+// costs one full DEM build per configuration still in use; the bound keeps
+// the table near 0.25 MB.
+const internLimit = 256
+
+var (
+	obsInternHits   = obs.Default().Counter("code.intern.hits")
+	obsInternMisses = obs.Default().Counter("code.intern.misses")
+	obsInternClears = obs.Default().Counter("code.intern.clears")
+
+	internMu   sync.Mutex
+	internIDs  = make(map[string]uint64)
+	internLast uint64 // the last ID issued; never rewinds
+)
+
+// intern returns fp's ID in the current table generation, issuing the next
+// one on a miss. The table keeps an exact-size copy of fp: a fingerprint
+// shares the spare capacity of the builder that wrote it, which the table
+// would otherwise keep alive after the code is gone.
+func intern(fp string) uint64 {
+	internMu.Lock()
+	defer internMu.Unlock()
+	if id, ok := internIDs[fp]; ok {
+		obsInternHits.Inc()
+		return id
+	}
+	if len(internIDs) >= internLimit {
+		internIDs = make(map[string]uint64)
+		obsInternClears.Inc()
+	}
+	internLast++
+	internIDs[strings.Clone(fp)] = internLast
+	obsInternMisses.Inc()
+	return internLast
 }
 
 // Bounds returns the inclusive bounding box of the active data qubits.

@@ -11,27 +11,47 @@ import (
 // TestDecodeZeroAllocs enforces the hot-path allocation contract: decoding
 // performs zero heap allocations per shot. Scratch is preallocated at
 // worst-case bounds in NewUnionFind, so this holds from the first call,
-// not just at steady state.
+// not just at steady state. A decoder rebound between graphs no larger
+// than the largest it has seen allocates nothing either, rebind included.
 func TestDecodeZeroAllocs(t *testing.T) {
+	corpusFor := func(dem *sim.DEM, seed int64) [][]int32 {
+		sampler := sim.NewSampler(dem)
+		rng := rand.New(rand.NewSource(seed))
+		corpus := make([][]int32, 64)
+		for i := range corpus {
+			flagged, _ := sampler.Shot(rng)
+			corpus[i] = slices.Clone(flagged)
+		}
+		return corpus
+	}
 	dem := demFor(t, 5, 5, 5e-3)
 	g := NewGraph(dem)
 	uf := NewUnionFind(g)
-	sampler := sim.NewSampler(dem)
-	rng := rand.New(rand.NewSource(17))
-	corpus := make([][]int32, 64)
-	for i := range corpus {
-		flagged, _ := sampler.Shot(rng)
-		corpus[i] = slices.Clone(flagged)
-	}
+	corpus := corpusFor(dem, 17)
 	sink := false
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, flagged := range corpus {
 			sink = sink != uf.DecodeToObs(flagged)
 		}
 	})
-	_ = sink
 	if allocs != 0 {
 		t.Errorf("DecodeToObs allocates %.1f per %d-shot run, want 0", allocs, len(corpus))
+	}
+
+	small := demFor(t, 3, 4, 5e-3)
+	gSmall := NewGraph(small)
+	smallCorpus := corpusFor(small, 19)
+	allocs = testing.AllocsPerRun(100, func() {
+		for i := range corpus {
+			uf.Rebind(gSmall)
+			sink = sink != uf.DecodeToObs(smallCorpus[i])
+			uf.Rebind(g)
+			sink = sink != uf.DecodeToObs(corpus[i])
+		}
+	})
+	_ = sink
+	if allocs != 0 {
+		t.Errorf("rebind plus DecodeToObs allocates %.1f per %d-shot run, want 0", allocs, 2*len(corpus))
 	}
 }
 

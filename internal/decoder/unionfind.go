@@ -28,9 +28,10 @@ var (
 // increasing epoch, so nothing is cleared between shots — a stale entry is
 // simply one whose stamp is not the current epoch. Frontier membership is a
 // per-edge bitset that the frontier scan clears as it reads it. All scratch
-// slices are preallocated at their worst-case bound in NewUnionFind, so a
-// single decoder instance performs zero heap allocations per shot from the
-// very first call.
+// slices are preallocated at their worst-case bound in NewUnionFind (and
+// grown by Rebind past the largest graph seen), so a single decoder
+// instance performs zero heap allocations per shot from the very first
+// call.
 type UnionFind struct {
 	g *Graph
 
@@ -76,40 +77,50 @@ type UnionFind struct {
 // NewUnionFind builds a union-find decoder over the graph. All scratch is
 // preallocated at worst-case bounds so decoding never allocates.
 func NewUnionFind(g *Graph) *UnionFind {
-	n := g.NumDets
-	m := len(g.Edges)
-	u := &UnionFind{
-		g:        g,
-		parent:   make([]int32, n),
-		parity:   make([]int8, n),
-		bound:    make([]bool, n),
-		growth:   make([]float64, m),
-		grown:    make([]bool, m),
-		absorbed: make([]bool, n),
-		flag:     make([]bool, n),
-
-		touched: make([]int32, 0, n),
-		edges:   make([]int32, 0, m),
-
-		rootSeen:   make([]uint64, n),
-		activeRoot: make([]uint64, n),
-		edgeSides:  make([]uint8, m),
-		visited:    make([]uint64, n),
-		parentEdge: make([]int32, n),
-		incStamp:   make([]uint64, n),
-		incOff:     make([]int32, n),
-		incCur:     make([]int32, n),
-		incList:    make([]int32, 2*m),
-
-		frontierBits: make([]uint64, (m+63)/64),
-		frontier:     make([]int64, 0, m),
-		order:        make([]int32, 0, n),
-		corr:         make([]int32, 0, n),
-	}
-	for i := range u.parent {
-		u.parent[i] = int32(i)
-	}
+	u := &UnionFind{}
+	u.Rebind(g)
 	return u
+}
+
+// Rebind points the decoder at g, so that one decoder can serve every
+// graph a caller decodes against in turn. Between shots all scratch sits at
+// its reset value — identity parents, zero parities and growth, clear flags
+// and frontier bits, and epoch stamps older than any future epoch — none of
+// it tied to a graph, so a rebound decoder decodes exactly like
+// NewUnionFind(g). Scratch grows only past the largest graph seen:
+// rebinding to a graph no larger allocates nothing. Truncations keeps
+// counting across rebinds.
+func (u *UnionFind) Rebind(g *Graph) {
+	u.g = g
+	if n := g.NumDets; n > len(u.parent) {
+		u.parent = make([]int32, n)
+		for i := range u.parent {
+			u.parent[i] = int32(i)
+		}
+		u.parity = make([]int8, n)
+		u.bound = make([]bool, n)
+		u.absorbed = make([]bool, n)
+		u.flag = make([]bool, n)
+		u.touched = make([]int32, 0, n)
+		u.rootSeen = make([]uint64, n)
+		u.activeRoot = make([]uint64, n)
+		u.visited = make([]uint64, n)
+		u.parentEdge = make([]int32, n)
+		u.incStamp = make([]uint64, n)
+		u.incOff = make([]int32, n)
+		u.incCur = make([]int32, n)
+		u.order = make([]int32, 0, n)
+		u.corr = make([]int32, 0, n)
+	}
+	if m := len(g.Edges); m > len(u.growth) {
+		u.growth = make([]float64, m)
+		u.grown = make([]bool, m)
+		u.edges = make([]int32, 0, m)
+		u.edgeSides = make([]uint8, m)
+		u.incList = make([]int32, 2*m)
+		u.frontierBits = make([]uint64, (m+63)/64)
+		u.frontier = make([]int64, 0, m)
+	}
 }
 
 // UnionFindFactory adapts the decoder to the sim.DecoderFactory interface.

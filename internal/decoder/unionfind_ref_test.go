@@ -298,7 +298,10 @@ func differentialCorpus(t *testing.T, dem *sim.DEM, shots int, seed int64) [][]i
 // corrections (same edges in the same order) and identical observable
 // predictions, shot for shot. The corpora span the benchmark's memory point
 // (d=9, p=5e-3, 9 rounds) and a deformed code whose super-stabilizers give
-// the graph irregular adjacency.
+// the graph irregular adjacency. One more decoder is shared by every
+// corpus: it is rebound to each corpus's graph in turn (small → large →
+// small, then shot by shot round-robin) and must match the reference on
+// every shot too.
 func TestUnionFindMatchesReference(t *testing.T) {
 	configs := []struct {
 		name       string
@@ -317,6 +320,14 @@ func TestUnionFindMatchesReference(t *testing.T) {
 		{name: "d5-super-stab", d: 5, rounds: 5, p: 8e-3, shots: 400,
 			defectSite: &lattice.Coord{Row: 5, Col: 5}, removed: true},
 	}
+	// What the rebound decoder must reproduce, per corpus.
+	type graphRun struct {
+		g      *Graph
+		corpus [][]int32
+		want   [][]int32
+	}
+	runs := make([]graphRun, len(configs))
+	shared := &UnionFind{}
 	for ci, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
 			c := code.FromPatch(lattice.NewPatch(lattice.Coord{Row: 0, Col: 0}, cfg.d))
@@ -335,8 +346,10 @@ func TestUnionFindMatchesReference(t *testing.T) {
 			}
 			g := NewGraph(dem)
 			flat := NewUnionFind(g)
+			shared.Rebind(g)
 			ref := newRefUnionFind(g)
 			corpus := differentialCorpus(t, dem, cfg.shots, int64(1000+ci))
+			runs[ci] = graphRun{g: g, corpus: corpus}
 			flatFails, refFails := 0, 0
 			for i, flagged := range corpus {
 				got := slices.Clone(flat.DecodeToEdges(flagged))
@@ -346,6 +359,10 @@ func TestUnionFindMatchesReference(t *testing.T) {
 						i, got, want, flagged)
 				}
 				requireFrontierClear(t, flat, i)
+				if rebound := shared.DecodeToEdges(flagged); !slices.Equal(rebound, want) {
+					t.Fatalf("shot %d: rebound decoder diverges\nrebound: %v\nref:     %v", i, rebound, want)
+				}
+				runs[ci].want = append(runs[ci].want, want)
 				gObs, wObs := obsOf(g, got), obsOf(g, want)
 				if gObs != wObs {
 					t.Fatalf("shot %d: observable prediction diverges", i)
@@ -365,6 +382,40 @@ func TestUnionFindMatchesReference(t *testing.T) {
 			}
 		})
 	}
+	if t.Failed() {
+		return
+	}
+	// Round-robin: every shot index visits the graphs forward and back, so
+	// consecutive decodes switch graph and size on every shot.
+	var order []int
+	for ci := range runs {
+		order = append(order, ci)
+	}
+	for ci := len(runs) - 2; ci > 0; ci-- {
+		order = append(order, ci)
+	}
+	for i := 0; ; i++ {
+		decoded := false
+		for _, ci := range order {
+			r := runs[ci]
+			if i >= len(r.corpus) {
+				continue
+			}
+			decoded = true
+			shared.Rebind(r.g)
+			if got := shared.DecodeToEdges(r.corpus[i]); !slices.Equal(got, r.want[i]) {
+				t.Fatalf("%s shot %d: rebound decoder diverges\nrebound: %v\nref:     %v",
+					configs[ci].name, i, got, r.want[i])
+			}
+			requireFrontierClear(t, shared, i)
+		}
+		if !decoded {
+			break
+		}
+	}
+	if shared.Truncations != 0 {
+		t.Fatalf("rebound decoder reported %d truncations on well-formed graphs", shared.Truncations)
+	}
 }
 
 // FuzzUnionFindMatchesReference decodes a seeded corpus on a fresh
@@ -372,7 +423,10 @@ func TestUnionFindMatchesReference(t *testing.T) {
 // corrections must be equal shot for shot (same edges, same order), the
 // frontier bitset must be clear after every shot, and the flat decoder's
 // Truncations must count exactly the shots whose reference correction
-// leaves part of the syndrome unannihilated.
+// leaves part of the syndrome unannihilated. A second decoder is rebound
+// on every shot across three graphs — a d=3 graph, the distance-d graph
+// and another d=3 graph (small → large → small) — and must match the
+// reference on each, truncations included.
 func FuzzUnionFindMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint8(0), 2e-3)
 	f.Add(int64(2), uint8(1), 8e-3)
@@ -390,16 +444,26 @@ func FuzzUnionFindMatchesReference(f *testing.F) {
 		if p == 0 {
 			t.Skip("rate must be positive")
 		}
-		c := code.FromPatch(lattice.NewPatch(lattice.Coord{Row: 0, Col: 0}, dist))
-		dem, err := sim.BuildDEM(c, noise.Uniform(p), dist, lattice.ZCheck)
-		if err != nil {
-			t.Fatal(err)
+		type leg struct {
+			g      *Graph
+			ref    *refUnionFind
+			corpus [][]int32
 		}
-		g := NewGraph(dem)
+		var legs []leg
+		for i, dd := range []int{3, dist, 3} {
+			c := code.FromPatch(lattice.NewPatch(lattice.Coord{Row: 0, Col: 0}, dd))
+			dem, err := sim.BuildDEM(c, noise.Uniform(p), dd+i, lattice.ZCheck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := NewGraph(dem)
+			legs = append(legs, leg{g, newRefUnionFind(g), differentialCorpus(t, dem, 100, seed+int64(i))})
+		}
+		g := legs[1].g
 		flat := NewUnionFind(g)
 		ref := newRefUnionFind(g)
 		refTruncations := 0
-		for i, flagged := range differentialCorpus(t, dem, 100, seed) {
+		for i, flagged := range legs[1].corpus {
 			got := slices.Clone(flat.DecodeToEdges(flagged))
 			want := ref.DecodeToEdges(flagged)
 			if !slices.Equal(got, want) {
@@ -414,6 +478,29 @@ func FuzzUnionFindMatchesReference(f *testing.F) {
 		if flat.Truncations != refTruncations {
 			t.Fatalf("d=%d p=%g: flat counted %d truncations, reference left %d syndromes unannihilated",
 				dist, p, flat.Truncations, refTruncations)
+		}
+
+		shared := NewUnionFind(legs[0].g)
+		sharedTruncations := 0
+		for i := range legs[0].corpus {
+			for li, l := range legs {
+				flagged := l.corpus[i]
+				shared.Rebind(l.g)
+				got := slices.Clone(shared.DecodeToEdges(flagged))
+				want := l.ref.DecodeToEdges(flagged)
+				if !slices.Equal(got, want) {
+					t.Fatalf("graph %d (d=%d p=%g) shot %d: rebound decoder diverges\nrebound: %v\nref:     %v",
+						li, dist, p, i, got, want)
+				}
+				requireFrontierClear(t, shared, i)
+				if !annihilates(l.g, flagged, want) {
+					sharedTruncations++
+				}
+			}
+		}
+		if shared.Truncations != sharedTruncations {
+			t.Fatalf("d=%d p=%g: rebound decoder counted %d truncations, reference left %d syndromes unannihilated",
+				dist, p, shared.Truncations, sharedTruncations)
 		}
 	})
 }

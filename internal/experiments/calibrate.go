@@ -38,12 +38,16 @@ type calConfig struct {
 // (Options.Seed, p, d) alone, so rows are bit-identical for any worker
 // count and resume order. eng.TargetRSE stops each point early; with
 // Options.Store each basis half is committed (kind "calibrate") and
-// Options.Resume serves or tops it up. Distances below 3 and rates outside
-// (0, 0.5) fail before any point runs; isolated point failures return the
-// finished rows with the error (runGrid).
+// Options.Resume serves or tops it up. Distances below 3, rates outside
+// (0, 0.5) and a negative or NaN eng.TargetRSE fail before any point runs;
+// isolated point failures return the finished rows with the error
+// (runGrid).
 func Calibrate(opt Options, ps []float64, ds []int, eng SweepEngine) ([]CalibrateRow, error) {
 	if len(ps) == 0 || len(ds) == 0 {
 		return nil, fmt.Errorf("experiments: calibration needs at least one p and one d")
+	}
+	if err := eng.validate(); err != nil {
+		return nil, err
 	}
 	for _, d := range ds {
 		if d < 3 {

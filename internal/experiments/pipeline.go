@@ -224,6 +224,16 @@ type SweepEngine struct {
 	MaxShots int
 }
 
+// validate rejects a TargetRSE that is negative or NaN. It runs before any
+// point does: the stored path runs its segments with TargetRSE zeroed, so
+// the Monte-Carlo engine's own check never sees the bad value there.
+func (e SweepEngine) validate() error {
+	if !(e.TargetRSE >= 0) { // NaN fails every comparison
+		return fmt.Errorf("experiments: target RSE %g must be zero or positive", e.TargetRSE)
+	}
+	return nil
+}
+
 // shots is the per-point shot budget: MaxShots when set, else opt.Shots.
 func (e SweepEngine) shots(opt Options) int {
 	if e.MaxShots > 0 {
@@ -285,6 +295,9 @@ func DefaultSweepGrid(opt Options) []SweepPoint {
 // the config, decided in microseconds). Isolated point failures return the
 // finished rows with the error (runGrid).
 func MemorySweep(opt Options, grid []SweepPoint, eng SweepEngine) ([]SweepRow, error) {
+	if err := eng.validate(); err != nil {
+		return nil, err
+	}
 	shots := eng.shots(opt)
 	nominal := noise.Uniform(noise.DefaultPhysical)
 	return runGrid(opt, grid, func(pt SweepPoint) (SweepRow, error) {

@@ -174,6 +174,9 @@ func RunBatch(cfg Config, newWorker BatchWorkerFactory) (*Result, error) {
 	if cfg.MaxShots <= 0 {
 		return nil, fmt.Errorf("mc: MaxShots must be positive, got %d", cfg.MaxShots)
 	}
+	if !(cfg.TargetRSE >= 0) { // NaN fails every comparison
+		return nil, fmt.Errorf("mc: TargetRSE must be zero or positive, got %g", cfg.TargetRSE)
+	}
 	shardSize := cfg.ShardSize
 	if shardSize <= 0 {
 		shardSize = DefaultShardSize

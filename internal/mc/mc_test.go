@@ -177,6 +177,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{MaxShots: 100}, nil); err == nil {
 		t.Error("nil factory must be rejected")
 	}
+	for _, rse := range []float64{math.NaN(), -1} {
+		if _, err := Run(Config{MaxShots: 100, TargetRSE: rse}, bernoulliWorker(0.1)); err == nil {
+			t.Errorf("TargetRSE=%g must be rejected", rse)
+		}
+	}
 }
 
 // One factory call per worker, never more — workers own their state.

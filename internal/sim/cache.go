@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"strconv"
+	"encoding/binary"
+	"math"
 	"sync"
 
 	"surfdeformer/internal/code"
@@ -20,14 +21,14 @@ var (
 	obsCacheClears = obs.Default().Counter("sim.dem_cache.clears")
 )
 
-// DEMCache memoizes BuildDEM results keyed by (code fingerprint, noise
-// model fingerprint, rounds, basis). Sweep pipelines hit the same handful
-// of configurations thousands of times — per-policy baselines, the nominal
+// DEMCache memoizes BuildDEM results keyed by DEMKey (code ID, noise
+// model, rounds, basis). Sweep pipelines hit the same handful of
+// configurations thousands of times — per-policy baselines, the nominal
 // decode-side model of every mismatched run, repeated (d, p) grid points —
-// and DEM construction dominates their setup cost. Keys are full
-// serializations, not hashes, so distinct configurations can never
-// collide. Identical configurations return the identical *DEM pointer,
-// which downstream decoder-graph caches key on.
+// and DEM construction dominates their setup cost. Keys are exact, not
+// hashes, so distinct configurations can never collide. Identical
+// configurations return the identical *DEM pointer, which downstream
+// decoder-graph caches key on.
 //
 // The cache is safe for concurrent use. When it grows past its entry
 // limit it is cleared wholesale: sweeps revisit a small working set, so a
@@ -35,7 +36,7 @@ var (
 // implementation free of LRU bookkeeping.
 type DEMCache struct {
 	mu      sync.Mutex
-	entries map[string]*DEM
+	entries map[DEMKey]*DEM
 	limit   int
 	hits    int
 	misses  int
@@ -48,7 +49,7 @@ func NewDEMCache(limit int) *DEMCache {
 	if limit <= 0 {
 		limit = 256
 	}
-	return &DEMCache{entries: make(map[string]*DEM), limit: limit}
+	return &DEMCache{entries: make(map[DEMKey]*DEM), limit: limit}
 }
 
 var sharedDEMCache = NewDEMCache(0)
@@ -64,12 +65,12 @@ func (dc *DEMCache) BuildDEM(c *code.Code, model *noise.Model, rounds int, basis
 	return dem, err
 }
 
-// BuildDEMKeyed is BuildDEM plus the canonical cache key of the
-// configuration. The key is a full serialization (never a hash), so it
-// doubles as a content identity: two DEMs obtained under the same key are
-// value-identical even when a wholesale clear or a build race handed out
-// different pointers. The trajectory engine keys its per-DEM memo on it.
-func (dc *DEMCache) BuildDEMKeyed(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) (*DEM, string, error) {
+// BuildDEMKeyed is BuildDEM plus the cache key of the configuration. The
+// key is exact (never a hash), so it doubles as a content identity: two
+// DEMs obtained under the same key are value-identical even when a
+// wholesale clear or a build race handed out different pointers. The
+// trajectory engine keys its per-DEM memo on it.
+func (dc *DEMCache) BuildDEMKeyed(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) (*DEM, DEMKey, error) {
 	return dc.BuildDEMPatched(nil, nil, c, model, rounds, basis)
 }
 
@@ -81,7 +82,7 @@ func (dc *DEMCache) BuildDEMKeyed(c *code.Code, model *noise.Model, rounds int, 
 // must pass a base built for the same (code, rounds, basis); the patch only
 // re-rates it. Hit/miss accounting is the same either way: a patch fill is
 // still a miss.
-func (dc *DEMCache) BuildDEMPatched(pt *Patcher, base *DEM, c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) (*DEM, string, error) {
+func (dc *DEMCache) BuildDEMPatched(pt *Patcher, base *DEM, c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) (*DEM, DEMKey, error) {
 	key := demCacheKey(c, model, rounds, basis)
 	dc.mu.Lock()
 	if dem, ok := dc.entries[key]; ok {
@@ -95,16 +96,17 @@ func (dc *DEMCache) BuildDEMPatched(pt *Patcher, base *DEM, c *code.Code, model 
 	var ok bool
 	// Patch only when base was enumerated for this exact code structure: a
 	// bandage (super-stabilizer merge) or removal changes the mechanism set
-	// itself, and a patch would silently re-rate the stale set. Fingerprint
-	// mismatch → full build.
-	if pt != nil && base != nil && base.plan != nil && base.plan.codeFP == c.Fingerprint() {
+	// itself, and a patch would silently re-rate the stale set. Code ID
+	// mismatch → full build. IDs are never reused, so the gate can only
+	// err towards a full build (a code re-interned after a table reset).
+	if pt != nil && base != nil && base.plan != nil && base.plan.codeID == key.code {
 		dem, ok = pt.Patch(base, model)
 	}
 	if !ok {
 		var err error
 		dem, err = BuildDEM(c, model, rounds, basis)
 		if err != nil {
-			return nil, "", err
+			return nil, DEMKey{}, err
 		}
 	}
 	dc.mu.Lock()
@@ -117,7 +119,7 @@ func (dc *DEMCache) BuildDEMPatched(pt *Patcher, base *DEM, c *code.Code, model 
 		return existing, key, nil
 	}
 	if len(dc.entries) >= dc.limit {
-		dc.entries = make(map[string]*DEM)
+		dc.entries = make(map[DEMKey]*DEM)
 		dc.clears++
 		obsCacheClears.Inc()
 	}
@@ -150,67 +152,76 @@ func (dc *DEMCache) Stats() CacheStats {
 	return CacheStats{Hits: dc.hits, Misses: dc.misses, Clears: dc.clears, Entries: len(dc.entries)}
 }
 
-// demCacheKey serializes everything BuildDEM's output depends on: the
-// structural content of the code (its Fingerprint, computed once per code
-// state) and of the noise model (rates plus the defective set). Every cache
-// lookup encodes one, so it appends into a single pre-sized buffer with
-// strconv instead of formatting through fmt; refDemCacheKey
-// (cache_ref_test.go), the fmt encoder it replaced, pins the bytes.
-func demCacheKey(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) string {
-	fp := c.Fingerprint()
-	// Room for the round/basis prefix, five rates of at most 24 bytes with
-	// their tags, and typical coordinates; a longer key only grows b.
-	b := make([]byte, 0, len(fp)+160+12*len(model.Defective)+40*len(model.SiteRates))
-	b = append(b, 'r')
-	b = strconv.AppendInt(b, int64(rounds), 10)
-	b = append(b, "|b"...)
-	b = strconv.AppendUint(b, uint64(basis), 10)
-	b = append(b, '|')
-	b = append(b, fp...)
-	b = append(b, '|')
-	return string(appendModelFingerprint(b, model))
+// DEMKey identifies everything BuildDEM's output depends on. It is
+// comparable, so the caches use it as a map key directly. Two lookups share
+// a key exactly when the reference serialization (refDemCacheKey in
+// cache_ref_test.go) writes equal strings for them, within one generation
+// of the code intern table:
+//   - the code enters as its interned ID (code.Code.ID), which stands for
+//     the full fingerprint;
+//   - the five scalar rates enter as their bits, with every NaN mapped to
+//     one bit pattern (the reference's %g text prints every NaN alike, and
+//     distinguishes −0 from +0);
+//   - Defective and SiteRates enter as one compact string: the
+//     count-prefixed sorted defective coordinates (false entries too) as
+//     varints, then the sorted overrides as varint coordinates and
+//     canonical rate bits. It is empty when both maps are, so a lookup on
+//     a plain scalar model allocates nothing.
+type DEMKey struct {
+	code   uint64
+	rounds int
+	basis  lattice.CheckType
+	rates  [5]uint64
+	sites  string
 }
 
-func appendModelFingerprint(b []byte, m *noise.Model) []byte {
-	for _, f := range [...]struct {
-		tag  string
-		rate float64
-	}{{"p1:", m.P1}, {",p2:", m.P2}, {",pm:", m.PM}, {",pc:", m.PCorrelated}, {",dr:", m.DefectRate}} {
-		b = append(b, f.tag...)
-		b = strconv.AppendFloat(b, f.rate, 'g', -1, 64)
+// demCacheKey builds the DEMKey of a lookup.
+func demCacheKey(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) DEMKey {
+	k := DEMKey{
+		code: c.ID(), rounds: rounds, basis: basis,
+		rates: [5]uint64{rateBits(model.P1), rateBits(model.P2), rateBits(model.PM),
+			rateBits(model.PCorrelated), rateBits(model.DefectRate)},
 	}
-	b = append(b, ",def:"...)
-	defs := make([]lattice.Coord, 0, len(m.Defective))
-	for q := range m.Defective {
-		defs = append(defs, q)
+	if len(model.Defective) > 0 || len(model.SiteRates) > 0 {
+		k.sites = siteKey(model)
 	}
-	lattice.SortCoords(defs)
-	for _, q := range defs {
-		b = append(appendCoord(b, q), ',')
-	}
-	if len(m.SiteRates) > 0 {
-		b = append(b, "sr:"...)
-		sites := make([]lattice.Coord, 0, len(m.SiteRates))
-		for q := range m.SiteRates {
-			sites = append(sites, q)
-		}
-		lattice.SortCoords(sites)
-		for _, q := range sites {
-			// Exact (hex-float) rate encoding: site rates are products of
-			// quantized power-of-two multipliers and physical rates, and the
-			// key must never identify two models whose rates differ in any
-			// bit — nor split one overlay into two keys by formatting.
-			b = append(appendCoord(b, q), '=')
-			b = strconv.AppendFloat(b, m.SiteRates[q], 'x', -1, 64)
-			b = append(b, ',')
-		}
-	}
-	return b
+	return k
 }
 
-// appendCoord appends q as "<row>.<col>".
+// rateBits is the bit pattern of r, with every NaN canonicalized.
+func rateBits(r float64) uint64 {
+	if r != r {
+		return canonicalNaN
+	}
+	return math.Float64bits(r)
+}
+
+var canonicalNaN = math.Float64bits(math.NaN())
+
+// siteKey encodes the model's Defective set and SiteRates overrides.
+func siteKey(m *noise.Model) string {
+	var coordBuf [32]lattice.Coord
+	var byteBuf [256]byte
+	b := binary.AppendUvarint(byteBuf[:0], uint64(len(m.Defective)))
+	for _, q := range sortedKeys(coordBuf[:0], m.Defective) {
+		b = appendCoord(b, q)
+	}
+	for _, q := range sortedKeys(coordBuf[:0], m.SiteRates) {
+		b = binary.LittleEndian.AppendUint64(appendCoord(b, q), rateBits(m.SiteRates[q]))
+	}
+	return string(b)
+}
+
+// sortedKeys appends the keys of m to buf in lattice.SortCoords order.
+func sortedKeys[V any](buf []lattice.Coord, m map[lattice.Coord]V) []lattice.Coord {
+	for q := range m {
+		buf = append(buf, q)
+	}
+	lattice.SortCoords(buf)
+	return buf
+}
+
+// appendCoord appends q as two varints.
 func appendCoord(b []byte, q lattice.Coord) []byte {
-	b = strconv.AppendInt(b, int64(q.Row), 10)
-	b = append(b, '.')
-	return strconv.AppendInt(b, int64(q.Col), 10)
+	return binary.AppendVarint(binary.AppendVarint(b, int64(q.Row)), int64(q.Col))
 }

@@ -9,14 +9,15 @@ import (
 	"testing"
 
 	"surfdeformer/internal/code"
+	"surfdeformer/internal/deform"
 	"surfdeformer/internal/lattice"
 	"surfdeformer/internal/noise"
+	"surfdeformer/internal/obs"
 )
 
-// refDemCacheKey is the fmt encoder that demCacheKey replaced, kept
-// verbatim as the oracle of TestDEMCacheKeyMatchesReference. The trajectory
-// engine keys its per-trajectory memo on these bytes, so the strconv
-// encoder must write exactly the same key for every model.
+// refDemCacheKey is the fmt serialization the DEM cache once keyed on,
+// kept verbatim as the oracle of TestDEMCacheKeyMatchesReference: a DEMKey
+// must identify two lookups exactly when these strings are equal.
 func refDemCacheKey(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) string {
 	fp := c.Fingerprint()
 	var sb strings.Builder
@@ -57,19 +58,60 @@ func refWriteModelFingerprint(sb *strings.Builder, m *noise.Model) {
 	}
 }
 
-// TestDEMCacheKeyMatchesReference pins demCacheKey byte for byte against
-// refDemCacheKey over random models: NaN, ±Inf, −0, subnormal and huge
+// TestDEMCacheKeyMatchesReference pins the DEMKey contract against the
+// serialization it replaced: two lookups share a DEMKey exactly when their
+// refDemCacheKey strings are equal. The lookups run over random codes — a
+// pristine d=3 and d=5 patch, a bandaged d=3 patch and the same bandage
+// rebuilt as a separate object, a hand-deformed d=5 patch and random unit
+// histories — and 2,500 random models: NaN, ±Inf, −0, subnormal and huge
 // rates as well as arbitrary bit patterns, negative and extreme
 // coordinates, Defective sets (false entries included), 0–12 site
-// overrides, and any round count and basis byte.
+// overrides, and any round count and basis byte. Each model also meets
+// deliberate near-pairs: another NaN payload, the other zero or a rate one
+// ulp away (in a scalar and in a site override), its maps refilled in
+// reverse insertion order, and an empty map in place of a nil one.
 func TestDEMCacheKeyMatchesReference(t *testing.T) {
-	codes := []*code.Code{freshCode(t, 3), deformedCode(t)}
+	var codes []*code.Code
+	var rng *rand.Rand
+	// The lookups below must run within one generation of the intern
+	// table. A reset while the codes are interned (the table is
+	// process-wide) starts the list over; right after one there is room.
+	clears := obs.Default().Counter("code.intern.clears")
+	for attempt := 0; attempt < 2; attempt++ {
+		c0 := clears.Value()
+		rng = rand.New(rand.NewSource(20))
+		bandaged, q := bandagedCode(t, 3)
+		rebuilt := freshCode(t, 3)
+		if _, err := deform.BandageQubit(rebuilt, q); err != nil {
+			t.Fatal(err)
+		}
+		codes = []*code.Code{freshCode(t, 3), freshCode(t, 5), bandaged, rebuilt, deformedCode(t)}
+		for i := 0; i < 4; i++ {
+			codes = append(codes, randomDeformedCode(t, rng))
+		}
+		for _, c := range codes {
+			c.ID()
+		}
+		if clears.Value() == c0 {
+			break
+		}
+	}
+	ids := map[string]uint64{}
+	for _, c := range codes {
+		if id, ok := ids[c.Fingerprint()]; ok && id != c.ID() {
+			t.Fatal("structurally equal codes got different IDs")
+		}
+		ids[c.Fingerprint()] = c.ID()
+	}
+	if len(ids) == len(codes) {
+		t.Fatal("no two codes share a fingerprint; the rebuilt bandage should")
+	}
+
 	special := []float64{
 		0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
 		math.SmallestNonzeroFloat64, 2.5e-310, -2.5e-310, 1e-5, 1e-3, 0.5, -1e-3,
 		123456789, 1e21, 1e300, math.MaxFloat64,
 	}
-	rng := rand.New(rand.NewSource(20))
 	rate := func() float64 {
 		switch rng.Intn(4) {
 		case 0:
@@ -79,6 +121,23 @@ func TestDEMCacheKeyMatchesReference(t *testing.T) {
 		default:
 			return math.Ldexp(1e-3, rng.Intn(12)-4) * (1 + rng.Float64())
 		}
+	}
+	// near returns a rate whose reference text equals r's when r is NaN
+	// (another payload) and differs from it otherwise (the other zero, or
+	// one ulp away).
+	near := func(r float64) float64 {
+		switch {
+		case r != r:
+			if v := math.Float64frombits(math.Float64bits(r) ^ uint64(1+rng.Intn(1<<20))); v != v {
+				return v
+			}
+			return math.NaN()
+		case r == 0:
+			return math.Copysign(0, -math.Copysign(1, r))
+		case math.IsInf(r, 0):
+			return -r
+		}
+		return math.Nextafter(r, math.Inf(rng.Intn(2)*2-1))
 	}
 	coord := func() lattice.Coord {
 		v := func() int {
@@ -92,6 +151,70 @@ func TestDEMCacheKeyMatchesReference(t *testing.T) {
 			}
 		}
 		return lattice.Coord{Row: v(), Col: v()}
+	}
+	// variants returns m's near-pairs.
+	variants := func(m *noise.Model) []*noise.Model {
+		scalar := *m
+		switch rng.Intn(5) {
+		case 0:
+			scalar.P1 = near(m.P1)
+		case 1:
+			scalar.P2 = near(m.P2)
+		case 2:
+			scalar.PM = near(m.PM)
+		case 3:
+			scalar.PCorrelated = near(m.PCorrelated)
+		default:
+			scalar.DefectRate = near(m.DefectRate)
+		}
+		reordered := *m
+		if m.Defective != nil {
+			defs := sortedKeys(nil, m.Defective)
+			reordered.Defective = make(map[lattice.Coord]bool, len(defs))
+			for i := len(defs) - 1; i >= 0; i-- {
+				reordered.Defective[defs[i]] = m.Defective[defs[i]]
+			}
+		}
+		site := *m
+		if m.SiteRates != nil {
+			sites := sortedKeys(nil, m.SiteRates)
+			reordered.SiteRates = make(map[lattice.Coord]float64, len(sites))
+			site.SiteRates = make(map[lattice.Coord]float64, len(sites))
+			for i := len(sites) - 1; i >= 0; i-- {
+				reordered.SiteRates[sites[i]] = m.SiteRates[sites[i]]
+				site.SiteRates[sites[i]] = m.SiteRates[sites[i]]
+			}
+			if len(sites) > 0 {
+				q := sites[rng.Intn(len(sites))]
+				site.SiteRates[q] = near(site.SiteRates[q])
+			}
+		}
+		empty := *m
+		if m.Defective == nil {
+			empty.Defective = map[lattice.Coord]bool{}
+		}
+		if m.SiteRates == nil {
+			empty.SiteRates = map[lattice.Coord]float64{}
+		}
+		return []*noise.Model{&scalar, &reordered, &site, &empty}
+	}
+
+	byRef := map[string]DEMKey{}
+	byKey := map[DEMKey]string{}
+	shared := 0
+	check := func(c *code.Code, m *noise.Model, rounds int, basis lattice.CheckType) {
+		t.Helper()
+		key, ref := demCacheKey(c, m, rounds, basis), refDemCacheKey(c, m, rounds, basis)
+		if k, ok := byRef[ref]; ok {
+			shared++
+			if k != key {
+				t.Fatalf("equal reference keys, different DEMKeys:\n%+v\n%+v\nmodel %+v", k, key, m)
+			}
+		}
+		if r, ok := byKey[key]; ok && r != ref {
+			t.Fatalf("one DEMKey %+v for two reference keys:\n%q\n%q", key, r, ref)
+		}
+		byRef[ref], byKey[key] = key, ref
 	}
 	for i := 0; i < 2500; i++ {
 		m := &noise.Model{P1: rate(), P2: rate(), PM: rate(), PCorrelated: rate(), DefectRate: rate()}
@@ -107,18 +230,20 @@ func TestDEMCacheKeyMatchesReference(t *testing.T) {
 				m.SiteRates[coord()] = rate()
 			}
 		}
-		c := codes[rng.Intn(len(codes))]
 		rounds := rng.Intn(64) - 8
 		if rng.Intn(50) == 0 {
 			rounds = math.MinInt
 		}
 		basis := lattice.CheckType(rng.Intn(256))
-		got, want := demCacheKey(c, m, rounds, basis), refDemCacheKey(c, m, rounds, basis)
-		if got != want {
-			fp := c.Fingerprint()
-			t.Fatalf("model %d: key %q…%q, want %q…%q", i,
-				got[:strings.Index(got, fp)], got[strings.Index(got, fp)+len(fp):],
-				want[:strings.Index(want, fp)], want[strings.Index(want, fp)+len(fp):])
+		for _, c := range codes {
+			check(c, m, rounds, basis)
 		}
+		c := codes[rng.Intn(len(codes))]
+		for _, v := range variants(m) {
+			check(c, v, rounds, basis)
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no two lookups shared a reference key; the equality half is unexercised")
 	}
 }

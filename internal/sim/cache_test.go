@@ -6,6 +6,7 @@ import (
 	"surfdeformer/internal/code"
 	"surfdeformer/internal/lattice"
 	"surfdeformer/internal/noise"
+	"surfdeformer/internal/obs"
 )
 
 func TestDEMCacheHitsIdenticalConfig(t *testing.T) {
@@ -144,4 +145,69 @@ func TestDEMCacheStatsMonotoneAcrossClears(t *testing.T) {
 	if after.Misses != 3 {
 		t.Errorf("misses = %d, want 3 (counters survive the clear)", after.Misses)
 	}
+}
+
+// TestDEMCacheAcrossInternReset forces a reset of the code intern table
+// (by interning throwaway codes until code.intern.clears moves) and pins
+// what a reset may cost: cache misses, never a wrong hit. A code that was
+// interned before keeps its ID; a structurally equal code interned after
+// gets an ID never issued before, so the DEM built under the old ID is not
+// served to it. BuildDEMPatched, handed the old code's DEM as patch base,
+// refuses to patch across the reset and builds in full, and that DEM
+// equals the old code's.
+func TestDEMCacheAcrossInternReset(t *testing.T) {
+	c := freshCode(t, 3)
+	nominal := noise.Uniform(1e-3)
+	dc := NewDEMCache(0)
+	oldDEM, oldKey, err := dc.BuildDEMKeyed(c, nominal, 4, lattice.ZCheck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldID := c.ID()
+
+	clears := obs.Default().Counter("code.intern.clears")
+	c0, lastID := clears.Value(), oldID
+	for i := 0; clears.Value() == c0; i++ {
+		if i > 1<<20 {
+			t.Fatal("interning a million distinct codes never reset the table")
+		}
+		lastID = max(lastID, code.New([]lattice.Coord{{Row: -1 - i, Col: 0}}, nil).ID())
+	}
+	if c.ID() != oldID {
+		t.Fatal("a table reset changed a memoized ID")
+	}
+	again := freshCode(t, 3)
+	if again.Fingerprint() != c.Fingerprint() {
+		t.Fatal("fresh d=3 patches differ in fingerprint")
+	}
+	if again.ID() <= lastID {
+		t.Fatalf("code re-interned after the reset got ID %d, not above every ID issued before (%d)", again.ID(), lastID)
+	}
+
+	dem, key, err := dc.BuildDEMKeyed(again, nominal, 4, lattice.ZCheck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key == oldKey || dem == oldDEM {
+		t.Fatal("the DEM built under the old ID was served after the reset")
+	}
+	demValuesEqual(t, dem, oldDEM, "rebuilt nominal")
+
+	variant := nominal.WithSiteRates(map[lattice.Coord]float64{c.DataQubits()[0]: 8e-3})
+	builds := obs.Default().Counter("sim.dem.builds")
+	patches := obs.Default().Counter("sim.dem.patches")
+	b0, p0 := builds.Value(), patches.Value()
+	got, _, err := dc.BuildDEMPatched(&Patcher{}, oldDEM, again, variant, 4, lattice.ZCheck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if SamePatchCore(got, oldDEM) || patches.Value() != p0 || builds.Value() != b0+1 {
+		t.Fatalf("patched across the reset (builds +%d, patches +%d); want one full build",
+			builds.Value()-b0, patches.Value()-p0)
+	}
+	want, _, err := NewDEMCache(0).BuildDEMPatched(&Patcher{}, oldDEM, c, variant, 4, lattice.ZCheck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	demValuesEqual(t, got, want, "full build after the reset")
 }

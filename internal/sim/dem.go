@@ -453,7 +453,7 @@ func buildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis la
 		core := &planCore{coords: coords, qIdx: qIdx}
 		core.mechOff, core.contribs = mg.plan(rank)
 		core.buildSiteIndex()
-		dem.plan = &demPlan{core: core, base: record, codeFP: c.Fingerprint()}
+		dem.plan = &demPlan{core: core, base: record, codeID: c.ID()}
 	}
 	return dem, nil
 }

@@ -437,7 +437,7 @@ func refBuildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis
 			core.mechOff[mi+1] = int32(len(core.contribs))
 		}
 		core.buildSiteIndex()
-		dem.plan = &demPlan{core: core, base: record, codeFP: c.Fingerprint()}
+		dem.plan = &demPlan{core: core, base: record, codeID: c.ID()}
 	}
 	return dem, nil
 }
@@ -485,8 +485,8 @@ func requireMatchesReference(t *testing.T, tc demCase) {
 		return
 	}
 	g, w := got.plan, want.plan
-	if g.base != w.base || g.codeFP != w.codeFP {
-		t.Fatalf("%s: plan base or code fingerprint differs", tc.name)
+	if g.base != w.base || g.codeID != w.codeID {
+		t.Fatalf("%s: plan base or code ID differs", tc.name)
 	}
 	if !slices.Equal(g.core.mechOff, w.core.mechOff) || !slices.Equal(g.core.contribs, w.core.contribs) {
 		t.Fatalf("%s: plan contributions differ", tc.name)

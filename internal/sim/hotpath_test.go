@@ -35,6 +35,28 @@ func TestShotZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestDEMCacheHitZeroAllocs pins that a DEM-cache hit on a model without
+// site rates or defects allocates nothing: the key is the code's memoized
+// ID, the round count, the basis and five rate bit patterns, with an empty
+// site string. The trajectory engine makes such a lookup for the nominal
+// model on every chunk.
+func TestDEMCacheHitZeroAllocs(t *testing.T) {
+	dc := NewDEMCache(0)
+	model := noise.Uniform(1e-3).WithCorrelated(2e-4)
+	for _, c := range []*code.Code{freshCode(t, 3), deformedCode(t)} {
+		if _, err := dc.BuildDEM(c, model, 4, lattice.ZCheck); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(1000, func() {
+			if _, _, err := dc.BuildDEMKeyed(c, model, 4, lattice.ZCheck); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("DEM-cache hit allocates %v per lookup", n)
+		}
+	}
+}
+
 // TestBuildDEMAllocs bounds a full build's allocations. The backward pass
 // stores signatures as arena spans and merges them under reused key
 // scratch, so allocations scale with the unique mechanisms (~470 here) and

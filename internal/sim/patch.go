@@ -57,17 +57,18 @@ type planCore struct {
 }
 
 // demPlan ties a core to the model whose rates produced the DEM's
-// probabilities, and to the structural fingerprint of the code the plan was
-// enumerated for.
+// probabilities, and to the interned ID of the code the plan was enumerated
+// for.
 type demPlan struct {
 	core *planCore
 	base *noise.Model
-	// codeFP is the code portion of the DEM cache key. A patch re-rates the
-	// base's mechanism set, which is only the target's mechanism set when the
-	// codes are structurally identical — super-stabilizer merges change the
-	// detector layout, so BuildDEMPatched refuses the patch path (and falls
-	// back to a full build) whenever the fingerprints differ.
-	codeFP string
+	// codeID is the code portion of the DEM cache key (code.Code.ID). A
+	// patch re-rates the base's mechanism set, which is only the target's
+	// mechanism set when the codes are structurally identical —
+	// super-stabilizer merges change the detector layout, so
+	// BuildDEMPatched refuses the patch path (and falls back to a full
+	// build) whenever the IDs differ.
+	codeID uint64
 }
 
 // buildSiteIndex derives the site → mechanisms CSR from the contribution
@@ -257,7 +258,7 @@ func (pt *Patcher) Patch(base *DEM, model *noise.Model) (*DEM, bool) {
 		DetObs:      base.DetObs,
 		Observables: base.Observables,
 		rawMechs:    base.rawMechs,
-		plan:        &demPlan{core: core, base: model, codeFP: plan.codeFP},
+		plan:        &demPlan{core: core, base: model, codeID: plan.codeID},
 	}
 	obsDEMPatches.Inc()
 	obsDEMPatchNs.Observe(time.Since(start).Nanoseconds())

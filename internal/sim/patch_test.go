@@ -463,8 +463,8 @@ func TestBuildDEMPatchedCacheAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if baseKey == "" {
-		t.Fatal("empty canonical key")
+	if baseKey == (DEMKey{}) {
+		t.Fatal("zero cache key")
 	}
 	variant := nominal.WithSiteRates(map[lattice.Coord]float64{c.DataQubits()[0]: 8e-3})
 	builds := obs.Default().Counter("sim.dem.builds")

@@ -26,10 +26,12 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"time"
 
 	"surfdeformer/internal/code"
 	"surfdeformer/internal/core"
+	"surfdeformer/internal/decoder"
 	"surfdeformer/internal/defect"
 	"surfdeformer/internal/deform"
 	"surfdeformer/internal/detect"
@@ -129,7 +131,8 @@ type patchState struct {
 	blocked     bool
 	prevOverlay map[lattice.Coord]float64
 	codeSites   map[lattice.Coord]bool
-	sitesOf     *code.Code // code codeSites was computed for
+	sitesOf     *code.Code // code codeSites and keyCode were computed for
+	keyCode     *code.Code // the code DEM lookups key on (engine.keyCode)
 	scratch     [][]int32  // roundStream scratch
 
 	// Per-chunk staging, valid between the sample and score phases.
@@ -263,12 +266,15 @@ type engine struct {
 	// encode this trajectory's seed-specific defects and would only churn
 	// the shared cache's working set (forcing wholesale clears and memo
 	// prunes in every concurrent trajectory), so they build through a
-	// private hot cache. The memo layers the per-DEM decoders, samplers and
-	// observable stats over both caches, keyed on canonical configuration
-	// keys, and bounds itself.
+	// private hot cache. The memo layers the per-DEM decoding graphs,
+	// samplers and observable stats over both caches, keyed on the caches'
+	// keys, and bounds itself. Every chunk of every patch decodes with the
+	// one decoder dec, rebound to the chunk's graph.
 	cache, hotCache *sim.DEMCache
 	memo            *demMemo
 	patcher         *sim.Patcher
+	dec             decoder.UnionFind
+	codes           map[string]*code.Code // first code per fingerprint (keyCode)
 
 	lay     *layout.Layout
 	sys     *core.System // nil for the static arms (untreated, reweight-only)
@@ -301,6 +307,7 @@ func run(cfg Config, mode Mode, seed int64) (*Result, error) {
 		hotCache: sim.NewDEMCache(hotCacheLimit),
 		memo:     newDEMMemo(),
 		patcher:  &sim.Patcher{},
+		codes:    map[string]*code.Code{},
 	}
 	if e.cache == nil {
 		e.cache = sim.SharedDEMCache()
@@ -585,6 +592,7 @@ func (e *engine) sampleChunk(i int, cycle, chunk int64) error {
 	cfg, ps := &e.cfg, e.patches[i]
 	if ps.sitesOf != ps.curCode {
 		ps.codeSites = siteSet(ps.curCode)
+		ps.keyCode = e.keyCode(ps.curCode)
 		ps.sitesOf = ps.curCode
 	}
 	ps.rates = mergedRates(activeRates(ps.events, cycle), e.deviceRates)
@@ -597,18 +605,19 @@ func (e *engine) sampleChunk(i int, cycle, chunk int64) error {
 	// sample side, estimated-prior overlays on the decode side) — variants
 	// clone the probability vector and refold only the mechanisms the
 	// changed sites touch instead of re-running the full fault enumeration.
-	nominalDEM, nomKey, err := codeCache.BuildDEMKeyed(ps.curCode, e.nominal, int(chunk), cfg.Basis)
+	nominalDEM, nomKey, err := codeCache.BuildDEMKeyed(ps.keyCode, e.nominal, int(chunk), cfg.Basis)
 	if err != nil {
 		return err
 	}
-	patchBase := nominalDEM
-	if !patchDEMs {
-		patchBase = nil // full-rebuild reference leg (equivalence suite)
+	coldDEM := func(m *noise.Model) (*sim.DEM, error) {
+		return sim.BuildDEM(ps.curCode, m, int(chunk), cfg.Basis)
 	}
+	sampleModel := e.nominal
 	sampleDEM, sampleKey := nominalDEM, nomKey
 	if len(ps.rates) > 0 {
-		sampleDEM, sampleKey, err = e.hotCache.BuildDEMPatched(e.patcher, patchBase,
-			ps.curCode, e.nominal.WithSiteRates(ps.rates), int(chunk), cfg.Basis)
+		sampleModel = e.nominal.WithSiteRates(ps.rates)
+		sampleDEM, sampleKey, err = e.hotCache.BuildDEMPatched(e.patcher, nominalDEM,
+			ps.keyCode, sampleModel, int(chunk), cfg.Basis)
 		if err != nil {
 			return err
 		}
@@ -620,15 +629,27 @@ func (e *engine) sampleChunk(i int, cycle, chunk int64) error {
 	// nominal until detection and keeps sampling on true rates.
 	var overlay map[lattice.Coord]float64
 	if e.mit.ReweightTier && cycle >= int64(cfg.Window) {
-		overlay = reweightOverlay(ps.window, e.memo.obsStats(nomKey, nominalDEM), e.mit,
+		var stats *obsStats
+		if coldPath {
+			dem, err := coldDEM(e.nominal)
+			if err != nil {
+				return err
+			}
+			stats = newObsStats(dem)
+		} else {
+			stats = e.memo.obsStats(nomKey, nominalDEM)
+		}
+		overlay = reweightOverlay(ps.window, stats, e.mit,
 			cfg.PhysicalRate, e.reweightFactor, cfg.Threshold, cycle >= ps.quietUntil)
 	}
+	decodeModel := e.nominal
 	decodeDEM, decodeKey := nominalDEM, nomKey
 	overlayBuilt := false
 	if len(overlay) > 0 {
+		decodeModel = e.nominal.OverlaySiteRates(overlay)
 		preMiss := e.hotCache.Stats().Misses
-		decodeDEM, decodeKey, err = e.hotCache.BuildDEMPatched(e.patcher, patchBase,
-			ps.curCode, e.nominal.OverlaySiteRates(overlay), int(chunk), cfg.Basis)
+		decodeDEM, decodeKey, err = e.hotCache.BuildDEMPatched(e.patcher, nominalDEM,
+			ps.keyCode, decodeModel, int(chunk), cfg.Basis)
 		if err != nil {
 			return err
 		}
@@ -650,8 +671,22 @@ func (e *engine) sampleChunk(i int, cycle, chunk int64) error {
 		}
 	}
 	ps.overlay = overlay
-	dec := e.memo.decoder(decodeKey, decodeDEM, nominalDEM)
-	sampler := e.memo.sampler(sampleKey, sampleDEM)
+	var dec *decoder.UnionFind
+	var sampler *sim.Sampler
+	if coldPath {
+		if sampleDEM, err = coldDEM(sampleModel); err != nil {
+			return err
+		}
+		if decodeDEM, err = coldDEM(decodeModel); err != nil {
+			return err
+		}
+		dec = decoder.NewUnionFind(decoder.NewGraph(decodeDEM))
+		sampler = sim.NewSampler(sampleDEM)
+	} else {
+		dec = &e.dec
+		dec.Rebind(e.memo.graph(decodeKey, decodeDEM, nominalDEM))
+		sampler = e.memo.sampler(sampleKey, sampleDEM)
+	}
 	// Shot timings are measured only under tracing (clock reads per chunk
 	// otherwise saved) and flow only into trace events, never into the
 	// Result — wall-clock is not deterministic.
@@ -667,9 +702,27 @@ func (e *engine) sampleChunk(i int, cycle, chunk int64) error {
 		flagged, obsFlip = sampler.Shot(ps.shotRNG)
 		ps.failed = dec.DecodeToObs(flagged) != obsFlip
 	}
+	if correctionLog != nil {
+		*correctionLog = append(*correctionLog, slices.Clone(dec.DecodeToEdges(flagged)))
+	}
 	ps.byRound = roundStream(sampleDEM, flagged, chunk, &ps.scratch)
 	ps.dem = sampleDEM
 	return nil
+}
+
+// keyCode returns the code the chunk's DEM lookups key on: the first code
+// of this trajectory with c's fingerprint. Codes with one fingerprint then
+// share one ID for the whole trajectory, even when the process-wide intern
+// table resets between a code and a later rebuild of it (a recovery back
+// to an earlier shape), so which lookups hit the private hot cache — and
+// with it Result.OverlayDEMBuilds — depends on the trajectory alone.
+func (e *engine) keyCode(c *code.Code) *code.Code {
+	fp := c.Fingerprint()
+	if first, ok := e.codes[fp]; ok {
+		return first
+	}
+	e.codes[fp] = c
+	return c
 }
 
 // mitigate acts on patch i's fresh flags at the cut: it attributes them to

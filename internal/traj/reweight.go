@@ -279,75 +279,70 @@ func siteSet(c *code.Code) map[lattice.Coord]bool {
 var demMemoLimit = 256
 
 // memoEntry holds the runtime objects derived from one DEM configuration:
-// the decoder, the sampler, and the observable stats — all pure functions
-// of the DEM's values.
+// the decoding graph, the sampler, and the observable stats — all pure
+// functions of the DEM's values.
 type memoEntry struct {
-	dem     *sim.DEM
-	dec     *decoder.UnionFind
+	graph   *decoder.Graph
 	sampler *sim.Sampler
 	stats   *obsStats
 }
 
 // demMemo memoizes the per-DEM runtime objects of one trajectory, keyed on
-// the canonical DEM cache key (the full configuration serialization the
-// caches key on). Content keying is what makes the memo survive cache
-// churn: the reweight tier's quantized power-of-two multiplier overlays
-// revisit a small set of configurations, and when a cache clear (or the
-// patch fast path) mints a fresh *DEM pointer for a configuration already
-// memoized, the entry adopts the new pointer and keeps its objects —
-// decoders, samplers and stats depend only on DEM values, which the
-// canonical key fixes. A pointer-keyed memo would rebuild the decoder
-// graph on every such identity change. The memo bounds itself at
+// the DEM cache's key (sim.DEMKey, exact like the caches' own). Content
+// keying is what makes the memo survive cache churn: the reweight tier's
+// quantized power-of-two multiplier overlays revisit a small set of
+// configurations, and when a cache clear (or the patch fast path) mints a
+// fresh *DEM pointer for a configuration already memoized, the entry keeps
+// serving its objects — graphs, samplers and stats depend only on DEM
+// values, which the key fixes. A pointer-keyed memo would rebuild the
+// decoding graph on every such identity change. The memo bounds itself at
 // demMemoLimit with a wholesale reset; resets never change results, only
-// re-derive objects on next use.
+// re-derive objects on next use. Decoders are not memoized: the engine
+// decodes every chunk with one union-find, rebound to each chunk's graph.
 type demMemo struct {
-	entries map[string]*memoEntry
+	entries map[sim.DEMKey]*memoEntry
 }
 
 func newDEMMemo() *demMemo {
-	return &demMemo{entries: map[string]*memoEntry{}}
+	return &demMemo{entries: map[sim.DEMKey]*memoEntry{}}
 }
 
 // entry returns the memo entry for the configuration key, minting (and, at
-// the bound, wholesale-resetting) as needed. When the configuration comes
-// back under a fresh pointer the entry adopts it: the canonical key
-// guarantees identical DEM values, so the derived objects stay valid.
-func (m *demMemo) entry(key string, dem *sim.DEM) *memoEntry {
+// the bound, wholesale-resetting) as needed.
+func (m *demMemo) entry(key sim.DEMKey) *memoEntry {
 	e := m.entries[key]
 	if e == nil {
 		if len(m.entries) >= demMemoLimit {
-			m.entries = make(map[string]*memoEntry)
+			m.entries = make(map[sim.DEMKey]*memoEntry)
 		}
-		e = &memoEntry{dem: dem}
+		e = &memoEntry{}
 		m.entries[key] = e
-	} else if e.dem != dem {
-		e.dem = dem
 	}
 	return e
 }
 
-// decoder returns the memoized union-find decoder for the configuration;
-// base (the chunk's nominal DEM, may be nil) lets a first build re-derive
-// the decoding graph from the nominal template's merge skeleton when the
-// DEM was patched from it.
-func (m *demMemo) decoder(key string, dem, base *sim.DEM) *decoder.UnionFind {
-	e := m.entry(key, dem)
-	if e.dec == nil {
-		e.dec = decoder.NewUnionFind(decoder.SharedGraphFrom(dem, base))
+// graph returns the memoized decoding graph for the configuration; base
+// (the chunk's nominal DEM, may be nil) lets a first build re-derive the
+// graph from the nominal template's merge skeleton when the DEM was patched
+// from it.
+func (m *demMemo) graph(key sim.DEMKey, dem, base *sim.DEM) *decoder.Graph {
+	e := m.entry(key)
+	if e.graph == nil {
+		e.graph = decoder.SharedGraphFrom(dem, base)
 	}
-	return e.dec
+	return e.graph
 }
 
-func (m *demMemo) sampler(key string, dem *sim.DEM) *sim.Sampler {
-	e := m.entry(key, dem)
+func (m *demMemo) sampler(key sim.DEMKey, dem *sim.DEM) *sim.Sampler {
+	e := m.entry(key)
 	if e.sampler == nil {
 		e.sampler = sim.NewSampler(dem)
 	}
 	return e.sampler
 }
 
-func (m *demMemo) obsStats(key string, dem *sim.DEM) *obsStats {
-	e := m.entry(key, dem)
+func (m *demMemo) obsStats(key sim.DEMKey, dem *sim.DEM) *obsStats {
+	e := m.entry(key)
 	if e.stats == nil {
 		e.stats = newObsStats(dem)
 	}

@@ -2,6 +2,8 @@ package traj
 
 import (
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"surfdeformer/internal/code"
@@ -9,6 +11,7 @@ import (
 	"surfdeformer/internal/deform"
 	"surfdeformer/internal/lattice"
 	"surfdeformer/internal/noise"
+	"surfdeformer/internal/obs"
 	"surfdeformer/internal/sim"
 )
 
@@ -58,12 +61,12 @@ func TestReweightBeatsUntreatedOnDrift(t *testing.T) {
 }
 
 // TestMemoPrunedAfterCacheClear pins the memo bound on the content-keyed
-// memo: the canonical-key entries can never outgrow demMemoLimit no matter
-// how many distinct configurations stream through (one dead entry per
-// evicted DEM, forever, was the original leak), and — the content-keying
-// win — an entry survives a cache clear: when the evicting cache mints a
-// fresh *DEM pointer for a configuration already memoized, the memo adopts
-// the pointer and serves the same decoder instead of rebuilding its graph.
+// memo: the entries can never outgrow demMemoLimit no matter how many
+// distinct configurations stream through (one dead entry per evicted DEM,
+// forever, was the original leak), and — the content-keying win — an entry
+// survives a cache clear: when the evicting cache mints a fresh *DEM
+// pointer for a configuration already memoized, the memo serves the same
+// decoding graph instead of rebuilding it.
 func TestMemoPrunedAfterCacheClear(t *testing.T) {
 	oldLimit := demMemoLimit
 	demMemoLimit = 8
@@ -71,7 +74,7 @@ func TestMemoPrunedAfterCacheClear(t *testing.T) {
 	hot := sim.NewDEMCache(2) // tiny: every few distinct models clear it
 	memo := newDEMMemo()
 	c := buildCode(t, 3)
-	build := func(i int) (*sim.DEM, string) {
+	build := func(i int) (*sim.DEM, sim.DEMKey) {
 		t.Helper()
 		rate := 0.01 + float64(i)*0.01 // distinct hot models
 		m := noise.Uniform(1e-3).WithSiteRates(map[lattice.Coord]float64{{Row: 1, Col: 1}: rate})
@@ -82,10 +85,10 @@ func TestMemoPrunedAfterCacheClear(t *testing.T) {
 		return dem, key
 	}
 	dem0, key0 := build(0)
-	dec0 := memo.decoder(key0, dem0, nil)
+	memo.graph(key0, dem0, nil)
 	for i := 0; i < 40; i++ {
 		dem, key := build(i)
-		memo.decoder(key, dem, nil)
+		memo.graph(key, dem, nil)
 		memo.sampler(key, dem)
 		memo.obsStats(key, dem)
 		if len(memo.entries) > demMemoLimit {
@@ -102,19 +105,18 @@ func TestMemoPrunedAfterCacheClear(t *testing.T) {
 	// clear-survival path explicitly with a third, pointer-fresh build.
 	demA, keyA := build(0)
 	if keyA != key0 {
-		t.Fatal("canonical key changed for an identical configuration")
+		t.Fatal("key changed for an identical configuration")
 	}
-	decA := memo.decoder(keyA, demA, nil)
+	graphA := memo.graph(keyA, demA, nil)
 	build(20) // distinct configs churn the 2-entry cache...
 	build(21)
 	demB, _ := build(0) // ...so this rebuilds config 0 under a fresh pointer
 	if demB == demA {
 		t.Fatal("cache churn did not mint a fresh pointer; the survival path is unexercised")
 	}
-	if memo.decoder(key0, demB, nil) != decA {
-		t.Error("memo rebuilt the decoder for a configuration it already held (content key not reused)")
+	if memo.graph(key0, demB, nil) != graphA {
+		t.Error("memo rebuilt the decoding graph for a configuration it already held (content key not reused)")
 	}
-	_ = dec0
 }
 
 // TestRunDeterministicUnderMemoEviction is the long-horizon integration
@@ -139,6 +141,55 @@ func TestRunDeterministicUnderMemoEviction(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("memo eviction changed the trajectory:\nfull %+v\ntiny %+v", want, got)
+	}
+}
+
+// TestRunDeterministicUnderInternResets pins that a trajectory's Result
+// does not depend on the process-wide code intern table. A code rebuilt
+// mid-trajectory (a recovery back to an earlier shape) must key the
+// private hot cache like the code it repeats even when the table resets
+// in between; otherwise the rebuild draws a fresh ID, its overlay lookups
+// miss, and OverlayDEMBuilds counts them. The trajectories run once quietly
+// and once racing a goroutine that interns fresh codes, resetting the
+// table every few hundred.
+func TestRunDeterministicUnderInternResets(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.D, cfg.Horizon = 3, 1200
+	run := func() []*Result {
+		t.Helper()
+		var out []*Result
+		for seed := int64(1); seed <= 12; seed++ {
+			cfg.Cache = sim.NewDEMCache(0)
+			res, err := Run(cfg, ModeSurfDeformer, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res)
+		}
+		return out
+	}
+	want := run()
+	clears := obs.Default().Counter("code.intern.clears")
+	c0 := clears.Value()
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			code.New([]lattice.Coord{{Row: -1 - i, Col: 0}}, nil).ID()
+		}
+	}()
+	got := run()
+	stop.Store(true)
+	wg.Wait()
+	if clears.Value() == c0 {
+		t.Fatal("the intern table never reset during the second run")
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("seed %d: Result moved under intern resets:\nquiet %+v\nreset %+v", i+1, want[i], got[i])
+		}
 	}
 }
 

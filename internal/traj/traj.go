@@ -368,15 +368,20 @@ const (
 // never changes results.
 var hotCacheLimit = 0
 
-// patchDEMs selects the incremental DEM path: site-rate variants (true
-// defect rates on the sample side, estimated-prior overlays on the decode
-// side) are derived by patching the chunk's nominal DEM — clone-on-write of
-// the probability vector, shared mechanism/detector structure — instead of
-// re-running the full fault enumeration, and decoding graphs are re-derived
-// from the nominal graph's merge skeleton. Value-identical by construction;
-// a variable only so the equivalence suite can pin the patch path against
-// the full-rebuild reference.
-var patchDEMs = true
+// coldPath turns the chunk loop's reuse layers off for the differential
+// tests. Each chunk still makes its DEM-cache lookups, so OverlayDEMBuilds
+// and the cache counters accrue as on the warm path, but it samples and
+// decodes from objects built from scratch: sim.BuildDEM for the nominal,
+// sample and decode models, a fresh decoding graph and union-find, a fresh
+// sampler and fresh observable stats. Results must not move.
+var coldPath = false
+
+// correctionLog, when non-nil, receives every chunk's correction (the
+// decoder's edge set for the chunk's shot) in decode order, for the same
+// tests: one shot decides a chunk, and a chunk cut short by an epoch
+// boundary leaves no verdict in the Result, so a decode against a stale
+// graph can leave the Result intact while its correction differs.
+var correctionLog *[][]int32
 
 // event is one defect occurrence normalized across species.
 type event struct {
