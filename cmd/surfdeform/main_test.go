@@ -36,38 +36,59 @@ func TestShow(t *testing.T) {
 	}
 }
 
+// TestMain lets the tests run the command: a test binary started with
+// SURFDEFORM_TEST_ARGS set runs main on those arguments instead of the
+// tests (see wantFailure).
+func TestMain(m *testing.M) {
+	if args := os.Getenv("SURFDEFORM_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"surfdeform"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// wantFailure runs the command on args in a re-executed test binary and
+// requires exit status 1 with nothing on stdout.
+func wantFailure(t *testing.T, args string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "SURFDEFORM_TEST_ARGS="+args)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Errorf("%s: exit %v, want status 1; stderr:\n%s", args, err, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("%s printed a table:\n%s", args, stdout.String())
+	}
+}
+
 // TestNaNFlagsFail runs the command with each flag that feeds a float
 // range check set to NaN — each traj flag on a quick scan, -target-rse on a
 // tiny calibration, where -1 must fail as well. NaN compares false against
 // every bound, so a check that NaN passes would run on it and exit 0; each
-// run must instead exit 1 with nothing on stdout. The test binary
-// re-executes itself as the command (SURFDEFORM_TEST_ARGS carries the
-// arguments).
+// run must instead exit 1 with nothing on stdout.
 func TestNaNFlagsFail(t *testing.T) {
-	if args := os.Getenv("SURFDEFORM_TEST_ARGS"); args != "" {
-		os.Args = append([]string{"surfdeform"}, strings.Fields(args)...)
-		main()
-		return
-	}
-	var runs []string
 	for _, name := range []string{"-reweight-factor", "-halflife", "-device-defect-rate", "-super-threshold"} {
-		runs = append(runs, "-quick -trials 1 "+name+" NaN traj")
+		wantFailure(t, "-quick -trials 1 "+name+" NaN traj")
 	}
 	for _, v := range []string{"NaN", "-1"} {
-		runs = append(runs, "-target-rse "+v+" -d 3 -p 4e-3 -shots 200 -rounds 3 calibrate")
+		wantFailure(t, "-target-rse "+v+" -d 3 -p 4e-3 -shots 200 -rounds 3 calibrate")
 	}
-	for _, args := range runs {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestNaNFlagsFail$")
-		cmd.Env = append(os.Environ(), "SURFDEFORM_TEST_ARGS="+args)
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Errorf("%s: exit %v, want status 1; stderr:\n%s", args, err, stderr.String())
+}
+
+// TestNonPositiveTrialsFail runs every experiment that takes -trials as its
+// sample count with 0 and with -3 trials. Each must exit 1 with nothing on
+// stdout before any point runs, instead of printing NaN or zero columns.
+// fig11c reads -trials only at full scale, so it runs without -quick.
+func TestNonPositiveTrialsFail(t *testing.T) {
+	for _, trials := range []string{"0", "-3"} {
+		for _, exp := range []string{"table2", "fig12", "fig13a", "pipeline", "traj"} {
+			wantFailure(t, "-quick -trials "+trials+" "+exp)
 		}
-		if stdout.Len() != 0 {
-			t.Errorf("%s printed a table:\n%s", args, stdout.String())
-		}
+		wantFailure(t, "-trials "+trials+" fig11c")
 	}
 }

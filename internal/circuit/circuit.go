@@ -165,6 +165,3 @@ func (m MeasuredOp) MeasuredThisRound(round int) bool {
 func (o Observable) AvailableThisRound(round int) bool {
 	return o.Parity == EveryRound || o.Parity == round%2
 }
-
-// NumSlots returns the number of measurement slots per full period.
-func (s *Schedule) NumSlots() int { return len(s.Ops) }

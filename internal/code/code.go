@@ -243,19 +243,6 @@ func (c *Code) StabsOn(q lattice.Coord, typ lattice.CheckType) []Stab {
 	return out
 }
 
-// GaugesOn returns the gauge operators acting on qubit q, optionally
-// filtered by CSS type.
-func (c *Code) GaugesOn(q lattice.Coord, typ lattice.CheckType) []Gauge {
-	var out []Gauge
-	for _, g := range c.gauges {
-		t, ok := g.Op.CSSType()
-		if ok && t == typ && g.Op.ActsOn(q) {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
 // StabAtAncilla returns the plain stabilizer measured by the syndrome qubit
 // at coordinate a, if any.
 func (c *Code) StabAtAncilla(a lattice.Coord) (Stab, bool) {
@@ -265,17 +252,6 @@ func (c *Code) StabAtAncilla(a lattice.Coord) (Stab, bool) {
 		}
 	}
 	return Stab{}, false
-}
-
-// GaugeAtAncilla returns the gauge operator measured by the syndrome qubit
-// at coordinate a, if any.
-func (c *Code) GaugeAtAncilla(a lattice.Coord) (Gauge, bool) {
-	for _, g := range c.gauges {
-		if !g.Direct && g.Ancilla == a {
-			return g, true
-		}
-	}
-	return Gauge{}, false
 }
 
 // AddStab appends a plain stabilizer measured at the given ancilla and

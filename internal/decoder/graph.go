@@ -19,9 +19,10 @@ import (
 // whole sweep here (the per-Graph ints only describe one build), feeding
 // the end-of-run silent-degradation warning.
 var (
-	obsGraphBuilds  = obs.Default().Counter("decoder.graph.builds")
-	obsGraphClamped = obs.Default().Counter("decoder.graph.edges_clamped")
-	obsGraphDropped = obs.Default().Counter("decoder.graph.edges_dropped")
+	obsGraphBuilds    = obs.Default().Counter("decoder.graph.builds")
+	obsGraphRederives = obs.Default().Counter("decoder.graph.rederives")
+	obsGraphClamped   = obs.Default().Counter("decoder.graph.edges_clamped")
+	obsGraphDropped   = obs.Default().Counter("decoder.graph.edges_dropped")
 )
 
 // Boundary is the virtual boundary node index in decoding graphs.
@@ -197,6 +198,24 @@ func NewGraph(dem *sim.DEM) *Graph {
 	obsGraphClamped.Add(int64(g.Clamped))
 	obsGraphDropped.Add(int64(g.Dropped))
 	return g
+}
+
+// GraphFrom returns the decoding graph of dem given base and its graph
+// baseGraph: baseGraph itself when dem is base, a replay of baseGraph's
+// merge skeleton when dem was patched from base (sim.SamePatchCore), and a
+// full NewGraph otherwise. The result equals NewGraph(dem); nothing is
+// cached.
+func GraphFrom(dem, base *sim.DEM, baseGraph *Graph) *Graph {
+	if dem == base {
+		return baseGraph
+	}
+	if sim.SamePatchCore(dem, base) {
+		if g := baseGraph.rederive(dem); g != nil {
+			obsGraphRederives.Inc()
+			return g
+		}
+	}
+	return NewGraph(dem)
 }
 
 // rederive builds the decoding graph of dem by replaying this graph's

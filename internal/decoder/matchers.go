@@ -83,13 +83,6 @@ type Greedy struct{ g *Graph }
 // NewGreedy builds a greedy matcher over the graph.
 func NewGreedy(g *Graph) *Greedy { return &Greedy{g} }
 
-// GreedyFactory adapts the decoder to the sim.DecoderFactory interface.
-func GreedyFactory() sim.DecoderFactory {
-	return func(dem *sim.DEM) (sim.Decoder, error) {
-		return NewGreedy(SharedGraph(dem)), nil
-	}
-}
-
 var _ sim.Decoder = (*Greedy)(nil)
 
 // DecodeToObs implements sim.Decoder.
@@ -169,13 +162,6 @@ type Exact struct {
 // NewExact builds the exact decoder; syndromes larger than maxDefects fall
 // back to greedy.
 func NewExact(g *Graph, maxDefects int) *Exact { return &Exact{g, maxDefects} }
-
-// ExactFactory adapts the decoder to the sim.DecoderFactory interface.
-func ExactFactory(maxDefects int) sim.DecoderFactory {
-	return func(dem *sim.DEM) (sim.Decoder, error) {
-		return NewExact(SharedGraph(dem), maxDefects), nil
-	}
-}
 
 var _ sim.Decoder = (*Exact)(nil)
 

@@ -97,90 +97,45 @@ func TestRederiveMatchesNewGraph(t *testing.T) {
 	}
 }
 
-// TestSharedGraphFromUsesTemplate pins the cache integration: a miss on a
-// patched DEM with a cached same-core base rederives instead of rebuilding
-// and the result is cached under the patched DEM's identity.
-func TestSharedGraphFromUsesTemplate(t *testing.T) {
+// TestGraphFrom pins the non-caching derivation the trajectory table uses:
+// a DEM patched from base gets base's graph replayed (one rederive, no full
+// build), base itself gets base's graph back, and a DEM of another
+// structure falls back to a full build. Every result equals NewGraph, and
+// nothing enters the process-wide graph cache.
+func TestGraphFrom(t *testing.T) {
 	c := code.FromPatch(lattice.NewPatch(lattice.Coord{Row: 0, Col: 0}, 3))
 	nominal := noise.Uniform(1e-3)
 	base, err := sim.BuildDEM(c, nominal, 4, lattice.ZCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg := SharedGraph(base)
+	bg := NewGraph(base)
 	variant := nominal.WithSiteRates(map[lattice.Coord]float64{c.DataQubits()[0]: 8e-3})
 	patched, ok := (&sim.Patcher{}).Patch(base, variant)
 	if !ok {
 		t.Fatal("patch refused")
 	}
-	r0 := obsGraphRederives.Value()
-	g := SharedGraphFrom(patched, base)
-	if obsGraphRederives.Value() != r0+1 {
-		t.Error("miss with a cached same-core base must rederive")
-	}
-	graphsIdentical(t, g, NewGraph(patched), "via SharedGraphFrom")
-	if SharedGraphFrom(patched, base) != g {
-		t.Error("second request must hit the cache")
-	}
-	_ = bg
-}
-
-// TestSharedGraphFromRebuildsMissingTemplate pins the evicted-template
-// path: when base's graph is not cached, SharedGraphFrom builds and caches
-// it once and rederives the variant from it, so every later variant of the
-// same base rederives without a full build. A template and variant
-// inserted at the bound reset the cache and land together.
-func TestSharedGraphFromRebuildsMissingTemplate(t *testing.T) {
-	c := code.FromPatch(lattice.NewPatch(lattice.Coord{Row: 0, Col: 0}, 3))
-	nominal := noise.Uniform(1e-3)
-	base, err := sim.BuildDEM(c, nominal, 4, lattice.ZCheck)
+	built, err := sim.BuildDEM(c, variant, 4, lattice.ZCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := &sim.Patcher{}
-	variant := func(rate float64) *sim.DEM {
-		patched, ok := pt.Patch(base, nominal.WithSiteRates(map[lattice.Coord]float64{c.DataQubits()[0]: rate}))
-		if !ok {
-			t.Fatal("patch refused")
-		}
-		return patched
-	}
-	resetGraphCache := func(fill int) {
-		graphCacheMu.Lock()
-		defer graphCacheMu.Unlock()
-		graphCache = make(map[*sim.DEM]*Graph)
-		for i := 0; i < fill; i++ {
-			graphCache[&sim.DEM{}] = nil
-		}
-	}
-	t.Cleanup(func() { resetGraphCache(0) })
-
-	resetGraphCache(0)
-	first := variant(8e-3)
-	r0 := obsGraphRederives.Value()
-	g := SharedGraphFrom(first, base)
-	if obsGraphRederives.Value() != r0+1 {
-		t.Error("miss with an uncached same-core base must rebuild the template and rederive")
-	}
-	graphsIdentical(t, g, NewGraph(first), "first variant")
-
-	second := variant(2e-2)
+	m0 := obsGraphCacheMisses.Value()
 	r0, b0 := obsGraphRederives.Value(), obsGraphBuilds.Value()
-	g = SharedGraphFrom(second, base)
+	g := GraphFrom(patched, base, bg)
 	if obsGraphRederives.Value() != r0+1 || obsGraphBuilds.Value() != b0 {
-		t.Errorf("second variant: %d rederives, %d builds; want 1, 0",
+		t.Errorf("patched DEM: %d rederives, %d builds; want 1, 0",
 			obsGraphRederives.Value()-r0, obsGraphBuilds.Value()-b0)
 	}
-	graphsIdentical(t, g, NewGraph(second), "second variant")
-
-	resetGraphCache(graphCacheLimit - 1)
-	third := variant(4e-2)
-	g = SharedGraphFrom(third, base)
-	graphCacheMu.Lock()
-	n, bg, vg := len(graphCache), graphCache[base], graphCache[third]
-	graphCacheMu.Unlock()
-	if n != 2 || bg == nil || vg != g {
-		t.Errorf("at the bound: %d entries (template cached %v, variant cached %v); want the template and variant alone",
-			n, bg != nil, vg == g)
+	graphsIdentical(t, g, NewGraph(patched), "rederived variant")
+	if GraphFrom(base, base, bg) != bg {
+		t.Error("base itself did not get its own graph back")
+	}
+	r0 = obsGraphRederives.Value()
+	graphsIdentical(t, GraphFrom(built, base, bg), NewGraph(built), "full-build fallback")
+	if obsGraphRederives.Value() != r0 {
+		t.Error("a DEM outside base's patch core was rederived")
+	}
+	if obsGraphCacheMisses.Value() != m0 {
+		t.Error("GraphFrom touched the process-wide graph cache")
 	}
 }

@@ -1,8 +1,6 @@
 package deform
 
 import (
-	"fmt"
-
 	"surfdeformer/internal/code"
 	"surfdeformer/internal/lattice"
 )
@@ -176,18 +174,4 @@ func defectsInStrip(grown, base *Spec, defective func(lattice.Coord) bool) []lat
 		}
 	}
 	return out
-}
-
-// RestoreDistance is the common Surf-Deformer runtime sequence: remove the
-// given defects (Algorithm 1), then adaptively enlarge back toward the
-// original target distances (Algorithm 2).
-func RestoreDistance(s *Spec, defects []lattice.Coord, targetX, targetZ int, defective func(lattice.Coord) bool, policy Policy, budget Budget) (*EnlargeResult, error) {
-	if err := ApplyDefects(s, defects, policy); err != nil {
-		return nil, err
-	}
-	res, err := Enlarge(s, targetX, targetZ, defective, policy, budget)
-	if err != nil {
-		return nil, fmt.Errorf("deform: enlargement failed: %w", err)
-	}
-	return res, nil
 }

@@ -90,6 +90,16 @@ type Options struct {
 	MinTrials int
 }
 
+// checkTrials rejects a Trials below 1 for an experiment that draws that
+// many samples, before any of its points runs: no samples would make every
+// mean and risk column NaN or zero.
+func (o Options) checkTrials(what string) error {
+	if o.Trials < 1 {
+		return fmt.Errorf("experiments: %s needs at least 1 trial, got %d", what, o.Trials)
+	}
+	return nil
+}
+
 // DefaultMinTrials is the per-arm floor of trajectories before adaptive
 // stopping may retire an arm (Options.MinTrials <= 0 selects it).
 const DefaultMinTrials = 8

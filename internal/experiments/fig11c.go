@@ -57,6 +57,8 @@ func Fig11c(opt Options) ([]Fig11cRow, error) {
 	if opt.Quick {
 		rates = []float64{0, 1e-4, 2e-4}
 		samples = 10
+	} else if err := opt.checkTrials("fig11c"); err != nil {
+		return nil, err
 	}
 	d := 21
 	dm := defect.Paper()

@@ -51,6 +51,9 @@ type fig12Payload struct {
 // paper's revised comparison. (benchmark, scheme) points run on the
 // point-level pool, each on its own derived defect-timeline stream.
 func Fig12(opt Options) ([]Fig12Row, error) {
+	if err := opt.checkTrials("fig12"); err != nil {
+		return nil, err
+	}
 	dm, lm, fws := estimators(opt)
 	benches := []*program.Program{
 		program.Simon(900, 1500),
@@ -127,6 +130,9 @@ type fig13aPayload struct {
 // risk) trade-off line of ASC-S versus Surf-Deformer, one pooled point per
 // (d, scheme).
 func Fig13a(opt Options) ([]Fig13aRow, error) {
+	if err := opt.checkTrials("fig13a"); err != nil {
+		return nil, err
+	}
 	dm, lm, fws := estimators(opt)
 	prog := program.Simon(900, 1500)
 	ds := []int{17, 19, 21, 23, 25}

@@ -41,6 +41,9 @@ type PipelineResult struct {
 // the window detector, region estimation from the flagged observables, and
 // adaptive deformation of the estimated region.
 func DetectionPipeline(opt Options) (*PipelineResult, error) {
+	if err := opt.checkTrials("pipeline"); err != nil {
+		return nil, err
+	}
 	d := 9
 	onset := 6
 	tail := 24

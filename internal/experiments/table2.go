@@ -50,6 +50,9 @@ type table2Payload struct {
 // point-level pool; each row's three scheme estimates share one derived
 // defect-timeline stream so the schemes face comparable timelines.
 func Table2(opt Options) ([]Table2Row, error) {
+	if err := opt.checkTrials("table2"); err != nil {
+		return nil, err
+	}
 	dm, lm, fws := estimators(opt)
 	pairs := paperDistancePairs()
 	benches := program.Benchmarks()

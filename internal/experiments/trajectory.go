@@ -232,8 +232,8 @@ type TrajRow struct {
 // the determinism and resume contract. Unlike the other grids, the scan
 // returns no rows on any error, isolated point failures included.
 func TrajectoryScan(opt Options, cfg traj.Config, modes []traj.Mode) ([]TrajRow, error) {
-	if opt.Trials < 1 {
-		return nil, fmt.Errorf("experiments: trajectory scan needs at least 1 trial per arm, got %d", opt.Trials)
+	if err := opt.checkTrials("a trajectory scan"); err != nil {
+		return nil, err
 	}
 	if len(modes) == 0 {
 		modes = DefaultTrajModes()

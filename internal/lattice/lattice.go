@@ -51,17 +51,6 @@ func (c Coord) DiagNeighbors() [4]Coord {
 	}
 }
 
-// OrthoNeighbors returns the four orthogonal neighbours at distance 2 — the
-// adjacency between same-role qubits (data↔data or check↔check).
-func (c Coord) OrthoNeighbors() [4]Coord {
-	return [4]Coord{
-		{c.Row - 2, c.Col},
-		{c.Row + 2, c.Col},
-		{c.Row, c.Col - 2},
-		{c.Row, c.Col + 2},
-	}
-}
-
 // IsData reports whether c is a data-qubit position (odd row, odd col).
 func (c Coord) IsData() bool { return abs(c.Row)%2 == 1 && abs(c.Col)%2 == 1 }
 

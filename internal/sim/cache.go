@@ -11,10 +11,8 @@ import (
 	"surfdeformer/internal/obs"
 )
 
-// Process-wide cache metrics, aggregated across every DEMCache instance
-// (shared and per-trajectory hot caches alike); the per-instance ints in
-// CacheStats stay authoritative for instance-local consumers like the
-// trajectory engine's hot cache.
+// Process-wide cache metrics, aggregated across every DEMCache instance;
+// the per-instance ints in CacheStats stay authoritative for one cache.
 var (
 	obsCacheHits   = obs.Default().Counter("sim.dem_cache.hits")
 	obsCacheMisses = obs.Default().Counter("sim.dem_cache.misses")
@@ -61,7 +59,7 @@ func SharedDEMCache() *DEMCache { return sharedDEMCache }
 // BuildDEM returns the cached DEM for the configuration, building and
 // inserting it on first use.
 func (dc *DEMCache) BuildDEM(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) (*DEM, error) {
-	dem, _, err := dc.BuildDEMPatched(nil, nil, c, model, rounds, basis)
+	dem, _, err := dc.BuildDEMKeyed(c, model, rounds, basis)
 	return dem, err
 }
 
@@ -69,21 +67,9 @@ func (dc *DEMCache) BuildDEM(c *code.Code, model *noise.Model, rounds int, basis
 // key is exact (never a hash), so it doubles as a content identity: two
 // DEMs obtained under the same key are value-identical even when a
 // wholesale clear or a build race handed out different pointers. The
-// trajectory engine keys its per-DEM memo on it.
+// trajectory engine keys its model table on it.
 func (dc *DEMCache) BuildDEMKeyed(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) (*DEM, DEMKey, error) {
-	return dc.BuildDEMPatched(nil, nil, c, model, rounds, basis)
-}
-
-// BuildDEMPatched is BuildDEMKeyed with an incremental fast path: on a
-// cache miss, when pt and base are non-nil and base's contribution plan
-// covers model (a pure site-rate variant of base's model), the DEM is
-// derived by pt.Patch instead of a full BuildDEM — value-identical output
-// (pinned by the equivalence suite) at a fraction of the cost. The caller
-// must pass a base built for the same (code, rounds, basis); the patch only
-// re-rates it. Hit/miss accounting is the same either way: a patch fill is
-// still a miss.
-func (dc *DEMCache) BuildDEMPatched(pt *Patcher, base *DEM, c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) (*DEM, DEMKey, error) {
-	key := demCacheKey(c, model, rounds, basis)
+	key := DEMKeyOf(c, model, rounds, basis)
 	dc.mu.Lock()
 	if dem, ok := dc.entries[key]; ok {
 		dc.hits++
@@ -92,22 +78,9 @@ func (dc *DEMCache) BuildDEMPatched(pt *Patcher, base *DEM, c *code.Code, model 
 		return dem, key, nil
 	}
 	dc.mu.Unlock()
-	var dem *DEM
-	var ok bool
-	// Patch only when base was enumerated for this exact code structure: a
-	// bandage (super-stabilizer merge) or removal changes the mechanism set
-	// itself, and a patch would silently re-rate the stale set. Code ID
-	// mismatch → full build. IDs are never reused, so the gate can only
-	// err towards a full build (a code re-interned after a table reset).
-	if pt != nil && base != nil && base.plan != nil && base.plan.codeID == key.code {
-		dem, ok = pt.Patch(base, model)
-	}
-	if !ok {
-		var err error
-		dem, err = BuildDEM(c, model, rounds, basis)
-		if err != nil {
-			return nil, DEMKey{}, err
-		}
+	dem, err := BuildDEM(c, model, rounds, basis)
+	if err != nil {
+		return nil, DEMKey{}, err
 	}
 	dc.mu.Lock()
 	defer dc.mu.Unlock()
@@ -175,8 +148,8 @@ type DEMKey struct {
 	sites  string
 }
 
-// demCacheKey builds the DEMKey of a lookup.
-func demCacheKey(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) DEMKey {
+// DEMKeyOf returns the DEMKey of a lookup.
+func DEMKeyOf(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) DEMKey {
 	k := DEMKey{
 		code: c.ID(), rounds: rounds, basis: basis,
 		rates: [5]uint64{rateBits(model.P1), rateBits(model.P2), rateBits(model.PM),

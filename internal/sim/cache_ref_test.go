@@ -204,7 +204,7 @@ func TestDEMCacheKeyMatchesReference(t *testing.T) {
 	shared := 0
 	check := func(c *code.Code, m *noise.Model, rounds int, basis lattice.CheckType) {
 		t.Helper()
-		key, ref := demCacheKey(c, m, rounds, basis), refDemCacheKey(c, m, rounds, basis)
+		key, ref := DEMKeyOf(c, m, rounds, basis), refDemCacheKey(c, m, rounds, basis)
 		if k, ok := byRef[ref]; ok {
 			shared++
 			if k != key {

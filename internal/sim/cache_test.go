@@ -152,7 +152,7 @@ func TestDEMCacheStatsMonotoneAcrossClears(t *testing.T) {
 // what a reset may cost: cache misses, never a wrong hit. A code that was
 // interned before keeps its ID; a structurally equal code interned after
 // gets an ID never issued before, so the DEM built under the old ID is not
-// served to it. BuildDEMPatched, handed the old code's DEM as patch base,
+// served to it. Patcher.Variant, handed the old code's DEM as patch base,
 // refuses to patch across the reset and builds in full, and that DEM
 // equals the old code's.
 func TestDEMCacheAcrossInternReset(t *testing.T) {
@@ -197,7 +197,7 @@ func TestDEMCacheAcrossInternReset(t *testing.T) {
 	builds := obs.Default().Counter("sim.dem.builds")
 	patches := obs.Default().Counter("sim.dem.patches")
 	b0, p0 := builds.Value(), patches.Value()
-	got, _, err := dc.BuildDEMPatched(&Patcher{}, oldDEM, again, variant, 4, lattice.ZCheck)
+	got, err := (&Patcher{}).Variant(oldDEM, again, variant, 4, lattice.ZCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestDEMCacheAcrossInternReset(t *testing.T) {
 		t.Fatalf("patched across the reset (builds +%d, patches +%d); want one full build",
 			builds.Value()-b0, patches.Value()-p0)
 	}
-	want, _, err := NewDEMCache(0).BuildDEMPatched(&Patcher{}, oldDEM, c, variant, 4, lattice.ZCheck)
+	want, err := (&Patcher{}).Variant(oldDEM, c, variant, 4, lattice.ZCheck)
 	if err != nil {
 		t.Fatal(err)
 	}

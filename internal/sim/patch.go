@@ -3,6 +3,7 @@ package sim
 import (
 	"time"
 
+	"surfdeformer/internal/code"
 	"surfdeformer/internal/lattice"
 	"surfdeformer/internal/noise"
 	"surfdeformer/internal/obs"
@@ -38,8 +39,7 @@ type planContrib struct {
 
 // planCore is the immutable, model-independent part of a contribution plan.
 // It is shared by every DEM patched from the same base build, which lets
-// consumers (decoder.SharedGraphFrom) recognize structural identity by
-// pointer: two DEMs with the same core have identical NumDets, identical
+// consumers (decoder.GraphFrom) recognize structural identity by pointer: two DEMs with the same core have identical NumDets, identical
 // Mechs[i].Dets/Obs for every i, and differ only in probabilities.
 type planCore struct {
 	coords []lattice.Coord
@@ -62,12 +62,8 @@ type planCore struct {
 type demPlan struct {
 	core *planCore
 	base *noise.Model
-	// codeID is the code portion of the DEM cache key (code.Code.ID). A
-	// patch re-rates the base's mechanism set, which is only the target's
-	// mechanism set when the codes are structurally identical —
-	// super-stabilizer merges change the detector layout, so
-	// BuildDEMPatched refuses the patch path (and falls back to a full
-	// build) whenever the IDs differ.
+	// codeID is the code portion of the DEM cache key (code.Code.ID), the
+	// same-code gate of Patcher.Variant.
 	codeID uint64
 }
 
@@ -143,6 +139,24 @@ type Patcher struct {
 	rates []noise.Override
 }
 
+// Variant returns the DEM of (c, model, rounds, basis): patched from base
+// when base was enumerated for c's exact structure and Patch accepts
+// model, built in full otherwise. The caller must pass a base built for the
+// same rounds and basis, or nil. The gate compares code IDs because a patch
+// re-rates the base's mechanism set, which is the target's only when the
+// codes are structurally identical: a bandage (super-stabilizer merge) or
+// a removal changes the mechanism set itself. IDs are never reused, so the
+// gate can only err towards a full build (a code re-interned after an
+// intern table reset). Nothing is cached.
+func (pt *Patcher) Variant(base *DEM, c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) (*DEM, error) {
+	if base != nil && base.plan != nil && base.plan.codeID == c.ID() {
+		if dem, ok := pt.Patch(base, model); ok {
+			return dem, nil
+		}
+	}
+	return BuildDEM(c, model, rounds, basis)
+}
+
 // Patch returns a DEM equal (value-identical, per the equivalence suite) to
 // a fresh BuildDEM of the same circuit under model, derived from base by
 // refolding only the mechanisms whose probability depends on a site model
@@ -155,7 +169,7 @@ type Patcher struct {
 // The returned DEM shares everything but the probability vector with base:
 // detector layout, observable info, each mechanism's Dets slice, and the
 // contribution plan (so patched DEMs can themselves serve as patch bases
-// and decoder.SharedGraphFrom can re-derive graphs structurally).
+// and decoder.GraphFrom can re-derive graphs structurally).
 func (pt *Patcher) Patch(base *DEM, model *noise.Model) (*DEM, bool) {
 	if base == nil || base.plan == nil || model == nil {
 		return nil, false

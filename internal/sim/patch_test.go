@@ -452,51 +452,6 @@ func TestConcurrentPatchRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBuildDEMPatchedCacheAccounting pins that a patch-filled entry is
-// accounted exactly like a built one (a miss), hits on re-request, and
-// counts in sim.dem.patches rather than sim.dem.builds.
-func TestBuildDEMPatchedCacheAccounting(t *testing.T) {
-	c := freshCode(t, 3)
-	nominal := noise.Uniform(1e-3)
-	dc := NewDEMCache(0)
-	base, baseKey, err := dc.BuildDEMKeyed(c, nominal, 4, lattice.ZCheck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if baseKey == (DEMKey{}) {
-		t.Fatal("zero cache key")
-	}
-	variant := nominal.WithSiteRates(map[lattice.Coord]float64{c.DataQubits()[0]: 8e-3})
-	builds := obs.Default().Counter("sim.dem.builds")
-	patches := obs.Default().Counter("sim.dem.patches")
-	b0, p0 := builds.Value(), patches.Value()
-	pt := &Patcher{}
-	dem, key, err := dc.BuildDEMPatched(pt, base, c, variant, 4, lattice.ZCheck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if key == baseKey {
-		t.Fatal("variant shares the base's cache key")
-	}
-	if builds.Value() != b0 || patches.Value() != p0+1 {
-		t.Errorf("counters moved by (builds %d, patches %d), want (0, 1)",
-			builds.Value()-b0, patches.Value()-p0)
-	}
-	if st := dc.Stats(); st.Misses != 2 {
-		t.Errorf("misses = %d, want 2 (base build + patch fill)", st.Misses)
-	}
-	again, _, err := dc.BuildDEMPatched(pt, base, c, variant, 4, lattice.ZCheck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != dem {
-		t.Error("re-request must hit the cached pointer")
-	}
-	if patches.Value() != p0+1 {
-		t.Error("cache hit re-patched")
-	}
-}
-
 // TestDEMCacheOverlayFingerprintCanonical is the overlay-fingerprinting
 // regression: two identical overlays assembled in different map insertion
 // orders must land on one cache entry — a single dem.builds — and overlays

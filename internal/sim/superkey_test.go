@@ -67,7 +67,7 @@ func TestDEMCacheKeyFingerprintsSuperStabilizers(t *testing.T) {
 // TestPatcherRefusesAcrossCodeStructureChange pins the patch-safety half: a
 // patch base enumerated for the pristine code must not be re-rated into a
 // DEM for the gauge-merged code (the mechanism set itself changed), so
-// BuildDEMPatched handed a stale cross-code base falls back to a full build
+// Patcher.Variant handed a stale cross-code base falls back to a full build
 // — and the fallback is value-identical to a direct BuildDEM of the merged
 // code. A same-code base still patches.
 func TestPatcherRefusesAcrossCodeStructureChange(t *testing.T) {
@@ -77,11 +77,11 @@ func TestPatcherRefusesAcrossCodeStructureChange(t *testing.T) {
 
 	dc := NewDEMCache(0)
 	pt := &Patcher{}
-	pristineBase, _, err := dc.BuildDEMPatched(nil, nil, freshCode(t, 3), nominal, 4, lattice.ZCheck)
+	pristineBase, _, err := dc.BuildDEMKeyed(freshCode(t, 3), nominal, 4, lattice.ZCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := dc.BuildDEMPatched(pt, pristineBase, merged, variant, 4, lattice.ZCheck)
+	got, err := pt.Variant(pristineBase, merged, variant, 4, lattice.ZCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +98,11 @@ func TestPatcherRefusesAcrossCodeStructureChange(t *testing.T) {
 
 	// Control: with a base built for the merged code itself, the same variant
 	// request takes the patch fast path and agrees with the full build.
-	mergedBase, _, err := dc.BuildDEMPatched(nil, nil, merged, nominal, 4, lattice.ZCheck)
+	mergedBase, _, err := dc.BuildDEMKeyed(merged, nominal, 4, lattice.ZCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	patched, _, err := NewDEMCache(0).BuildDEMPatched(pt, mergedBase, merged, variant, 4, lattice.ZCheck)
+	patched, err := pt.Variant(mergedBase, merged, variant, 4, lattice.ZCheck)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -646,16 +646,6 @@ func Key(kind string, config any) (string, error) {
 	return hex.EncodeToString(h[:16]), nil
 }
 
-// MustKey is Key for configurations known to marshal (plain structs of
-// scalars); it panics otherwise.
-func MustKey(kind string, config any) string {
-	k, err := Key(kind, config)
-	if err != nil {
-		panic(err)
-	}
-	return k
-}
-
 // Canonicalize rewrites a JSON document into the canonical form hashed by
 // Key: object keys sorted, no insignificant whitespace, number literals
 // preserved verbatim.

@@ -260,21 +260,14 @@ type engine struct {
 	reweightFactor float64
 	nominal        *noise.Model
 	deviceRates    map[lattice.Coord]float64
-	// The pristine (undeformed) patch is the one code whose DEMs recur
-	// across every trajectory of a fan-out, so it builds through the shared
-	// cache. Deformed codes, true-rate variants and estimated-prior overlays
-	// encode this trajectory's seed-specific defects and would only churn
-	// the shared cache's working set (forcing wholesale clears and memo
-	// prunes in every concurrent trajectory), so they build through a
-	// private hot cache. The memo layers the per-DEM decoding graphs,
-	// samplers and observable stats over both caches, keyed on the caches'
-	// keys, and bounds itself. Every chunk of every patch decodes with the
-	// one decoder dec, rebound to the chunk's graph.
-	cache, hotCache *sim.DEMCache
-	memo            *demMemo
-	patcher         *sim.Patcher
-	dec             decoder.UnionFind
-	codes           map[string]*code.Code // first code per fingerprint (keyCode)
+	// The pristine patch's nominal DEMs come from the shared cache; every
+	// DEM, graph, sampler and stats object the chunks use lives in the
+	// trajectory's model table (modelTable). Every chunk of every patch
+	// decodes with the one decoder dec, rebound to the chunk's graph.
+	cache *sim.DEMCache
+	table *modelTable
+	dec   decoder.UnionFind
+	codes map[string]*code.Code // first code per fingerprint (keyCode)
 
 	lay     *layout.Layout
 	sys     *core.System // nil for the static arms (untreated, reweight-only)
@@ -302,12 +295,10 @@ func run(cfg Config, mode Mode, seed int64) (*Result, error) {
 	n := lc.Patches
 	e := &engine{
 		cfg: cfg, arm: mode.String(),
-		nominal:  noise.Uniform(cfg.PhysicalRate),
-		cache:    cfg.Cache,
-		hotCache: sim.NewDEMCache(hotCacheLimit),
-		memo:     newDEMMemo(),
-		patcher:  &sim.Patcher{},
-		codes:    map[string]*code.Code{},
+		nominal: noise.Uniform(cfg.PhysicalRate),
+		cache:   cfg.Cache,
+		table:   newModelTable(),
+		codes:   map[string]*code.Code{},
 	}
 	if e.cache == nil {
 		e.cache = sim.SharedDEMCache()
@@ -596,29 +587,33 @@ func (e *engine) sampleChunk(i int, cycle, chunk int64) error {
 		ps.sitesOf = ps.curCode
 	}
 	ps.rates = mergedRates(activeRates(ps.events, cycle), e.deviceRates)
-	codeCache := e.cache
-	if ps.curCode != ps.pristine {
-		codeCache = e.hotCache // deformed code: seed-specific, build privately
-	}
-	// Nominal DEM first: it is both the decode-side baseline and the patch
-	// base for this chunk's site-rate variants (true defect rates on the
-	// sample side, estimated-prior overlays on the decode side) — variants
-	// clone the probability vector and refold only the mechanisms the
-	// changed sites touch instead of re-running the full fault enumeration.
-	nominalDEM, nomKey, err := codeCache.BuildDEMKeyed(ps.keyCode, e.nominal, int(chunk), cfg.Basis)
-	if err != nil {
+	rounds := int(chunk)
+	// Nominal model first: it is both the decode-side baseline and the
+	// patch base of this chunk's site-rate variants (true defect rates on
+	// the sample side, estimated-prior overlays on the decode side) —
+	// variants clone the probability vector and refold only the mechanisms
+	// the changed sites touch instead of re-running the fault enumeration.
+	// The pristine code's nominal comes from the shared cache; every other
+	// DEM is the model table's own.
+	var nom *tableEntry
+	var err error
+	if ps.curCode == ps.pristine {
+		dem, key, err := e.cache.BuildDEMKeyed(ps.keyCode, e.nominal, rounds, cfg.Basis)
+		if err != nil {
+			return err
+		}
+		nom = e.table.shared(key, dem)
+	} else if nom, _, err = e.table.own(nil, ps.keyCode, e.nominal, rounds, cfg.Basis); err != nil {
 		return err
 	}
-	coldDEM := func(m *noise.Model) (*sim.DEM, error) {
-		return sim.BuildDEM(ps.curCode, m, int(chunk), cfg.Basis)
+	coldEntry := func(m *noise.Model) (*tableEntry, error) {
+		dem, err := sim.BuildDEM(ps.curCode, m, rounds, cfg.Basis)
+		return &tableEntry{dem: dem}, err
 	}
-	sampleModel := e.nominal
-	sampleDEM, sampleKey := nominalDEM, nomKey
+	sampleModel, sample := e.nominal, nom
 	if len(ps.rates) > 0 {
 		sampleModel = e.nominal.WithSiteRates(ps.rates)
-		sampleDEM, sampleKey, err = e.hotCache.BuildDEMPatched(e.patcher, nominalDEM,
-			ps.keyCode, sampleModel, int(chunk), cfg.Basis)
-		if err != nil {
+		if sample, _, err = e.table.own(nom.dem, ps.keyCode, sampleModel, rounds, cfg.Basis); err != nil {
 			return err
 		}
 	}
@@ -629,33 +624,24 @@ func (e *engine) sampleChunk(i int, cycle, chunk int64) error {
 	// nominal until detection and keeps sampling on true rates.
 	var overlay map[lattice.Coord]float64
 	if e.mit.ReweightTier && cycle >= int64(cfg.Window) {
-		var stats *obsStats
+		src := nom
 		if coldPath {
-			dem, err := coldDEM(e.nominal)
-			if err != nil {
+			if src, err = coldEntry(e.nominal); err != nil {
 				return err
 			}
-			stats = newObsStats(dem)
-		} else {
-			stats = e.memo.obsStats(nomKey, nominalDEM)
 		}
-		overlay = reweightOverlay(ps.window, stats, e.mit,
+		overlay = reweightOverlay(ps.window, src.statsOf(), e.mit,
 			cfg.PhysicalRate, e.reweightFactor, cfg.Threshold, cycle >= ps.quietUntil)
 	}
-	decodeModel := e.nominal
-	decodeDEM, decodeKey := nominalDEM, nomKey
+	decodeModel, decode := e.nominal, nom
 	overlayBuilt := false
 	if len(overlay) > 0 {
 		decodeModel = e.nominal.OverlaySiteRates(overlay)
-		preMiss := e.hotCache.Stats().Misses
-		decodeDEM, decodeKey, err = e.hotCache.BuildDEMPatched(e.patcher, nominalDEM,
-			ps.keyCode, decodeModel, int(chunk), cfg.Basis)
-		if err != nil {
+		if decode, overlayBuilt, err = e.table.own(nom.dem, ps.keyCode, decodeModel, rounds, cfg.Basis); err != nil {
 			return err
 		}
-		if e.hotCache.Stats().Misses > preMiss {
+		if overlayBuilt {
 			e.res.OverlayDEMBuilds++
-			overlayBuilt = true
 		}
 	}
 	if !maps.Equal(overlay, ps.prevOverlay) {
@@ -671,22 +657,21 @@ func (e *engine) sampleChunk(i int, cycle, chunk int64) error {
 		}
 	}
 	ps.overlay = overlay
-	var dec *decoder.UnionFind
-	var sampler *sim.Sampler
+	// The cold path decodes and samples from fresh entries of fresh DEMs,
+	// with a fresh decoder.
+	dec := &e.dec
 	if coldPath {
-		if sampleDEM, err = coldDEM(sampleModel); err != nil {
+		if sample, err = coldEntry(sampleModel); err != nil {
 			return err
 		}
-		if decodeDEM, err = coldDEM(decodeModel); err != nil {
+		if decode, err = coldEntry(decodeModel); err != nil {
 			return err
 		}
-		dec = decoder.NewUnionFind(decoder.NewGraph(decodeDEM))
-		sampler = sim.NewSampler(sampleDEM)
+		dec = decoder.NewUnionFind(decode.graphOf(decode))
 	} else {
-		dec = &e.dec
-		dec.Rebind(e.memo.graph(decodeKey, decodeDEM, nominalDEM))
-		sampler = e.memo.sampler(sampleKey, sampleDEM)
+		dec.Rebind(decode.graphOf(nom))
 	}
+	sampler := sample.samplerOf()
 	// Shot timings are measured only under tracing (clock reads per chunk
 	// otherwise saved) and flow only into trace events, never into the
 	// Result — wall-clock is not deterministic.
@@ -705,8 +690,8 @@ func (e *engine) sampleChunk(i int, cycle, chunk int64) error {
 	if correctionLog != nil {
 		*correctionLog = append(*correctionLog, slices.Clone(dec.DecodeToEdges(flagged)))
 	}
-	ps.byRound = roundStream(sampleDEM, flagged, chunk, &ps.scratch)
-	ps.dem = sampleDEM
+	ps.byRound = roundStream(sample.dem, flagged, chunk, &ps.scratch)
+	ps.dem = sample.dem
 	return nil
 }
 
@@ -714,8 +699,8 @@ func (e *engine) sampleChunk(i int, cycle, chunk int64) error {
 // of this trajectory with c's fingerprint. Codes with one fingerprint then
 // share one ID for the whole trajectory, even when the process-wide intern
 // table resets between a code and a later rebuild of it (a recovery back
-// to an earlier shape), so which lookups hit the private hot cache — and
-// with it Result.OverlayDEMBuilds — depends on the trajectory alone.
+// to an earlier shape), so which lookups hit the model table — and with it
+// Result.OverlayDEMBuilds — depends on the trajectory alone.
 func (e *engine) keyCode(c *code.Code) *code.Code {
 	fp := c.Fingerprint()
 	if first, ok := e.codes[fp]; ok {

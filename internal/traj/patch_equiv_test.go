@@ -13,10 +13,10 @@ import (
 // TestTrajectoryIncrementalMatchesFull pins whole-trajectory Result
 // equality between the incremental path (site-rate DEMs patched from the
 // chunk's nominal DEM, decode graphs re-derived from the nominal merge
-// skeleton, the per-trajectory memo) and the cold reference (every DEM
-// through BuildDEM, every graph through NewGraph, every decoder, sampler
-// and stats object fresh), across every arm and several seeds, for a
-// single patch and for a 2-patch layout. The reuse layers must be
+// skeleton, the per-trajectory model table) and the cold reference (every
+// DEM through BuildDEM, every graph through NewGraph, every decoder,
+// sampler and stats object fresh), across every arm and several seeds, for
+// a single patch and for a 2-patch layout. The reuse layers must be
 // invisible: not one field of one Result may move, and every chunk must
 // decode to the same correction.
 func TestTrajectoryIncrementalMatchesFull(t *testing.T) {
@@ -110,6 +110,14 @@ func setColdPath(on bool) func() {
 	return func() { coldPath = old }
 }
 
+// setHotCacheLimit bounds each trajectory's private DEMs at n and returns
+// the restore.
+func setHotCacheLimit(n int) func() {
+	old := hotCacheLimit
+	hotCacheLimit = n
+	return func() { hotCacheLimit = old }
+}
+
 // FuzzTrajectoryColdPath runs one short d=3 trajectory warm, cold and warm
 // again. The warm runs share a DEM cache, so the second one is served from
 // everything the first left behind; the cold run builds every DEM, graph,
@@ -118,18 +126,26 @@ func setColdPath(on bool) func() {
 // every chunk to the same correction (correctionLog). arm picks one of the
 // five arms,
 // patches one or two patches (two run the simon surgery schedule),
-// deviceRate a fabrication-defect device (folded into [0, 0.2)) and
-// halflife the estimator's weighting (folded into [0, 64)).
+// deviceRate a fabrication-defect device (folded into [0, 0.2)),
+// halflife the estimator's weighting (folded into [0, 64)) and bound the
+// model table's bound for all three runs (0 keeps hotCacheLimit, b > 0
+// squeezes it to 2 + b%15, so the table resets mid-trajectory, at times
+// between a chunk's nominal lookup and its variants).
 func FuzzTrajectoryColdPath(f *testing.F) {
-	f.Add(int64(6), uint8(0), uint8(1), 0.0, 0.0)  // removal, recovery and reweights
-	f.Add(int64(3), uint8(0), uint8(2), 0.08, 0.0) // layout on a defective device
-	f.Add(int64(9), uint8(0), uint8(2), 0.0, 8.0)
-	f.Add(int64(3), uint8(1), uint8(2), 0.0, 0.0)
-	f.Add(int64(8), uint8(2), uint8(1), 0.0, 0.0) // reweight tier alone
-	f.Add(int64(1), uint8(2), uint8(1), 0.08, 30.0)
-	f.Add(int64(4), uint8(3), uint8(1), 0.1, 0.0)
-	f.Add(int64(1), uint8(4), uint8(1), 0.0, 0.0) // bandages and their release
-	f.Fuzz(func(t *testing.T, seed int64, arm, patches uint8, deviceRate, halflife float64) {
+	f.Add(int64(6), uint8(0), uint8(1), 0.0, 0.0, uint8(0))  // removal, recovery and reweights
+	f.Add(int64(3), uint8(0), uint8(2), 0.08, 0.0, uint8(0)) // layout on a defective device
+	f.Add(int64(9), uint8(0), uint8(2), 0.0, 8.0, uint8(0))
+	f.Add(int64(3), uint8(1), uint8(2), 0.0, 0.0, uint8(0))
+	f.Add(int64(8), uint8(2), uint8(1), 0.0, 0.0, uint8(0)) // reweight tier alone
+	f.Add(int64(1), uint8(2), uint8(1), 0.08, 30.0, uint8(0))
+	f.Add(int64(4), uint8(3), uint8(1), 0.1, 0.0, uint8(0))
+	f.Add(int64(1), uint8(4), uint8(1), 0.0, 0.0, uint8(0))  // bandages and their release
+	f.Add(int64(6), uint8(0), uint8(1), 0.0, 0.0, uint8(15)) // table bound 2
+	f.Add(int64(3), uint8(0), uint8(2), 0.08, 0.0, uint8(2)) // table bound 4
+	f.Fuzz(func(t *testing.T, seed int64, arm, patches uint8, deviceRate, halflife float64, bound uint8) {
+		if bound > 0 {
+			defer setHotCacheLimit(2 + int(bound)%15)()
+		}
 		mode := allModes()[int(arm)%len(allModes())]
 		cfg := QuickConfig()
 		cfg.D, cfg.Horizon = 3, 240

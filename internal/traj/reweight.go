@@ -272,79 +272,3 @@ func siteSet(c *code.Code) map[lattice.Coord]bool {
 	}
 	return set
 }
-
-// demMemoLimit bounds the per-trajectory memo's entry count; past it the
-// memo resets wholesale, mirroring the DEM caches' eviction policy.
-// Variable so tests can squeeze it.
-var demMemoLimit = 256
-
-// memoEntry holds the runtime objects derived from one DEM configuration:
-// the decoding graph, the sampler, and the observable stats — all pure
-// functions of the DEM's values.
-type memoEntry struct {
-	graph   *decoder.Graph
-	sampler *sim.Sampler
-	stats   *obsStats
-}
-
-// demMemo memoizes the per-DEM runtime objects of one trajectory, keyed on
-// the DEM cache's key (sim.DEMKey, exact like the caches' own). Content
-// keying is what makes the memo survive cache churn: the reweight tier's
-// quantized power-of-two multiplier overlays revisit a small set of
-// configurations, and when a cache clear (or the patch fast path) mints a
-// fresh *DEM pointer for a configuration already memoized, the entry keeps
-// serving its objects — graphs, samplers and stats depend only on DEM
-// values, which the key fixes. A pointer-keyed memo would rebuild the
-// decoding graph on every such identity change. The memo bounds itself at
-// demMemoLimit with a wholesale reset; resets never change results, only
-// re-derive objects on next use. Decoders are not memoized: the engine
-// decodes every chunk with one union-find, rebound to each chunk's graph.
-type demMemo struct {
-	entries map[sim.DEMKey]*memoEntry
-}
-
-func newDEMMemo() *demMemo {
-	return &demMemo{entries: map[sim.DEMKey]*memoEntry{}}
-}
-
-// entry returns the memo entry for the configuration key, minting (and, at
-// the bound, wholesale-resetting) as needed.
-func (m *demMemo) entry(key sim.DEMKey) *memoEntry {
-	e := m.entries[key]
-	if e == nil {
-		if len(m.entries) >= demMemoLimit {
-			m.entries = make(map[sim.DEMKey]*memoEntry)
-		}
-		e = &memoEntry{}
-		m.entries[key] = e
-	}
-	return e
-}
-
-// graph returns the memoized decoding graph for the configuration; base
-// (the chunk's nominal DEM, may be nil) lets a first build re-derive the
-// graph from the nominal template's merge skeleton when the DEM was patched
-// from it.
-func (m *demMemo) graph(key sim.DEMKey, dem, base *sim.DEM) *decoder.Graph {
-	e := m.entry(key)
-	if e.graph == nil {
-		e.graph = decoder.SharedGraphFrom(dem, base)
-	}
-	return e.graph
-}
-
-func (m *demMemo) sampler(key sim.DEMKey, dem *sim.DEM) *sim.Sampler {
-	e := m.entry(key)
-	if e.sampler == nil {
-		e.sampler = sim.NewSampler(dem)
-	}
-	return e.sampler
-}
-
-func (m *demMemo) obsStats(key sim.DEMKey, dem *sim.DEM) *obsStats {
-	e := m.entry(key)
-	if e.stats == nil {
-		e.stats = newObsStats(dem)
-	}
-	return e.stats
-}

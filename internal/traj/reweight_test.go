@@ -10,7 +10,6 @@ import (
 	"surfdeformer/internal/defect"
 	"surfdeformer/internal/deform"
 	"surfdeformer/internal/lattice"
-	"surfdeformer/internal/noise"
 	"surfdeformer/internal/obs"
 	"surfdeformer/internal/sim"
 )
@@ -60,98 +59,14 @@ func TestReweightBeatsUntreatedOnDrift(t *testing.T) {
 	}
 }
 
-// TestMemoPrunedAfterCacheClear pins the memo bound on the content-keyed
-// memo: the entries can never outgrow demMemoLimit no matter how many
-// distinct configurations stream through (one dead entry per evicted DEM,
-// forever, was the original leak), and — the content-keying win — an entry
-// survives a cache clear: when the evicting cache mints a fresh *DEM
-// pointer for a configuration already memoized, the memo serves the same
-// decoding graph instead of rebuilding it.
-func TestMemoPrunedAfterCacheClear(t *testing.T) {
-	oldLimit := demMemoLimit
-	demMemoLimit = 8
-	defer func() { demMemoLimit = oldLimit }()
-	hot := sim.NewDEMCache(2) // tiny: every few distinct models clear it
-	memo := newDEMMemo()
-	c := buildCode(t, 3)
-	build := func(i int) (*sim.DEM, sim.DEMKey) {
-		t.Helper()
-		rate := 0.01 + float64(i)*0.01 // distinct hot models
-		m := noise.Uniform(1e-3).WithSiteRates(map[lattice.Coord]float64{{Row: 1, Col: 1}: rate})
-		dem, key, err := hot.BuildDEMKeyed(c, m, 3, lattice.ZCheck)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dem, key
-	}
-	dem0, key0 := build(0)
-	memo.graph(key0, dem0, nil)
-	for i := 0; i < 40; i++ {
-		dem, key := build(i)
-		memo.graph(key, dem, nil)
-		memo.sampler(key, dem)
-		memo.obsStats(key, dem)
-		if len(memo.entries) > demMemoLimit {
-			t.Fatalf("iteration %d: memo grew past its bound (%d entries > %d)",
-				i, len(memo.entries), demMemoLimit)
-		}
-	}
-	if hot.Stats().Clears == 0 {
-		t.Fatal("test never forced a cache clear; the bound was not exercised")
-	}
-	// Rebuild configuration 0: the 2-entry cache evicted it long ago, so
-	// this mints a fresh pointer — and demMemoLimit=8 with 40 streamed
-	// configurations reset the memo too, so re-memoize once, then check the
-	// clear-survival path explicitly with a third, pointer-fresh build.
-	demA, keyA := build(0)
-	if keyA != key0 {
-		t.Fatal("key changed for an identical configuration")
-	}
-	graphA := memo.graph(keyA, demA, nil)
-	build(20) // distinct configs churn the 2-entry cache...
-	build(21)
-	demB, _ := build(0) // ...so this rebuilds config 0 under a fresh pointer
-	if demB == demA {
-		t.Fatal("cache churn did not mint a fresh pointer; the survival path is unexercised")
-	}
-	if memo.graph(key0, demB, nil) != graphA {
-		t.Error("memo rebuilt the decoding graph for a configuration it already held (content key not reused)")
-	}
-}
-
-// TestRunDeterministicUnderMemoEviction is the long-horizon integration
-// pin: a trajectory whose hot cache is squeezed to 2 entries (forcing
-// constant wholesale clears, memo prunes, and decoder/sampler rebuilds
-// mid-run) must produce the bit-identical Result — eviction is a memory
-// bound, never a behavior change.
-func TestRunDeterministicUnderMemoEviction(t *testing.T) {
-	cfg := QuickConfig()
-	cfg.Cache = sim.NewDEMCache(0)
-	want, err := Run(cfg, ModeSurfDeformer, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := hotCacheLimit
-	hotCacheLimit = 2
-	defer func() { hotCacheLimit = old }()
-	cfg.Cache = sim.NewDEMCache(0)
-	got, err := Run(cfg, ModeSurfDeformer, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("memo eviction changed the trajectory:\nfull %+v\ntiny %+v", want, got)
-	}
-}
-
 // TestRunDeterministicUnderInternResets pins that a trajectory's Result
 // does not depend on the process-wide code intern table. A code rebuilt
 // mid-trajectory (a recovery back to an earlier shape) must key the
-// private hot cache like the code it repeats even when the table resets
-// in between; otherwise the rebuild draws a fresh ID, its overlay lookups
-// miss, and OverlayDEMBuilds counts them. The trajectories run once quietly
-// and once racing a goroutine that interns fresh codes, resetting the
-// table every few hundred.
+// trajectory's model table like the code it repeats even when the intern
+// table resets in between; otherwise the rebuild draws a fresh ID, its
+// overlay lookups miss, and OverlayDEMBuilds counts them. The trajectories
+// run once quietly and once racing a goroutine that interns fresh codes,
+// resetting the intern table every few hundred.
 func TestRunDeterministicUnderInternResets(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.D, cfg.Horizon = 3, 1200

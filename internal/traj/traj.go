@@ -11,10 +11,11 @@
 // when a window detector flags a new region (a deformation unit steps),
 // when a defect event starts or expires (the noise model changes), or when a
 // subsided event's recovery is confirmed (a unit shrinks back). Within an
-// epoch, rounds are simulated in chunks through the cached DEM → sampler →
-// decoder path (sim.DEMCache + decoder.SharedGraph), so repeated epochs of
-// the same (code, model) shape cost one DEM build for the whole trajectory
-// fan-out.
+// epoch, rounds are simulated in chunks through the DEM → sampler →
+// decoder path of the trajectory's model table (table.go): the pristine
+// code's nominal DEMs come from the shared sim.DEMCache, so they cost one
+// build for the whole trajectory fan-out; every other DEM, and every graph,
+// sampler and stats object, belongs to the trajectory.
 //
 // Determinism: all randomness derives from the trajectory seed via
 // mc.DeriveSeed streams (event timeline, device, and one syndrome-shot
@@ -304,11 +305,11 @@ type Result struct {
 
 	// OverlayDEMBuilds counts decode-DEM constructions forced by
 	// estimated-prior overlays: reweight-tier chunks whose overlaid decode
-	// model was not already in this trajectory's private hot cache. This is
-	// the dominant wall-clock cost of the reweight tier (the PR 5
-	// cycles/sec regression — see DESIGN.md §10) made countable. It is
-	// deterministic for fixed (Config, Mode, seed): the hot cache starts
-	// empty per trajectory and its limit is a package constant.
+	// model was not already in this trajectory's model table. This is the
+	// dominant wall-clock cost of the reweight tier (its cycles/sec
+	// regression — see DESIGN.md §10) made countable. It is deterministic
+	// for fixed (Config, Mode, seed): the table starts empty per trajectory
+	// and its bound, hotCacheLimit, is fixed.
 	OverlayDEMBuilds int `json:"overlay_dem_builds,omitempty"`
 
 	// Layout-level fields, populated only when Config.Layout is non-nil.
@@ -362,18 +363,13 @@ const (
 	saltDevice = int64(-0x7E03)
 )
 
-// hotCacheLimit sizes each trajectory's private hot-model DEM cache
-// (0 = the sim.DEMCache default). It is a variable only so tests can
-// squeeze it to force mid-trajectory clears and pin that memo eviction
-// never changes results.
-var hotCacheLimit = 0
-
 // coldPath turns the chunk loop's reuse layers off for the differential
-// tests. Each chunk still makes its DEM-cache lookups, so OverlayDEMBuilds
-// and the cache counters accrue as on the warm path, but it samples and
-// decodes from objects built from scratch: sim.BuildDEM for the nominal,
-// sample and decode models, a fresh decoding graph and union-find, a fresh
-// sampler and fresh observable stats. Results must not move.
+// tests. Each chunk still makes its shared-cache and model-table lookups,
+// so OverlayDEMBuilds and the cache counters accrue as on the warm path,
+// but it samples and decodes from objects built from scratch: sim.BuildDEM
+// for the nominal, sample and decode models, a fresh decoding graph and
+// union-find, a fresh sampler and fresh observable stats. Results must not
+// move.
 var coldPath = false
 
 // correctionLog, when non-nil, receives every chunk's correction (the
