@@ -83,12 +83,14 @@ func TestNaNFlagsFail(t *testing.T) {
 // TestNonPositiveTrialsFail runs every experiment that takes -trials as its
 // sample count with 0 and with -3 trials. Each must exit 1 with nothing on
 // stdout before any point runs, instead of printing NaN or zero columns.
-// fig11c reads -trials only at full scale, so it runs without -quick.
+// fig11c and fig13b read -trials only at full scale, so they run without
+// -quick.
 func TestNonPositiveTrialsFail(t *testing.T) {
 	for _, trials := range []string{"0", "-3"} {
 		for _, exp := range []string{"table2", "fig12", "fig13a", "pipeline", "traj"} {
 			wantFailure(t, "-quick -trials "+trials+" "+exp)
 		}
 		wantFailure(t, "-trials "+trials+" fig11c")
+		wantFailure(t, "-trials "+trials+" fig13b")
 	}
 }

@@ -7,9 +7,10 @@
 package decoder
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"surfdeformer/internal/obs"
 	"surfdeformer/internal/sim"
@@ -63,31 +64,36 @@ type Graph struct {
 	Clamped int
 	Dropped int
 
-	// skel records how this graph's edges were merged from DEM mechanisms,
-	// enabling rederive to produce the graph of a structurally identical
-	// DEM (same mechanism set, different probabilities) without re-running
-	// the merge. Nil when any merged edge was dropped: a drop depends on
-	// probabilities, so the edge set itself would no longer be structural.
+	// skel is the merge skeleton this graph was folded from, kept when no
+	// edge dropped, so GraphFrom can fold a structurally identical DEM
+	// (same mechanism set, different probabilities) without merging again.
 	skel *graphSkel
 }
 
 // skelContrib is one mechanism's contribution to a merged edge: the
-// mechanism supplies the probability at replay time, obs is the flag the
-// original addPair carried (false for the non-leading pairs of a
-// decomposed mechanism).
+// mechanism supplies the probability at fold time, obs is the flag the
+// merge carried (false for the non-leading pairs of a decomposed
+// mechanism).
 type skelContrib struct {
 	mech int32
 	obs  bool
 }
 
-// graphSkel is the merge skeleton: per emitted edge (CSR via edgeOff) the
-// mechanism contributions in original merge order, plus the mechanisms
-// folded into FreeLogicalP.
+// graphSkel is the rate-free merge of a DEM's mechanisms into edges: per
+// edge, in (U, V) order, its endpoints and (CSR via edgeOff) the mechanism
+// contributions in merge order, plus the mechanisms folded into
+// FreeLogicalP and the count of decomposed mechanisms. The CSR adjacency
+// of the full edge list is a pure function of the endpoints, so every
+// graph folded from the skeleton without a drop shares it; NewGraph sets
+// it from the skeleton's first fold.
 type graphSkel struct {
-	nMechs   int
-	edgeOff  []int32
-	contribs []skelContrib
-	free     []int32
+	ends       [][2]int32
+	edgeOff    []int32
+	contribs   []skelContrib
+	free       []int32
+	decomposed int
+	adjOff     []int32
+	adjList    []int32
 }
 
 // MaxEdgeProb is the edge-probability ceiling of the decoding graph. An
@@ -97,19 +103,29 @@ type graphSkel struct {
 // traverse". The count of clamps is reported in Graph.Clamped.
 const MaxEdgeProb = 0.4999
 
-// NewGraph converts a DEM into a decoding graph. Mechanisms touching more
-// than two detectors are decomposed into consecutive pairs (detector IDs
-// are round-ordered, so consecutive pairing follows the space-time layout).
+// NewGraph converts a DEM into a decoding graph: its merge skeleton, folded
+// under the DEM's probabilities. Mechanisms touching more than two
+// detectors are decomposed into consecutive pairs (detector IDs are
+// round-ordered, so consecutive pairing follows the space-time layout).
 func NewGraph(dem *sim.DEM) *Graph {
-	g := &Graph{NumDets: dem.NumDets}
-	type key struct{ u, v int32 }
-	type accEnt struct {
-		e        Edge
-		contribs []skelContrib
+	obsGraphBuilds.Inc()
+	sk := newSkel(dem)
+	g := sk.fold(dem)
+	if g.skel != nil {
+		// The fresh skeleton takes its first fold's adjacency before any
+		// other graph can reach it.
+		sk.adjOff, sk.adjList = g.adjOff, g.adjList
 	}
-	acc := map[key]*accEnt{}
-	var free []int32
-	addPair := func(u, v int32, p float64, obs bool, mech int32) {
+	return g
+}
+
+// newSkel merges dem's mechanisms into edges: each edge's contributions in
+// mechanism order, the edges sorted by (U, V).
+func newSkel(dem *sim.DEM) *graphSkel {
+	type key struct{ u, v int32 }
+	acc := map[key][]skelContrib{}
+	sk := &graphSkel{}
+	addPair := func(u, v int32, obs bool, mech int32) {
 		// Canonical order: boundary always in V, otherwise ascending.
 		if u == Boundary {
 			u, v = v, u
@@ -121,43 +137,28 @@ func NewGraph(dem *sim.DEM) *Graph {
 			return // boundary-boundary mechanisms carry no decodable info
 		}
 		k := key{u, v}
-		if ent, ok := acc[k]; ok {
-			// Merge parallel mechanisms; keep the dominant observable flag.
-			e := &ent.e
-			newP := e.P + p - 2*e.P*p
-			if p > e.P {
-				e.Obs = obs
-			}
-			e.P = newP
-			ent.contribs = append(ent.contribs, skelContrib{mech: mech, obs: obs})
-			return
-		}
-		acc[k] = &accEnt{
-			e:        Edge{U: u, V: v, Obs: obs, P: p},
-			contribs: []skelContrib{{mech: mech, obs: obs}},
-		}
+		acc[k] = append(acc[k], skelContrib{mech: mech, obs: obs})
 	}
 	for mi, m := range dem.Mechs {
 		mech := int32(mi)
 		switch len(m.Dets) {
 		case 0:
 			if m.Obs {
-				g.FreeLogicalP = g.FreeLogicalP + m.P - 2*g.FreeLogicalP*m.P
-				free = append(free, mech)
+				sk.free = append(sk.free, mech)
 			}
 		case 1:
-			addPair(m.Dets[0], Boundary, m.P, m.Obs, mech)
+			addPair(m.Dets[0], Boundary, m.Obs, mech)
 		case 2:
-			addPair(m.Dets[0], m.Dets[1], m.P, m.Obs, mech)
+			addPair(m.Dets[0], m.Dets[1], m.Obs, mech)
 		default:
-			g.Decomposed++
+			sk.decomposed++
 			// Pair consecutive detectors; attach the observable flip to the
 			// first pair only (the decomposition keeps total parity).
 			for i := 0; i+1 < len(m.Dets); i += 2 {
-				addPair(m.Dets[i], m.Dets[i+1], m.P, m.Obs && i == 0, mech)
+				addPair(m.Dets[i], m.Dets[i+1], m.Obs && i == 0, mech)
 			}
 			if len(m.Dets)%2 == 1 {
-				addPair(m.Dets[len(m.Dets)-1], Boundary, m.P, false, mech)
+				addPair(m.Dets[len(m.Dets)-1], Boundary, false, mech)
 			}
 		}
 	}
@@ -165,17 +166,46 @@ func NewGraph(dem *sim.DEM) *Graph {
 	for k := range acc {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].u != keys[j].u {
-			return keys[i].u < keys[j].u
-		}
-		return keys[i].v < keys[j].v
+	slices.SortFunc(keys, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.u, b.u), cmp.Compare(a.v, b.v))
 	})
-	sk := &graphSkel{nMechs: len(dem.Mechs), edgeOff: make([]int32, 0, len(keys)+1), free: free}
-	sk.edgeOff = append(sk.edgeOff, 0)
-	for _, k := range keys {
-		ent := acc[k]
-		e := ent.e
+	sk.ends = make([][2]int32, len(keys))
+	sk.edgeOff = make([]int32, 1, len(keys)+1)
+	for i, k := range keys {
+		sk.ends[i] = [2]int32{k.u, k.v}
+		sk.contribs = append(sk.contribs, acc[k]...)
+		sk.edgeOff = append(sk.edgeOff, int32(len(sk.contribs)))
+	}
+	return sk
+}
+
+// fold rates the skeleton under dem's mechanism probabilities. Parallel
+// contributions merge as independent XOR events, p ⊕ q = p + q − 2pq, in
+// skeleton order, and an edge keeps the observable flag of its dominant
+// contribution; an edge at p ≥ ½ is clamped to MaxEdgeProb and one at
+// p ≤ 0 is dropped. The graph keeps the skeleton and shares its adjacency
+// only when nothing dropped: a drop depends on probabilities, so the edge
+// list then no longer follows the skeleton.
+func (sk *graphSkel) fold(dem *sim.DEM) *Graph {
+	g := &Graph{NumDets: dem.NumDets, Decomposed: sk.decomposed, Edges: make([]Edge, 0, len(sk.ends))}
+	for _, mi := range sk.free {
+		p := dem.Mechs[mi].P
+		g.FreeLogicalP = g.FreeLogicalP + p - 2*g.FreeLogicalP*p
+	}
+	for ei, uv := range sk.ends {
+		e := Edge{U: uv[0], V: uv[1]}
+		for ci := sk.edgeOff[ei]; ci < sk.edgeOff[ei+1]; ci++ {
+			c := sk.contribs[ci]
+			p := dem.Mechs[c.mech].P
+			if ci == sk.edgeOff[ei] {
+				e.P, e.Obs = p, c.obs
+				continue
+			}
+			if p > e.P {
+				e.Obs = c.obs
+			}
+			e.P = e.P + p - 2*e.P*p
+		}
 		p := e.P
 		if p <= 0 {
 			g.Dropped++
@@ -187,92 +217,34 @@ func NewGraph(dem *sim.DEM) *Graph {
 		}
 		e.Weight = math.Log((1 - p) / p)
 		g.Edges = append(g.Edges, e)
-		sk.contribs = append(sk.contribs, ent.contribs...)
-		sk.edgeOff = append(sk.edgeOff, int32(len(sk.contribs)))
+	}
+	if g.Dropped == 0 && sk.adjOff != nil {
+		g.adjOff, g.adjList = sk.adjOff, sk.adjList
+	} else {
+		g.buildAdj()
 	}
 	if g.Dropped == 0 {
 		g.skel = sk
 	}
-	g.buildAdj()
-	obsGraphBuilds.Inc()
 	obsGraphClamped.Add(int64(g.Clamped))
 	obsGraphDropped.Add(int64(g.Dropped))
 	return g
 }
 
 // GraphFrom returns the decoding graph of dem given base and its graph
-// baseGraph: baseGraph itself when dem is base, a replay of baseGraph's
-// merge skeleton when dem was patched from base (sim.SamePatchCore), and a
-// full NewGraph otherwise. The result equals NewGraph(dem); nothing is
-// cached.
+// baseGraph: baseGraph itself when dem is base, baseGraph's skeleton folded
+// under dem's probabilities when dem was patched from base
+// (sim.SamePatchCore) and baseGraph kept its skeleton, and a full NewGraph
+// otherwise. The result equals NewGraph(dem); nothing is cached.
 func GraphFrom(dem, base *sim.DEM, baseGraph *Graph) *Graph {
 	if dem == base {
 		return baseGraph
 	}
-	if sim.SamePatchCore(dem, base) {
-		if g := baseGraph.rederive(dem); g != nil {
-			obsGraphRederives.Inc()
-			return g
-		}
+	if baseGraph.skel != nil && sim.SamePatchCore(dem, base) {
+		obsGraphRederives.Inc()
+		return baseGraph.skel.fold(dem)
 	}
 	return NewGraph(dem)
-}
-
-// rederive builds the decoding graph of dem by replaying this graph's
-// merge skeleton with dem's mechanism probabilities — identical output to
-// NewGraph(dem) whenever dem shares this graph's DEM structure (same
-// mechanism detector sets in the same order, probabilities free to
-// differ). The CSR adjacency and the skeleton itself are shared with the
-// template: both are pure functions of the edge endpoints. Returns nil —
-// caller falls back to NewGraph — when no skeleton was recorded, the
-// detector count differs, or a replayed probability reaches a regime the
-// template never saw (a drop, which changes the edge set).
-func (g *Graph) rederive(dem *sim.DEM) *Graph {
-	sk := g.skel
-	if sk == nil || dem.NumDets != g.NumDets || len(dem.Mechs) != sk.nMechs {
-		return nil
-	}
-	ng := &Graph{
-		NumDets:    g.NumDets,
-		Edges:      make([]Edge, len(g.Edges)),
-		adjOff:     g.adjOff,
-		adjList:    g.adjList,
-		Decomposed: g.Decomposed,
-		skel:       sk,
-	}
-	for _, mi := range sk.free {
-		p := dem.Mechs[mi].P
-		ng.FreeLogicalP = ng.FreeLogicalP + p - 2*ng.FreeLogicalP*p
-	}
-	for ei := range g.Edges {
-		e := g.Edges[ei]
-		accP, accObs := 0.0, false
-		for ci := sk.edgeOff[ei]; ci < sk.edgeOff[ei+1]; ci++ {
-			c := sk.contribs[ci]
-			p := dem.Mechs[c.mech].P
-			if ci == sk.edgeOff[ei] {
-				accP, accObs = p, c.obs
-				continue
-			}
-			if p > accP {
-				accObs = c.obs
-			}
-			accP = accP + p - 2*accP*p
-		}
-		if accP <= 0 {
-			return nil // this probability regime drops the edge: not structural
-		}
-		e.Obs = accObs
-		e.P = accP
-		if accP >= 0.5 {
-			ng.Clamped++
-			accP = MaxEdgeProb
-		}
-		e.Weight = math.Log((1 - accP) / accP)
-		ng.Edges[ei] = e
-	}
-	obsGraphClamped.Add(int64(ng.Clamped))
-	return ng
 }
 
 // buildAdj (re)builds the CSR adjacency index from Edges. Rows list edge

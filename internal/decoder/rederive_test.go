@@ -1,6 +1,8 @@
 package decoder
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -38,11 +40,12 @@ func graphsIdentical(t *testing.T, got, want *Graph, ctx string) {
 }
 
 // TestRederiveMatchesNewGraph pins the decoder half of the incremental
-// equivalence contract: for random site-rate overlays, the graph rederived
-// from the nominal template's merge skeleton is identical — edges, weights,
-// observable flags, adjacency, free logical mass — to a fresh NewGraph of
-// the patched DEM, and decode corrections over sampled syndromes are bit
-// identical.
+// equivalence contract against the one-pass oracle refNewGraph: for random
+// site-rate overlays, both NewGraph of the patched DEM and the graph
+// GraphFrom folds from the nominal template's merge skeleton are identical
+// to it — edges, weights, observable flags, adjacency, free logical mass,
+// clamp and drop counts — and decode corrections over sampled syndromes are
+// bit identical.
 func TestRederiveMatchesNewGraph(t *testing.T) {
 	c := code.FromPatch(lattice.NewPatch(lattice.Coord{Row: 0, Col: 0}, 5))
 	nominal := noise.Uniform(1e-3)
@@ -51,8 +54,9 @@ func TestRederiveMatchesNewGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	tmpl := NewGraph(base)
+	graphsIdentical(t, tmpl, refNewGraph(base), "nominal")
 	if tmpl.skel == nil {
-		t.Fatal("nominal graph recorded no merge skeleton")
+		t.Fatal("nominal graph kept no merge skeleton")
 	}
 	sites := append([]lattice.Coord(nil), c.DataQubits()...)
 	sites = append(sites, c.SyndromeQubits()...)
@@ -73,11 +77,9 @@ func TestRederiveMatchesNewGraph(t *testing.T) {
 		if !ok {
 			t.Fatal("patch refused")
 		}
-		want := NewGraph(patched)
-		got := tmpl.rederive(patched)
-		if got == nil {
-			t.Fatal("rederive bailed on a structurally identical DEM")
-		}
+		want := refNewGraph(patched)
+		graphsIdentical(t, NewGraph(patched), want, "built")
+		got := GraphFrom(patched, base, tmpl)
 		graphsIdentical(t, got, want, "rederived")
 		if err := got.Validate(); err != nil {
 			t.Fatal(err)
@@ -97,9 +99,74 @@ func TestRederiveMatchesNewGraph(t *testing.T) {
 	}
 }
 
+// FuzzGraphMatchesReference draws a fresh d=3 or d=5 code or a d=5 code
+// with a data qubit removed (super-stabilizers), a nominal rate, a round
+// count and a basis, and patches the nominal DEM with overlays whose rates
+// run from 2p to ½ and above, so edges clamp, and on to 16, where merged
+// probabilities can turn non-positive and edges drop. NewGraph of every
+// patched DEM, and GraphFrom of it from the nominal's graph, must equal
+// refNewGraph field by field; so must NewGraph of the nominal.
+func FuzzGraphMatchesReference(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		var c *code.Code
+		switch rng.Intn(3) {
+		case 0:
+			c = code.FromPatch(lattice.NewPatch(lattice.Coord{}, 3))
+		case 1:
+			c = code.FromPatch(lattice.NewPatch(lattice.Coord{}, 5))
+		default:
+			c = removedDataQubit(t, 5, lattice.Coord{Row: 5, Col: 5})
+		}
+		p := 1e-3 * float64(1+rng.Intn(8))
+		nominal := noise.Uniform(p)
+		if rng.Intn(2) == 0 {
+			nominal = nominal.WithCorrelated(p / 4)
+		}
+		basis := lattice.ZCheck
+		if rng.Intn(2) == 0 {
+			basis = lattice.XCheck
+		}
+		base, err := sim.BuildDEM(c, nominal, 2+rng.Intn(5), basis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tmpl := NewGraph(base)
+		graphsIdentical(t, tmpl, refNewGraph(base), "nominal")
+		sites := append(c.DataQubits(), c.SyndromeQubits()...)
+		pt := &sim.Patcher{}
+		for step := 0; step < 4; step++ {
+			overlay := map[lattice.Coord]float64{}
+			for i := 0; i < 1+rng.Intn(6); i++ {
+				r := math.Ldexp(p, 1+rng.Intn(6))
+				switch rng.Intn(6) {
+				case 0:
+					r = 0.5
+				case 1:
+					r = 0.5 + rng.Float64()/2
+				case 2:
+					r = 1 + 15*rng.Float64()
+				}
+				overlay[sites[rng.Intn(len(sites))]] = r
+			}
+			patched, ok := pt.Patch(base, nominal.WithSiteRates(overlay))
+			if !ok {
+				t.Fatal("patch refused")
+			}
+			ctx := fmt.Sprintf("step %d", step)
+			want := refNewGraph(patched)
+			graphsIdentical(t, NewGraph(patched), want, ctx+"/built")
+			graphsIdentical(t, GraphFrom(patched, base, tmpl), want, ctx+"/folded")
+		}
+	})
+}
+
 // TestGraphFrom pins the non-caching derivation the trajectory table uses:
-// a DEM patched from base gets base's graph replayed (one rederive, no full
-// build), base itself gets base's graph back, and a DEM of another
+// a DEM patched from base gets base's skeleton folded (one rederive, no
+// full build), base itself gets base's graph back, and a DEM of another
 // structure falls back to a full build. Every result equals NewGraph, and
 // nothing enters the process-wide graph cache.
 func TestGraphFrom(t *testing.T) {

@@ -194,6 +194,8 @@ func Fig13b(opt Options) ([]Fig13bRow, error) {
 		l, target = 15, 11
 		counts = []int{0, 6, 12}
 		samples = 6
+	} else if err := opt.checkTrials("fig13b"); err != nil {
+		return nil, err
 	}
 	if samples < 3 {
 		samples = 3

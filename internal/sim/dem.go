@@ -6,10 +6,12 @@
 // gives, for every elementary fault location, the set of flipped detectors
 // (parity comparisons that are deterministic in the noiseless circuit) plus
 // the logical-observable flip, at a cost linear in the circuit size. Each
-// fault is recorded as a mechanism and identical mechanisms are merged.
-// Sampling then draws each mechanism as an independent Bernoulli event and
-// XORs signatures — orders of magnitude faster than stepping the circuit
-// per shot.
+// fault is recorded as a contribution to a mechanism, identical mechanisms
+// are merged, and a fold then rates every mechanism from its contributions
+// under a noise model: the structure is rate-free, so a new model costs a
+// fold, not an enumeration. Sampling draws each mechanism as an independent
+// Bernoulli event and XORs signatures — orders of magnitude faster than
+// stepping the circuit per shot.
 package sim
 
 import (
@@ -58,21 +60,12 @@ type DEM struct {
 	// defect detector uses it to turn flagged observables into regions.
 	Observables []ObsInfo
 
-	// rawMechs counts the positive-probability fault components enumerated
-	// before merging (RawMechanisms).
-	rawMechs int
-
-	// plan, when non-nil, records how each mechanism's probability was
-	// folded from elementary fault contributions, enabling Patcher.Patch to
-	// derive site-rate variants of this DEM without re-running the fault
-	// enumeration (see patch.go). Recorded only for builds whose model can
-	// serve as a patch base.
+	// plan, when non-nil, is the fault structure Mechs was folded from
+	// under one model, mechanism for mechanism, so Patcher.Patch can refold
+	// it under another (see patch.go). A phased DEM, and one whose fold
+	// dropped a mechanism, carries none.
 	plan *demPlan
 }
-
-// RawMechanisms returns the number of fault components enumerated before
-// merging.
-func (d *DEM) RawMechanisms() int { return d.rawMechs }
 
 // DetectorFireRates returns each detector's marginal firing probability
 // under the DEM: mechanisms fire independently, so detector d fires with
@@ -124,32 +117,27 @@ type ObsInfo struct {
 // BuildDEM constructs the detector error model of a memory experiment in
 // the given basis (lattice.ZCheck = memory-Z protecting the logical Z,
 // exercising Z-type detectors against X errors) over the given number of
-// syndrome-extraction rounds.
+// syndrome-extraction rounds: the fault structure of (c, rounds, basis)
+// folded under model. The DEM keeps the structure as its patch plan unless
+// the fold dropped a mechanism.
 func BuildDEM(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) (*DEM, error) {
-	return buildDEM(c, func(int) *noise.Model { return model }, rounds, basis, patchableBase(model))
-}
-
-// patchableBase reports whether a constant-model build from m can serve as
-// a patch base, returning m itself when it can. A base must carry no
-// per-site overrides (so every enumerated contribution evaluates to one of
-// the positive scalar rates, and any site-rate variant can only re-weight —
-// never create or erase — contributions) and strictly positive scalar rates
-// (so the recorded contribution set is exactly the positive-probability
-// set under every such variant).
-func patchableBase(m *noise.Model) *noise.Model {
-	if len(m.SiteRates) == 0 && len(m.Defective) == 0 && m.P1 > 0 && m.P2 > 0 && m.PM > 0 {
-		return m
+	dem, err := build(c, []Phase{{Rounds: rounds, Model: model}}, basis)
+	if err != nil || dem.plan == nil {
+		return dem, err
 	}
-	return nil
+	dem.plan.base, dem.plan.codeID = model, c.ID()
+	return dem, nil
 }
 
-// buildDEM is the shared implementation; modelAt selects the noise model of
-// each round (constant for BuildDEM, phase-dependent for BuildPhasedDEM).
-// When record is non-nil the build additionally records the per-mechanism
-// contribution plan keyed to that base model (patch.go); phased builds pass
-// nil — their rates are round-dependent and cannot be replayed from a
-// single model.
-func buildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis lattice.CheckType, record *noise.Model) (*DEM, error) {
+// build enumerates the fault structure of c over the phases' total rounds
+// and folds it under each phase's model for that phase's rounds. The
+// correlated pair is enumerated only when some phase rates it.
+func build(c *code.Code, phases []Phase, basis lattice.CheckType) (*DEM, error) {
+	rounds, correlated := 0, false
+	for _, ph := range phases {
+		rounds += ph.Rounds
+		correlated = correlated || ph.Model.PCorrelated > 0
+	}
 	if rounds < 2 {
 		return nil, fmt.Errorf("sim: need at least 2 rounds, got %d", rounds)
 	}
@@ -158,6 +146,40 @@ func buildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis la
 		obsDEMBuilds.Inc()
 		obsDEMBuildNs.Observe(time.Since(start).Nanoseconds())
 	}()
+	dem, err := enumerate(c, rounds, basis, correlated)
+	if err != nil {
+		return nil, err
+	}
+	core, contribs := dem.plan.core, dem.plan.core.contribs
+	var t rateTable
+	for _, ph := range phases {
+		core.resolve(&t, ph.Model)
+	}
+	if len(phases) > 1 {
+		// Each contribution reads the block of its round's phase.
+		block := make([]int32, 0, rounds)
+		for k, ph := range phases {
+			for range ph.Rounds {
+				block = append(block, int32(k))
+			}
+		}
+		n := int32(len(core.coords) + 1)
+		contribs = slices.Clone(contribs)
+		for i, c := range contribs {
+			k := block[c.round]
+			contribs[i].a, contribs[i].b, contribs[i].kind = c.a+k*n, c.b+k*n, c.kind+uint16(4*k)
+		}
+	}
+	dem.fold(nil, contribs, &t)
+	return dem, nil
+}
+
+// enumerate finds the rate-free fault structure of a memory experiment:
+// the detector layout, the merged mechanisms' detector sets and observable
+// flags in emission order (P left zero), and each mechanism's elementary
+// contributions in fold order as the returned DEM's plan core. The
+// correlated X⊗X/Z⊗Z pair of every CX is enumerated only when correlated.
+func enumerate(c *code.Code, rounds int, basis lattice.CheckType, correlated bool) (*DEM, error) {
 	sched, err := circuit.NewSchedule(c)
 	if err != nil {
 		return nil, err
@@ -332,7 +354,7 @@ func buildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis la
 	// four generator signatures X_a, X_b, Z_a, Z_b; it fills back to front.
 	// Data qubits are dense indices [0, nData), so idleX/idleZ hold round
 	// r's idle signatures at [r*nData, (r+1)*nData). maxFolds bounds the
-	// components emission folds: one per reset and measurement, 15 + 2
+	// components emission records: one per reset and measurement, 15 + 2
 	// correlated per CX, three idle Paulis per data qubit and round.
 	nData := len(dataQubits)
 	nOpSigs, maxFolds := 0, 3*rounds*nData
@@ -380,16 +402,17 @@ func buildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis la
 		}
 	}
 
-	// Forward emission, with k back at 0: fold every fault component in the
-	// order a forward walk over the circuit visits it — ops first, then the
-	// idle channel round by round — so merged probabilities, rawMechs and
-	// the recorded contribution order do not depend on the pass that found
-	// them. Surface-code circuits have about one unique mechanism per two
-	// ops, which sizes the merge index and the mechanism list.
-	mg := merger{index: make(map[string]int32, len(ops)/2), mechs: make([]mergedMech, 0, len(ops)/2)}
-	if record != nil {
-		mg.folds = make([]mechFold, 0, maxFolds)
-	}
+	// Forward emission, with k back at 0: record every fault component in
+	// the order a forward walk over the circuit visits it — ops first, then
+	// the idle channel round by round — so each mechanism's contributions,
+	// and with them its folded probability, do not depend on the pass that
+	// found them. Single-qubit contributions name their qubit twice and the
+	// correlated pair names the never-overridden slot len(coords), so one
+	// rate rule serves every kind (fold). Surface-code circuits have about
+	// one unique mechanism per two ops, which sizes the merge index and the
+	// mechanism list.
+	mg := merger{index: make(map[string]int32, len(ops)/2), mechs: make([]sig, 0, len(ops)/2),
+		folds: make([]mechFold, 0, maxFolds)}
 	var scratch sigArena
 	var comp [16]sig
 	for _, op := range ops {
@@ -399,14 +422,12 @@ func buildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis la
 			// basis state (X after |0>, Z after |+>).
 			s := opSigs[k]
 			k++
-			mg.add(modelAt(int(op.round)).RateM(coords[op.a]), sigs.dets(s), s.obs, planContrib{kind: contribMeasReset, a: op.a})
+			mg.add(sigs.dets(s), s.obs, planContrib{kind: contribMeasReset, a: op.a, b: op.a, round: op.round})
 		case opMeas:
 			// Classical measurement flip.
 			s := recSig[op.rec]
-			mg.add(modelAt(int(op.round)).RateM(coords[op.a]), sigs.dets(s), s.obs, planContrib{kind: contribMeasReset, a: op.a})
+			mg.add(sigs.dets(s), s.obs, planContrib{kind: contribMeasReset, a: op.a, b: op.a, round: op.round})
 		case opCX:
-			model := modelAt(int(op.round))
-			p2 := model.Rate2(coords[op.a], coords[op.b])
 			// The 15 two-qubit Paulis, composed from the four generators
 			// comp[1<<g] = opSigs[k+g]: comp[m] = comp[m&(m-1)] ⊕ comp[m&-m].
 			scratch.buf = scratch.buf[:0]
@@ -419,12 +440,13 @@ func buildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis la
 				if m&(m-1) != 0 {
 					comp[m] = scratch.xor(comp[m&(m-1)], comp[m&-m])
 				}
-				mg.add(p2/15, scratch.dets(comp[m]), comp[m].obs, planContrib{kind: contribCX, a: op.a, b: op.b})
+				mg.add(scratch.dets(comp[m]), comp[m].obs, planContrib{kind: contribCX, a: op.a, b: op.b, round: op.round})
 			}
-			if model.PCorrelated > 0 {
+			if correlated {
 				// Correlated X⊗X and Z⊗Z with equal shares.
+				unset := int32(len(coords))
 				for _, m := range [2]int{0b0011, 0b1100} {
-					mg.add(model.PCorrelated/2, scratch.dets(comp[m]), comp[m].obs, planContrib{kind: contribCorr})
+					mg.add(scratch.dets(comp[m]), comp[m].obs, planContrib{kind: contribCorr, a: unset, b: unset, round: op.round})
 				}
 			}
 		}
@@ -434,27 +456,20 @@ func buildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis la
 	// (the identity gate while ancillas are measured); this is also where
 	// 50%-rate defect regions act when their checks have been disabled.
 	for r := 0; r < rounds; r++ {
-		for qi, q := range dataQubits {
-			p1 := modelAt(r).Rate1(q)
-			if p1 <= 0 {
-				continue
-			}
+		for qi := 0; qi < nData; qi++ {
 			x, z := idleX[r*nData+qi], idleZ[r*nData+qi]
 			y := sigs.xor(x, z)
 			for _, s := range [3]sig{x, z, y} {
-				mg.add(p1/3, sigs.dets(s), s.obs, planContrib{kind: contribIdle, a: int32(qi)})
+				mg.add(sigs.dets(s), s.obs, planContrib{kind: contribIdle, a: int32(qi), b: int32(qi), round: int16(r)})
 			}
 		}
 	}
 
-	dem.rawMechs = mg.raw
 	rank := mg.emit(dem)
-	if record != nil {
-		core := &planCore{coords: coords, qIdx: qIdx}
-		core.mechOff, core.contribs = mg.plan(rank)
-		core.buildSiteIndex()
-		dem.plan = &demPlan{core: core, base: record, codeID: c.ID()}
-	}
+	core := &planCore{coords: coords, qIdx: qIdx, correlated: correlated}
+	core.mechOff, core.contribs = mg.plan(rank)
+	core.buildSiteIndex()
+	dem.plan = &demPlan{core: core}
 	return dem, nil
 }
 
@@ -510,38 +525,28 @@ func (a *sigArena) xor(x, y sig) sig {
 	return sig{off: off, n: int32(len(a.buf)) - off, obs: obs}
 }
 
-// merger folds fault components into unique mechanisms, numbered in
-// first-seen order until emit sorts them.
+// merger merges fault components into unique mechanisms, numbered in
+// first-seen order until emit sorts them, and records every component as a
+// contribution to its mechanism.
 type merger struct {
 	index map[string]int32 // binary signature key → mechanism number
 	key   []byte
-	mechs []mergedMech
+	mechs []sig // each mechanism's signature, a span of dets
 	dets  sigArena
-	raw   int
-	folds []mechFold // every folded component in fold order; nil unless recording a plan
+	folds []mechFold // every recorded component in fold order
 }
 
-// mergedMech accumulates one unique signature's merged probability; the
-// signature is a span of the merger's own arena.
-type mergedMech struct {
-	p   float64
-	sig sig
-}
-
-// mechFold is one component folded into mechanism mech.
+// mechFold is one component recorded for mechanism mech.
 type mechFold struct {
 	mech    int32
 	contrib planContrib
 }
 
-// add folds one fault component. Components with no effect or no
-// probability are dropped; rawMechs counts the rest. Equal signatures merge
-// as independent XOR events, p ⊕ q = p + q − 2pq, in fold order.
-func (mg *merger) add(p float64, dets []int32, obs bool, contrib planContrib) {
-	if p <= 0 || (len(dets) == 0 && !obs) {
+// add records one fault component; a component with no effect is dropped.
+func (mg *merger) add(dets []int32, obs bool, contrib planContrib) {
+	if len(dets) == 0 && !obs {
 		return
 	}
-	mg.raw++
 	mg.key = mg.key[:0]
 	for _, d := range dets {
 		mg.key = binary.LittleEndian.AppendUint32(mg.key, uint32(d))
@@ -553,33 +558,29 @@ func (mg *merger) add(p float64, dets []int32, obs bool, contrib planContrib) {
 	if !ok {
 		id = int32(len(mg.mechs))
 		mg.index[string(mg.key)] = id
-		mg.mechs = append(mg.mechs, mergedMech{sig: mg.dets.add(dets, obs)})
+		mg.mechs = append(mg.mechs, mg.dets.add(dets, obs))
 	}
-	m := &mg.mechs[id]
-	m.p = m.p + p - 2*m.p*p
-	if mg.folds != nil {
-		mg.folds = append(mg.folds, mechFold{mech: id, contrib: contrib})
-	}
+	mg.folds = append(mg.folds, mechFold{mech: id, contrib: contrib})
 }
 
-// emit writes the merged mechanisms into dem.Mechs, their detector lists
-// packed into one exactly sized array, and returns each mechanism's index
-// there. The order is the lexicographic order of the decimal keys
-// "<det>,<det>,…,\x00<obs>": the NUL sorts below every digit and the
-// comma, so a detector list precedes its extensions. The samplers' draw
-// streams, and so every stored result, depend on this order.
+// emit writes the merged mechanisms into dem.Mechs, unrated, their
+// detector lists packed into one exactly sized array, and returns each
+// mechanism's index there. The order is the lexicographic order of the
+// decimal keys "<det>,<det>,…,\x00<obs>": the NUL sorts below every digit
+// and the comma, so a detector list precedes its extensions. The samplers'
+// draw streams, and so every stored result, depend on this order.
 func (mg *merger) emit(dem *DEM) []int32 {
 	n := len(mg.mechs)
 	var keys []byte
 	keyOff := make([]int32, n+1)
 	order := make([]int32, n)
 	for i, m := range mg.mechs {
-		for _, d := range mg.dets.dets(m.sig) {
+		for _, d := range mg.dets.dets(m) {
 			keys = strconv.AppendInt(keys, int64(d), 10)
 			keys = append(keys, ',')
 		}
 		obs := byte(0)
-		if m.sig.obs {
+		if m.obs {
 			obs = 1
 		}
 		keys = append(keys, 0, obs)
@@ -596,18 +597,18 @@ func (mg *merger) emit(dem *DEM) []int32 {
 	for i, id := range order {
 		rank[id] = int32(i)
 		m := mg.mechs[id]
-		dem.Mechs[i] = Mechanism{P: m.p, Obs: m.sig.obs}
-		if m.sig.n > 0 {
-			end := off + m.sig.n
+		dem.Mechs[i].Obs = m.obs
+		if m.n > 0 {
+			end := off + m.n
 			dem.Mechs[i].Dets = flat[off:end:end]
-			copy(dem.Mechs[i].Dets, mg.dets.dets(m.sig))
+			copy(dem.Mechs[i].Dets, mg.dets.dets(m))
 			off = end
 		}
 	}
 	return rank
 }
 
-// plan lays the recorded folds out as the patch plan's CSR: a stable
+// plan lays the recorded folds out as the plan core's CSR: a stable
 // counting sort by emitted mechanism index, which keeps each mechanism's
 // contributions in fold order.
 func (mg *merger) plan(rank []int32) (mechOff []int32, contribs []planContrib) {

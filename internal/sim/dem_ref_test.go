@@ -3,11 +3,12 @@ package sim
 // This file pins buildDEM's backward sensitivity pass against the forward
 // enumeration it replaced. refBuildDEM is a faithful copy of the former
 // builder: it carries every elementary fault's Pauli frame forward to the
-// final readout, one walk per fault, and merges signatures under decimal
-// string keys. The differential tests below require
-// bit-identical DEMs — probabilities, detector lists, observable flags,
-// raw component counts and patch plans — so any divergence means the new
-// pass changed what is built, not just how fast.
+// final readout, one walk per fault, rates each fault as it finds it and
+// merges signatures under decimal string keys. The differential tests
+// below require bit-identical DEMs — probabilities, detector lists and
+// observable flags — and the same positive contributions per mechanism, so
+// any divergence means the enumeration or the fold changed what is built,
+// not just how fast.
 
 import (
 	"fmt"
@@ -27,8 +28,8 @@ import (
 
 // refMergedMech accumulates one signature's merged probability during fault
 // enumeration, along with the sorted detector list (kept so emission never
-// re-parses the key) and, for patch-base builds, the ordered elementary
-// contributions whose XOR-composition produced the probability.
+// re-parses the key) and the ordered elementary contributions whose
+// XOR-composition produced the probability.
 type refMergedMech struct {
 	p        float64
 	dets     []int32
@@ -36,15 +37,19 @@ type refMergedMech struct {
 	contribs []planContrib
 }
 
-// refBuildDEM is the forward-enumeration builder: same arguments and
-// output contract as buildDEM.
-func refBuildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis lattice.CheckType, record *noise.Model) (*DEM, error) {
+// refBuildDEM is the forward-enumeration builder: modelAt gives each
+// round's model. It returns the DEM, without a plan, and the positive
+// contributions it folded into each mechanism, with the qubit indexing, as
+// a plan core without a site index. Contributions name their sites as the
+// enumeration does: a single-qubit kind its site twice, the correlated pair
+// the slot past the last site.
+func refBuildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis lattice.CheckType) (*DEM, *planCore, error) {
 	if rounds < 2 {
-		return nil, fmt.Errorf("sim: need at least 2 rounds, got %d", rounds)
+		return nil, nil, fmt.Errorf("sim: need at least 2 rounds, got %d", rounds)
 	}
 	sched, err := circuit.NewSchedule(c)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Dense qubit indexing: data qubits first, then ancillas.
@@ -190,7 +195,7 @@ func refBuildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis
 	for _, q := range logical.Support() {
 		rec, ok := readoutRec[q]
 		if !ok {
-			return nil, fmt.Errorf("sim: logical support qubit %v missing from readout", q)
+			return nil, nil, fmt.Errorf("sim: logical support qubit %v missing from readout", q)
 		}
 		obsRec[rec] = true
 	}
@@ -206,7 +211,6 @@ func refBuildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis
 		if p <= 0 || (len(dets) == 0 && !obs) {
 			return
 		}
-		dem.rawMechs++
 		slices.Sort(dets)
 		keyBuf = keyBuf[:0]
 		for _, d := range dets {
@@ -225,9 +229,7 @@ func refBuildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis
 			merged[string(keyBuf)] = m
 		}
 		m.p = m.p + p - 2*m.p*p
-		if record != nil {
-			m.contribs = append(m.contribs, contrib)
-		}
+		m.contribs = append(m.contribs, contrib)
 	}
 
 	// propagate seeds a single-qubit Pauli frame right after op index start
@@ -346,12 +348,12 @@ func refBuildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis
 				seed = 2
 			}
 			dets, obs := propagate(i+1, op.a, seed)
-			addMech(p, dets, obs, planContrib{kind: contribMeasReset, a: op.a})
+			addMech(p, dets, obs, planContrib{kind: contribMeasReset, a: op.a, b: op.a, round: op.round})
 		case opMeas:
 			// Classical measurement flip.
 			p := modelAt(int(op.round)).RateM(coords[op.a])
 			dets, obs := flipRecord(op.rec)
-			addMech(p, dets, obs, planContrib{kind: contribMeasReset, a: op.a})
+			addMech(p, dets, obs, planContrib{kind: contribMeasReset, a: op.a, b: op.a, round: op.round})
 		case opCX:
 			model := modelAt(int(op.round))
 			p2 := model.Rate2(coords[op.a], coords[op.b])
@@ -379,14 +381,16 @@ func refBuildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis
 						dets, obs = xorSig(dets, gen[gi].dets, obs, gen[gi].obs)
 					}
 				}
-				addMech(p2/15, dets, obs, planContrib{kind: contribCX, a: op.a, b: op.b})
+				addMech(p2/15, dets, obs, planContrib{kind: contribCX, a: op.a, b: op.b, round: op.round})
 			}
 			if model.PCorrelated > 0 {
 				// Correlated X⊗X and Z⊗Z with equal shares.
+				unset := int32(len(coords))
+				pair := planContrib{kind: contribCorr, a: unset, b: unset, round: op.round}
 				dxx, oxx := xorSig(gen[0].dets, gen[1].dets, gen[0].obs, gen[1].obs)
-				addMech(model.PCorrelated/2, dxx, oxx, planContrib{kind: contribCorr})
+				addMech(model.PCorrelated/2, dxx, oxx, pair)
 				dzz, ozz := xorSig(gen[2].dets, gen[3].dets, gen[2].obs, gen[3].obs)
-				addMech(model.PCorrelated/2, dzz, ozz, planContrib{kind: contribCorr})
+				addMech(model.PCorrelated/2, dzz, ozz, pair)
 			}
 		}
 	}
@@ -405,9 +409,10 @@ func refBuildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis
 			dx, ox := propagate(start, qi, 1)
 			dz, oz := propagate(start, qi, 2)
 			dy, oy := xorSig(dx, dz, ox, oz)
-			addMech(p1/3, dx, ox, planContrib{kind: contribIdle, a: qi})
-			addMech(p1/3, dz, oz, planContrib{kind: contribIdle, a: qi})
-			addMech(p1/3, dy, oy, planContrib{kind: contribIdle, a: qi})
+			idle := planContrib{kind: contribIdle, a: qi, b: qi, round: int16(r)}
+			addMech(p1/3, dx, ox, idle)
+			addMech(p1/3, dz, oz, idle)
+			addMech(p1/3, dy, oy, idle)
 		}
 	}
 
@@ -424,22 +429,13 @@ func refBuildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis
 		dem.Mechs = append(dem.Mechs, Mechanism{P: m.p, Dets: m.dets, Obs: m.obs})
 	}
 
-	if record != nil {
-		core := &planCore{coords: coords, qIdx: qIdx}
-		core.mechOff = make([]int32, len(keys)+1)
-		total := 0
-		for _, k := range keys {
-			total += len(merged[k].contribs)
-		}
-		core.contribs = make([]planContrib, 0, total)
-		for mi, k := range keys {
-			core.contribs = append(core.contribs, merged[k].contribs...)
-			core.mechOff[mi+1] = int32(len(core.contribs))
-		}
-		core.buildSiteIndex()
-		dem.plan = &demPlan{core: core, base: record, codeID: c.ID()}
+	core := &planCore{coords: coords, qIdx: qIdx}
+	core.mechOff = make([]int32, len(keys)+1)
+	for mi, k := range keys {
+		core.contribs = append(core.contribs, merged[k].contribs...)
+		core.mechOff[mi+1] = int32(len(core.contribs))
 	}
-	return dem, nil
+	return dem, core, nil
 }
 
 // demCase is one build configuration of the differential tests. phases,
@@ -453,50 +449,97 @@ type demCase struct {
 	basis  lattice.CheckType
 }
 
-// requireMatchesReference builds tc with buildDEM's public entry points and
-// with refBuildDEM and requires the two DEMs to be identical: detector
-// layout, every mechanism bit for bit, rawMechs and the patch plan.
+// requireMatchesReference builds tc with the public entry points and with
+// refBuildDEM and requires the two DEMs to be identical — detector layout
+// and every mechanism bit for bit — and the fold to have used exactly the
+// reference's contributions: walking the structure the build folded (its
+// plan core, or a fresh enumeration when the DEM kept none), each
+// mechanism's positive contributions under an independent rate rule
+// (refContribRate) must be the reference's recorded list, in order, and a
+// mechanism without any is dropped. The DEM keeps its plan exactly when it
+// is a single-model build that dropped nothing.
 func requireMatchesReference(t *testing.T, tc demCase) {
 	t.Helper()
-	var got, want *DEM
-	var err, refErr error
+	modelAt := func(int) *noise.Model { return tc.model }
+	correlated := tc.model != nil && tc.model.PCorrelated > 0
+	var got *DEM
+	var err error
 	if tc.phases == nil {
 		got, err = BuildDEM(tc.c, tc.model, tc.rounds, tc.basis)
-		want, refErr = refBuildDEM(tc.c, func(int) *noise.Model { return tc.model }, tc.rounds, tc.basis, patchableBase(tc.model))
 	} else {
 		split := tc.phases[0].Rounds
-		modelAt := func(r int) *noise.Model {
+		modelAt = func(r int) *noise.Model {
 			if r < split {
 				return tc.phases[0].Model
 			}
 			return tc.phases[1].Model
 		}
+		correlated = tc.phases[0].Model.PCorrelated > 0 || tc.phases[1].Model.PCorrelated > 0
 		got, err = BuildPhasedDEM(tc.c, tc.phases, tc.basis)
-		want, refErr = refBuildDEM(tc.c, modelAt, tc.rounds, tc.basis, nil)
 	}
+	want, wantPlan, refErr := refBuildDEM(tc.c, modelAt, tc.rounds, tc.basis)
 	if err != nil || refErr != nil {
 		t.Fatalf("%s: build error %v, reference error %v", tc.name, err, refErr)
 	}
 	demValuesEqual(t, got, want, tc.name)
-	if (got.plan == nil) != (want.plan == nil) {
-		t.Fatalf("%s: plan present %v, reference %v", tc.name, got.plan != nil, want.plan != nil)
+	st := got.plan
+	if st == nil {
+		dem, err := enumerate(tc.c, tc.rounds, tc.basis, correlated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = dem.plan
+	} else if tc.phases != nil || st.base != tc.model || st.codeID != tc.c.ID() {
+		t.Fatalf("%s: plan kept by a phased build, or for another model or code", tc.name)
 	}
-	if got.plan == nil {
-		return
-	}
-	g, w := got.plan, want.plan
-	if g.base != w.base || g.codeID != w.codeID {
-		t.Fatalf("%s: plan base or code ID differs", tc.name)
-	}
-	if !slices.Equal(g.core.mechOff, w.core.mechOff) || !slices.Equal(g.core.contribs, w.core.contribs) {
-		t.Fatalf("%s: plan contributions differ", tc.name)
-	}
-	if !slices.Equal(g.core.siteOff, w.core.siteOff) || !slices.Equal(g.core.siteMechs, w.core.siteMechs) {
-		t.Fatalf("%s: plan site index differs", tc.name)
-	}
-	if !slices.Equal(g.core.coords, w.core.coords) || !maps.Equal(g.core.qIdx, w.core.qIdx) {
+	core := st.core
+	if !slices.Equal(core.coords, wantPlan.coords) || !maps.Equal(core.qIdx, wantPlan.qIdx) {
 		t.Fatalf("%s: plan qubit indexing differs", tc.name)
 	}
+	nm := len(core.mechOff) - 1
+	j := 0
+	for mi := 0; mi < nm; mi++ {
+		var pos []planContrib
+		for _, c := range core.contribs[core.mechOff[mi]:core.mechOff[mi+1]] {
+			if !(refContribRate(modelAt(int(c.round)), core.coords, c) <= 0) {
+				pos = append(pos, c)
+			}
+		}
+		if len(pos) == 0 {
+			continue // dropped by the fold, never found by the reference
+		}
+		if j == len(want.Mechs) {
+			t.Fatalf("%s: structure mechanism %d has positive contributions the reference never folded", tc.name, mi)
+		}
+		if !slices.Equal(pos, wantPlan.contribs[wantPlan.mechOff[j]:wantPlan.mechOff[j+1]]) {
+			t.Fatalf("%s: mechanism %d folds contributions %v, reference %v", tc.name, j, pos,
+				wantPlan.contribs[wantPlan.mechOff[j]:wantPlan.mechOff[j+1]])
+		}
+		j++
+	}
+	if j != len(want.Mechs) {
+		t.Fatalf("%s: %d rated structure mechanisms, reference %d", tc.name, j, len(want.Mechs))
+	}
+	if keep := tc.phases == nil && j == nm; keep != (got.plan != nil) {
+		t.Fatalf("%s: plan kept %v, want %v", tc.name, got.plan != nil, keep)
+	}
+}
+
+// refContribRate rates one contribution as refBuildDEM does, through the
+// model's own rate methods.
+func refContribRate(m *noise.Model, coords []lattice.Coord, c planContrib) float64 {
+	switch c.kind {
+	case contribMeasReset:
+		return m.RateM(coords[c.a])
+	case contribCX:
+		return m.Rate2(coords[c.a], coords[c.b]) / 15
+	case contribCorr:
+		if !(m.PCorrelated > 0) {
+			return 0
+		}
+		return m.PCorrelated / 2
+	}
+	return m.Rate1(coords[c.a]) / 3
 }
 
 // randomDeformedCode steps a fresh d=3 or d=5 unit through one or two

@@ -91,7 +91,10 @@ func BenchmarkBuildDEM(b *testing.B) {
 			build func() (*DEM, error)
 		}{
 			{"new", func() (*DEM, error) { return BuildDEM(c, model, sz.rounds, lattice.ZCheck) }},
-			{"ref", func() (*DEM, error) { return refBuildDEM(c, modelAt, sz.rounds, lattice.ZCheck, model) }},
+			{"ref", func() (*DEM, error) {
+				dem, _, err := refBuildDEM(c, modelAt, sz.rounds, lattice.ZCheck)
+				return dem, err
+			}},
 		}
 		for _, bd := range builds {
 			b.Run(fmt.Sprintf("d%d-r%d/%s", sz.d, sz.rounds, bd.name), func(b *testing.B) {

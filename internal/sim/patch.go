@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"time"
 
 	"surfdeformer/internal/code"
@@ -16,37 +17,47 @@ var (
 	obsDEMPatchNs = obs.Default().Histogram("sim.dem.patch_ns")
 )
 
-// Contribution kinds. Each recorded contribution re-evaluates to exactly
-// the probability addMech folded during the original build:
+// Contribution kinds. A contribution of kind k to a gate on sites a and b
+// has probability
 //
-//	contribMeasReset → model.RateM(coords[a])
-//	contribCX        → model.Rate2(coords[a], coords[b]) / 15
-//	contribCorr      → model.PCorrelated / 2
-//	contribIdle      → model.Rate1(coords[a]) / 3
+//	noise.GateRate(over[a], over[b], scalar[k]) / kindShare[k]
+//
+// under a model's rates (rateTable): a measurement or reset flip at
+// RateM, one of the 15 two-qubit Paulis at Rate2/15, one of the correlated
+// pair at PCorrelated/2, one idle Pauli at Rate1/3. Single-qubit kinds
+// name their site as both a and b, and the correlated pair names a slot no
+// override sets, so the one expression rates every kind.
 const (
-	contribMeasReset uint8 = iota
+	contribMeasReset uint16 = iota
 	contribCX
 	contribCorr
 	contribIdle
 )
 
-// planContrib is one elementary fault contribution to a merged mechanism,
-// in the order addMech folded it.
+// kindShare divides a kind's rate among its Paulis.
+var kindShare = [4]float64{contribMeasReset: 1, contribCX: 15, contribCorr: 2, contribIdle: 3}
+
+// planContrib is one elementary fault contribution to a merged mechanism.
 type planContrib struct {
-	a, b int32
-	kind uint8
+	a, b  int32 // dense qubit indices (planCore.qIdx)
+	round int16
+	kind  uint16
 }
 
-// planCore is the immutable, model-independent part of a contribution plan.
-// It is shared by every DEM patched from the same base build, which lets
-// consumers (decoder.GraphFrom) recognize structural identity by pointer: two DEMs with the same core have identical NumDets, identical
-// Mechs[i].Dets/Obs for every i, and differ only in probabilities.
+// planCore is the rate-free fault structure of one (code, rounds, basis,
+// correlated) enumeration. It is shared by every DEM folded or patched
+// from it, which lets consumers (decoder.GraphFrom) recognize structural
+// identity by pointer: two DEMs with the same core have identical NumDets,
+// identical Mechs[i].Dets/Obs for every i, and differ only in
+// probabilities.
 type planCore struct {
 	coords []lattice.Coord
 	qIdx   map[lattice.Coord]int32
+	// correlated reports whether the correlated pair was enumerated.
+	correlated bool
 
 	// contribs, CSR-indexed by mechOff, lists each mechanism's
-	// contributions in original fold order.
+	// contributions in fold order.
 	mechOff  []int32
 	contribs []planContrib
 
@@ -56,15 +67,92 @@ type planCore struct {
 	siteMechs []int32
 }
 
-// demPlan ties a core to the model whose rates produced the DEM's
-// probabilities, and to the interned ID of the code the plan was enumerated
-// for.
+// demPlan ties a core to the model whose fold produced the DEM's
+// probabilities, and to the interned ID of the code the core was
+// enumerated for.
 type demPlan struct {
 	core *planCore
 	base *noise.Model
 	// codeID is the code portion of the DEM cache key (code.Code.ID), the
 	// same-code gate of Patcher.Variant.
 	codeID uint64
+}
+
+// rateTable holds noise models resolved onto a core's dense qubit index,
+// one block per model. Block k holds the overrides over[k*n:(k+1)*n] of the
+// n = len(coords)+1 slots — each site's, then one that no override sets,
+// for the correlated pair — and each contribution kind's scalar rate at
+// scalar[4k:4k+4]. The correlated scalar is PCorrelated only where it is
+// positive, the condition under which a build enumerates the pair. Every
+// rate is clamped at 0, so a contribution of a non-positive rate folds as
+// 0 (DEM.fold). A single-model fold reads block 0; a phased fold re-points
+// each contribution at its phase's block (build).
+type rateTable struct {
+	over   []noise.Override
+	scalar []float64
+}
+
+// resolve appends m's rates on pc's sites to t as one more block.
+func (pc *planCore) resolve(t *rateTable, m *noise.Model) {
+	n, start := len(pc.coords)+1, len(t.over)
+	t.over = slices.Grow(t.over, n)[:start+n]
+	blk := t.over[start:]
+	clear(blk)
+	for q, def := range m.Defective {
+		if qi, ok := pc.qIdx[q]; ok && def {
+			blk[qi] = noise.Override{Rate: max(m.DefectRate, 0), Set: true}
+		}
+	}
+	for q, r := range m.SiteRates {
+		if qi, ok := pc.qIdx[q]; ok {
+			blk[qi] = noise.Override{Rate: max(r, 0), Set: true}
+		}
+	}
+	corr := 0.0
+	if m.PCorrelated > 0 {
+		corr = m.PCorrelated
+	}
+	t.scalar = append(t.scalar, max(m.PM, 0), max(m.P2, 0), corr, max(m.P1, 0))
+}
+
+// fold rates the mechanisms mis of d — every mechanism when mis is nil —
+// from contribs, the plan's contributions or a phased build's re-pointed
+// copy of them, under t: a mechanism's probability is the XOR fold
+// p ⊕ q = p + q − 2pq, in order, of its contributions' probabilities. A
+// zero probability leaves q as it is, as long as q is finite — which every
+// fold of rates up to 1 keeps it — so folding it equals skipping it, with
+// no branch in the loop. A mechanism with no positive probability is
+// dropped, and with it the plan, since the mechanism list no longer
+// follows the core.
+func (d *DEM) fold(mis []int32, contribs []planContrib, t *rateTable) {
+	off, over, scalar, mechs := d.plan.core.mechOff, t.over, t.scalar, d.Mechs
+	n := len(mis)
+	if mis == nil {
+		n = len(mechs)
+	}
+	dropped := false
+	for i := 0; i < n; i++ {
+		mi := int32(i)
+		if mis != nil {
+			mi = mis[i]
+		}
+		q, sum := 0.0, 0.0
+		for _, c := range contribs[off[mi]:off[mi+1]] {
+			p := noise.GateRate(over[c.a], over[c.b], scalar[c.kind]) / kindShare[c.kind&3]
+			q = q + p - 2*q*p
+			sum += p
+		}
+		if sum == 0 {
+			mechs[mi] = Mechanism{} // no effect: never a live mechanism
+			dropped = true
+			continue
+		}
+		mechs[mi].P = q
+	}
+	if dropped {
+		d.Mechs = slices.DeleteFunc(mechs, func(m Mechanism) bool { return len(m.Dets) == 0 && !m.Obs })
+		d.plan = nil
+	}
 }
 
 // buildSiteIndex derives the site → mechanisms CSR from the contribution
@@ -75,12 +163,8 @@ func (pc *planCore) buildSiteIndex() {
 	nm := len(pc.mechOff) - 1
 	forEachSite := func(visit func(mi, q int32)) {
 		for mi := 0; mi < nm; mi++ {
-			for ci := pc.mechOff[mi]; ci < pc.mechOff[mi+1]; ci++ {
-				c := pc.contribs[ci]
-				switch c.kind {
-				case contribMeasReset, contribIdle:
-					visit(int32(mi), c.a)
-				case contribCX:
+			for _, c := range pc.contribs[pc.mechOff[mi]:pc.mechOff[mi+1]] {
+				if c.kind != contribCorr {
 					visit(int32(mi), c.a)
 					visit(int32(mi), c.b)
 				}
@@ -126,17 +210,17 @@ func SamePatchCore(a, b *DEM) bool {
 	return a != nil && b != nil && a.plan != nil && b.plan != nil && a.plan.core == b.plan.core
 }
 
-// Patcher derives site-rate variants of a plan-carrying DEM without
-// re-running the fault enumeration. Scratch persists across calls, so a
-// steady-state Patch allocates only the cloned probability vector (plus the
-// output DEM header). Not safe for concurrent use; callers keep one per
-// goroutine.
+// Patcher derives variants of a plan-carrying DEM by refolding its plan
+// instead of re-running the fault enumeration. Scratch persists across
+// calls, so a steady-state Patch allocates only the cloned mechanism
+// vector (plus the output DEM and plan headers). Not safe for concurrent
+// use; callers keep one per goroutine.
 type Patcher struct {
 	marked   []bool
 	affected []int32
-	// rates is the target model's SiteRates resolved onto the plan's dense
-	// qubit index (planCore.qIdx), rebuilt by every Patch.
-	rates []noise.Override
+	// from and to are the base's and the target's models resolved onto
+	// the plan's sites, rebuilt by every Patch.
+	from, to rateTable
 }
 
 // Variant returns the DEM of (c, model, rounds, basis): patched from base
@@ -158,122 +242,73 @@ func (pt *Patcher) Variant(base *DEM, c *code.Code, model *noise.Model, rounds i
 }
 
 // Patch returns a DEM equal (value-identical, per the equivalence suite) to
-// a fresh BuildDEM of the same circuit under model, derived from base by
-// refolding only the mechanisms whose probability depends on a site model
-// overrides. It reports false — and the caller must fall back to a full
-// build — when base carries no plan or model is not a pure site-rate
-// variant of the base model (differing scalar rates, defect sets, or a
-// non-positive override, any of which could change the mechanism set
-// itself).
+// a fresh BuildDEM of the same circuit under model, refolded over base's
+// plan without enumerating. Both base's model and model are resolved onto
+// the plan's sites (SiteRates over Defective). When their scalar rates
+// agree, only the mechanisms of sites whose resolved override differs — in
+// value or in presence — are refolded, and base itself is the answer when
+// none does; otherwise every mechanism is refolded. It reports false — the
+// caller must build in full — only when base carries no plan, or when
+// model rates the correlated pair on a structure enumerated without it.
 //
-// The returned DEM shares everything but the probability vector with base:
-// detector layout, observable info, each mechanism's Dets slice, and the
-// contribution plan (so patched DEMs can themselves serve as patch bases
-// and decoder.GraphFrom can re-derive graphs structurally).
+// The returned DEM shares everything but the mechanism vector with base:
+// detector layout, observable info, each mechanism's Dets slice, and —
+// unless the fold dropped a mechanism — the plan core, so patched DEMs can
+// themselves serve as patch bases and decoder.GraphFrom can re-derive
+// graphs structurally.
 func (pt *Patcher) Patch(base *DEM, model *noise.Model) (*DEM, bool) {
 	if base == nil || base.plan == nil || model == nil {
 		return nil, false
 	}
 	plan := base.plan
-	pb := plan.base
-	if model.P1 != pb.P1 || model.P2 != pb.P2 || model.PM != pb.PM ||
-		model.PCorrelated != pb.PCorrelated || len(model.Defective) != 0 {
-		return nil, false
-	}
 	core := plan.core
-	nm := len(base.Mechs)
-	if len(core.mechOff) != nm+1 {
+	if model.PCorrelated > 0 && !core.correlated {
 		return nil, false
 	}
 	start := time.Now()
-	if cap(pt.marked) < nm {
-		pt.marked = make([]bool, nm)
-	}
-	pt.marked = pt.marked[:nm]
-	pt.affected = pt.affected[:0]
-	nq := len(core.coords)
-	if cap(pt.rates) < nq {
-		pt.rates = make([]noise.Override, nq)
-	}
-	rates := pt.rates[:nq]
-	clear(rates)
-	mark := func(qi int32) {
-		for _, mi := range core.siteMechs[core.siteOff[qi]:core.siteOff[qi+1]] {
-			if !pt.marked[mi] {
-				pt.marked[mi] = true
-				pt.affected = append(pt.affected, mi)
+	pt.from = rateTable{over: pt.from.over[:0], scalar: pt.from.scalar[:0]}
+	pt.to = rateTable{over: pt.to.over[:0], scalar: pt.to.scalar[:0]}
+	core.resolve(&pt.from, plan.base)
+	core.resolve(&pt.to, model)
+	var mis []int32 // nil: every mechanism
+	if slices.Equal(pt.from.scalar, pt.to.scalar) {
+		nm := len(base.Mechs)
+		if cap(pt.marked) < nm {
+			pt.marked = make([]bool, nm)
+		}
+		marked := pt.marked[:nm]
+		mis = pt.affected[:0]
+		for qi, o := range pt.to.over[:len(core.coords)] {
+			if o == pt.from.over[qi] {
+				continue
+			}
+			for _, mi := range core.siteMechs[core.siteOff[qi]:core.siteOff[qi+1]] {
+				if !marked[mi] {
+					marked[mi] = true
+					mis = append(mis, mi)
+				}
 			}
 		}
-	}
-	// One pass over the target's overrides resolves them onto the dense
-	// qubit index, so the refold below reads no map. A mechanism needs
-	// refolding when any of its sites changes effective rate between the
-	// base's model and the target — overrides added, removed, or
-	// re-valued. Sites overridden identically in both models are already
-	// folded into the base at the target rate, and sites off the circuit
-	// feed no mechanism.
-	for q, r := range model.SiteRates {
-		if r <= 0 {
-			// A non-positive override could erase mechanisms from the
-			// enumeration; only a full build knows the resulting set.
-			for _, mi := range pt.affected {
-				pt.marked[mi] = false
-			}
-			return nil, false
+		for _, mi := range mis {
+			marked[mi] = false
 		}
-		qi, ok := core.qIdx[q]
-		if !ok {
-			continue
+		pt.affected = mis
+		if len(mis) == 0 {
+			// No resolved rate changed: the base DEM already is the answer.
+			obsDEMPatches.Inc()
+			obsDEMPatchNs.Observe(time.Since(start).Nanoseconds())
+			return base, true
 		}
-		rates[qi] = noise.Override{Rate: r, Set: true}
-		if pb.SiteRates[q] != r {
-			mark(qi)
-		}
-	}
-	for q, r := range pb.SiteRates {
-		if model.SiteRates[q] != r {
-			if qi, ok := core.qIdx[q]; ok {
-				mark(qi)
-			}
-		}
-	}
-	if len(pt.affected) == 0 {
-		// No override touches a circuit site: the base DEM already is the
-		// answer (its base model and this one agree on every rate used).
-		obsDEMPatches.Inc()
-		obsDEMPatchNs.Observe(time.Since(start).Nanoseconds())
-		return base, true
-	}
-	mechs := make([]Mechanism, nm)
-	copy(mechs, base.Mechs)
-	for _, mi := range pt.affected {
-		pt.marked[mi] = false
-		q := 0.0
-		for _, c := range core.contribs[core.mechOff[mi]:core.mechOff[mi+1]] {
-			var p float64
-			switch c.kind {
-			case contribMeasReset:
-				p = rates[c.a].Or(model.PM)
-			case contribCX:
-				p = noise.GateRate(rates[c.a], rates[c.b], model.P2) / 15
-			case contribCorr:
-				p = model.PCorrelated / 2
-			default: // contribIdle
-				p = rates[c.a].Or(model.P1) / 3
-			}
-			q = q + p - 2*q*p
-		}
-		mechs[mi].P = q
 	}
 	out := &DEM{
 		NumDets:     base.NumDets,
-		Mechs:       mechs,
+		Mechs:       slices.Clone(base.Mechs),
 		DetRound:    base.DetRound,
 		DetObs:      base.DetObs,
 		Observables: base.Observables,
-		rawMechs:    base.rawMechs,
 		plan:        &demPlan{core: core, base: model, codeID: plan.codeID},
 	}
+	out.fold(mis, core.contribs, &pt.to)
 	obsDEMPatches.Inc()
 	obsDEMPatchNs.Observe(time.Since(start).Nanoseconds())
 	return out, true

@@ -53,9 +53,6 @@ func demValuesEqual(t *testing.T, got, want *DEM, ctx string) {
 	if got.NumDets != want.NumDets {
 		t.Fatalf("%s: NumDets = %d, want %d", ctx, got.NumDets, want.NumDets)
 	}
-	if got.rawMechs != want.rawMechs {
-		t.Fatalf("%s: rawMechs = %d, want %d", ctx, got.rawMechs, want.rawMechs)
-	}
 	if !reflect.DeepEqual(got.DetRound, want.DetRound) || !reflect.DeepEqual(got.DetObs, want.DetObs) {
 		t.Fatalf("%s: detector layout differs", ctx)
 	}
@@ -100,9 +97,9 @@ func randomOverlay(rng *rand.Rand, sites []lattice.Coord, base float64) map[latt
 // TestIncrementalDEMMatchesFullRebuild is the headline equivalence sweep:
 // random overlay sequences — apply, stack, expire — over pristine and
 // deformed codes in both bases, asserting at every step that the patched
-// DEM is value-identical to a fresh full BuildDEM of the same variant
-// model, whether patched from the nominal base or from the previous
-// (already patched) DEM in the sequence.
+// DEM is value-identical to the forward reference refBuildDEM of the same
+// variant model (as is a fresh BuildDEM), whether patched from the nominal
+// base or from the previous (already patched) DEM in the sequence.
 func TestIncrementalDEMMatchesFullRebuild(t *testing.T) {
 	codes := []struct {
 		name string
@@ -148,10 +145,12 @@ func TestIncrementalDEMMatchesFullRebuild(t *testing.T) {
 					}
 				}
 				variant := nominal.WithSiteRates(cloneRates(active))
-				want, err := BuildDEM(tc.c, variant, 4, basis)
+				want := refDEM(t, tc.c, variant, 4, basis)
+				full, err := BuildDEM(tc.c, variant, 4, basis)
 				if err != nil {
 					t.Fatal(err)
 				}
+				demValuesEqual(t, full, want, tc.name+"/full")
 				fromBase, ok := pt.Patch(base, variant)
 				if !ok {
 					t.Fatalf("%s/basis %v step %d: patch from base refused", tc.name, basis, step)
@@ -246,10 +245,12 @@ func TestDEMPatchLowerOverrideMatchesBuild(t *testing.T) {
 }
 
 // FuzzPatchMatchesBuild drives one Patcher through a sequence of random
-// overlays on a fresh d=3 or d=5 code: up to n positive overrides each,
-// some below the base rate, some above and some off the circuit. Every
-// patch, from the nominal base and from the previous patch, must equal a
-// full BuildDEM of the same model bit for bit.
+// models on a fresh d=3 or d=5 code, drawn from every shape Patch accepts
+// (randomPatchModel). Every patch, from the nominal base and from the
+// previous patch, must equal the forward reference refBuildDEM bit for
+// bit, as must BuildDEM; Patch may refuse only a planless DEM — one whose
+// fold dropped a mechanism — or a correlated model on a base enumerated
+// without the pair.
 func FuzzPatchMatchesBuild(f *testing.F) {
 	f.Add(int64(1), 3, uint8(0), 4)
 	f.Add(int64(2), 5, uint8(1), 8)
@@ -280,37 +281,84 @@ func FuzzPatchMatchesBuild(f *testing.F) {
 		pt := &Patcher{}
 		prev := base
 		for step := 0; step < 4; step++ {
-			rates := map[lattice.Coord]float64{}
-			for i := rng.Intn(n + 1); i > 0; i-- {
-				q := sites[rng.Intn(len(sites))]
-				if rng.Intn(5) == 0 {
-					q = lattice.Coord{Row: -1 - rng.Intn(3), Col: rng.Intn(3)} // off the circuit
-				}
-				r := math.Ldexp(p, rng.Intn(9)-4) // p/16 .. 16p
-				if rng.Intn(2) == 0 {
-					r *= 1 + rng.Float64()
-				}
-				rates[q] = r
-			}
-			model := nominal.WithSiteRates(rates)
-			want, err := BuildDEM(c, model, rounds, b)
+			model := randomPatchModel(rng, nominal, sites, n)
+			want := refDEM(t, c, model, rounds, b)
+			full, err := BuildDEM(c, model, rounds, b)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ctx := fmt.Sprintf("d=%d basis %v rounds %d step %d", d, b, rounds, step)
-			fromBase, ok := pt.Patch(base, model)
-			if !ok {
-				t.Fatalf("%s: patch from base refused", ctx)
+			demValuesEqual(t, full, want, ctx+"/full")
+			next := base
+			for _, from := range []*DEM{base, prev} {
+				got, ok := pt.Patch(from, model)
+				refuse := from.plan == nil || model.PCorrelated > 0 && nominal.PCorrelated <= 0
+				if ok == refuse {
+					t.Fatalf("%s: patch ok %v from a base with plan %v, correlated %v → %v",
+						ctx, ok, from.plan != nil, nominal.PCorrelated, model.PCorrelated)
+				}
+				if ok {
+					demValuesEqual(t, got, want, ctx+"/patch")
+					next = got
+				}
 			}
-			demValuesEqual(t, fromBase, want, ctx+"/from-base")
-			fromPrev, ok := pt.Patch(prev, model)
-			if !ok {
-				t.Fatalf("%s: patch from previous refused", ctx)
-			}
-			demValuesEqual(t, fromPrev, want, ctx+"/from-prev")
-			prev = fromPrev
+			prev = next
 		}
 	})
+}
+
+// randomPatchModel draws a model from nominal in one of the shapes Patch
+// accepts: up to n site overrides — below, above and off the circuit, and
+// zero or negative, at sites the base may not override — on top of
+// nominal, a changed scalar rate (zero included), a Defective set, or a
+// changed correlated rate (zero included; on an uncorrelated base a
+// positive one must be refused).
+func randomPatchModel(rng *rand.Rand, nominal *noise.Model, sites []lattice.Coord, n int) *noise.Model {
+	p := nominal.P2
+	m := *nominal
+	switch rng.Intn(4) {
+	case 0:
+		r := []float64{0, p / 2, 2 * p}[rng.Intn(3)]
+		switch rng.Intn(3) {
+		case 0:
+			m.P1 = r
+		case 1:
+			m.P2 = r
+		default:
+			m.PM = r
+		}
+	case 1:
+		defects := []lattice.Coord{sites[rng.Intn(len(sites))], sites[rng.Intn(len(sites))]}
+		m = *m.WithDefects(defects, []float64{noise.DefaultDefectRate, 0, 4 * p}[rng.Intn(3)])
+	case 2:
+		m.PCorrelated = []float64{0, p / 3, p / 7}[rng.Intn(3)]
+	}
+	rates := map[lattice.Coord]float64{}
+	for i := rng.Intn(n + 1); i > 0; i-- {
+		q := sites[rng.Intn(len(sites))]
+		if rng.Intn(5) == 0 {
+			q = lattice.Coord{Row: -1 - rng.Intn(3), Col: rng.Intn(3)} // off the circuit
+		}
+		r := math.Ldexp(p, rng.Intn(9)-4) // p/16 .. 16p
+		switch rng.Intn(6) {
+		case 0:
+			r = []float64{0, -r}[rng.Intn(2)]
+		case 1, 2:
+			r *= 1 + rng.Float64()
+		}
+		rates[q] = r
+	}
+	return m.WithSiteRates(rates)
+}
+
+// refDEM is refBuildDEM's DEM of a single-model build.
+func refDEM(t *testing.T, c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) *DEM {
+	t.Helper()
+	dem, _, err := refBuildDEM(c, func(int) *noise.Model { return model }, rounds, basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dem
 }
 
 func cloneRates(m map[lattice.Coord]float64) map[lattice.Coord]float64 {
@@ -341,39 +389,73 @@ func TestDEMPatchNoOverlayReturnsBase(t *testing.T) {
 	}
 }
 
-// TestDEMPatchFallsBack pins the refusal cases: anything that could change
-// the mechanism set itself must force a full rebuild.
+// TestDEMPatchFallsBack pins when Patch refuses — caller builds in full —
+// and when it does not. It may refuse only a planless DEM (a phased build,
+// or a fold that dropped a mechanism) and a correlated model on a base
+// enumerated without the correlated pair. Every other shape — a changed
+// scalar rate, a zero idle rate, a Defective set, a zero override at a
+// site the base does not override, a changed or zeroed correlated rate on
+// a correlated base — patches to exactly the forward reference.
 func TestDEMPatchFallsBack(t *testing.T) {
 	c := freshCode(t, 3)
 	nominal := noise.Uniform(1e-3)
+	site := c.DataQubits()[0]
+	pt := &Patcher{}
+	for _, bm := range []*noise.Model{nominal, nominal.WithCorrelated(2e-4)} {
+		base, err := BuildDEM(c, bm, 4, lattice.ZCheck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases := []struct {
+			name  string
+			model *noise.Model
+		}{
+			{"scalar-rate", noise.Uniform(2e-3).WithCorrelated(bm.PCorrelated)},
+			{"zero-idle", &noise.Model{P2: 1e-3, PM: 1e-3, PCorrelated: bm.PCorrelated}},
+			{"defects", bm.WithDefects([]lattice.Coord{site}, 0.5)},
+			{"zero-override", bm.WithSiteRates(map[lattice.Coord]float64{site: 0})},
+		}
+		if bm.PCorrelated > 0 {
+			cases = append(cases, struct {
+				name  string
+				model *noise.Model
+			}{"correlated-rate", bm.WithCorrelated(5e-4)}, struct {
+				name  string
+				model *noise.Model
+			}{"correlated-off", bm.WithCorrelated(0)})
+		}
+		for _, tc := range cases {
+			ctx := fmt.Sprintf("%s (base correlated %v)", tc.name, bm.PCorrelated)
+			got, ok := pt.Patch(base, tc.model)
+			if !ok {
+				t.Fatalf("%s: patch refused", ctx)
+			}
+			demValuesEqual(t, got, refDEM(t, c, tc.model, 4, lattice.ZCheck), ctx)
+		}
+	}
 	base, err := BuildDEM(c, nominal, 4, lattice.ZCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	site := c.DataQubits()[0]
-	pt := &Patcher{}
-	cases := []struct {
-		name  string
-		model *noise.Model
-	}{
-		{"scalar-rate", noise.Uniform(2e-3)},
-		{"correlated", nominal.WithCorrelated(1e-4)},
-		{"defects", nominal.WithDefects([]lattice.Coord{site}, 0.5)},
-		{"zero-override", nominal.WithSiteRates(map[lattice.Coord]float64{site: 0})},
+	if _, ok := pt.Patch(base, nominal.WithCorrelated(1e-4)); ok {
+		t.Error("patch rated a correlated pair the base's structure lacks")
 	}
-	for _, tc := range cases {
-		if _, ok := pt.Patch(base, tc.model); ok {
-			t.Errorf("%s: patch accepted a variant that may change the mechanism set", tc.name)
-		}
-	}
-	// A planless DEM (phased-style build) must refuse too.
-	planless := &DEM{NumDets: base.NumDets, Mechs: base.Mechs}
 	variant := nominal.WithSiteRates(map[lattice.Coord]float64{site: 0.25})
+	planless := &DEM{NumDets: base.NumDets, Mechs: base.Mechs}
 	if _, ok := pt.Patch(planless, variant); ok {
 		t.Error("patch accepted a DEM without a contribution plan")
 	}
-	// And the fallback must leave no stale marks behind: a valid patch
-	// right after a refused one still matches the full rebuild.
+	idleOnly := &noise.Model{P1: 1e-3}
+	dropped, ok := pt.Patch(base, idleOnly)
+	if !ok || dropped.plan != nil {
+		t.Fatalf("a fold that dropped every mechanism no idle fault feeds: ok %v, plan kept %v; want ok, none", ok, dropped.plan != nil)
+	}
+	demValuesEqual(t, dropped, refDEM(t, c, idleOnly, 4, lattice.ZCheck), "idle-only")
+	if _, ok := pt.Patch(dropped, variant); ok {
+		t.Error("patch accepted a DEM whose fold dropped a mechanism")
+	}
+	// And a refusal must leave no stale marks behind: a valid patch right
+	// after one still matches the full rebuild.
 	got, ok := pt.Patch(base, variant)
 	if !ok {
 		t.Fatal("valid patch refused after a fallback")

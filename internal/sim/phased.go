@@ -17,16 +17,20 @@ type Phase struct {
 	Model  *noise.Model
 }
 
+// maxPhases bounds a phased build's phases: a phase's contribution kinds
+// are offset by four per phase in a uint16 (build).
+const maxPhases = 1 << 14
+
 // BuildPhasedDEM constructs the detector error model of a memory experiment
-// whose noise model changes between phases. Detector layout is identical to
-// the single-phase BuildDEM over the same total rounds, so decoders built
-// from a nominal DEM can decode phased samples (the uninformed-decoder
-// setting).
+// whose noise model changes between phases: one fault structure, each
+// contribution rated by the model of its round's phase. Detector layout is
+// identical to the single-phase BuildDEM over the same total rounds, so
+// decoders built from a nominal DEM can decode phased samples (the
+// uninformed-decoder setting).
 func BuildPhasedDEM(c *code.Code, phases []Phase, basis lattice.CheckType) (*DEM, error) {
-	if len(phases) == 0 {
-		return nil, fmt.Errorf("sim: no phases")
+	if len(phases) == 0 || len(phases) > maxPhases {
+		return nil, fmt.Errorf("sim: %d phases, want 1 to %d", len(phases), maxPhases)
 	}
-	total := 0
 	for i, ph := range phases {
 		if ph.Rounds < 1 {
 			return nil, fmt.Errorf("sim: phase %d has %d rounds", i, ph.Rounds)
@@ -34,22 +38,13 @@ func BuildPhasedDEM(c *code.Code, phases []Phase, basis lattice.CheckType) (*DEM
 		if ph.Model == nil {
 			return nil, fmt.Errorf("sim: phase %d has no model", i)
 		}
-		total += ph.Rounds
 	}
-	if total < 2 {
-		return nil, fmt.Errorf("sim: need at least 2 total rounds")
+	dem, err := build(c, phases, basis)
+	if err != nil {
+		return nil, err
 	}
-	modelAt := func(round int) *noise.Model {
-		r := round
-		for _, ph := range phases {
-			if r < ph.Rounds {
-				return ph.Model
-			}
-			r -= ph.Rounds
-		}
-		return phases[len(phases)-1].Model
-	}
-	// Phased rates are round-dependent, so no single model can serve as a
-	// patch base: build without a contribution plan.
-	return buildDEM(c, modelAt, total, basis, nil)
+	// Phased rates are round-dependent, so no single model can refold the
+	// DEM: it keeps no plan.
+	dem.plan = nil
+	return dem, nil
 }

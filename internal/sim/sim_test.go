@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"surfdeformer/internal/code"
@@ -43,8 +44,20 @@ func TestBuildDEMBasics(t *testing.T) {
 			}
 		}
 	}
-	if dem.RawMechanisms() <= len(dem.Mechs) {
+	if dem.plan == nil || len(dem.plan.core.contribs) <= len(dem.Mechs) {
 		t.Error("merging should have combined equivalent fault components")
+	}
+	// The correlated pair is structural: only a model that rates it
+	// enumerates it, so uncorrelated plans carry none of its contributions.
+	corr, err := BuildDEM(c, model.WithCorrelated(2e-4), 4, lattice.ZCheck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hasPair := func(d *DEM) bool {
+		return slices.ContainsFunc(d.plan.core.contribs, func(c planContrib) bool { return c.kind == contribCorr })
+	}
+	if hasPair(dem) || !hasPair(corr) {
+		t.Errorf("pair contributions: uncorrelated plan %v, correlated plan %v; want false, true", hasPair(dem), hasPair(corr))
 	}
 }
 

@@ -29,11 +29,12 @@ var hotCacheLimit = 256
 // else encodes this trajectory's seed-specific defects, would only churn
 // the shared cache's working set, and is the table's own: deformed-code
 // nominals, and the sample and decode variants patched from a chunk's
-// nominal. Their graphs are replayed from the nominal's
+// nominal. Their graphs are folded from the nominal's skeleton
 // (decoder.GraphFrom) and never enter the process-wide graph cache. Only
 // the table's own entries count toward hotCacheLimit, and a lookup of a
 // key held only as a shared entry (a code recovered to the pristine shape)
-// is a miss.
+// is a miss; it adopts the shared entry's objects instead of building
+// them again.
 type modelTable struct {
 	entries map[sim.DEMKey]*tableEntry
 	built   int // entries the table built itself
@@ -67,20 +68,26 @@ func (t *modelTable) shared(key sim.DEMKey, dem *sim.DEM) *tableEntry {
 
 // own returns the table's own entry for the model, building its DEM on a
 // miss through Patcher.Variant from base (nil for a nominal); built
-// reports the miss.
+// reports the miss. A miss on a key held as a shared entry adopts that
+// entry's DEM, graph, sampler and stats, which are value-identical to what
+// a build would make, and still counts as built.
 func (t *modelTable) own(base *sim.DEM, c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) (e *tableEntry, built bool, err error) {
 	key := sim.DEMKeyOf(c, model, rounds, basis)
 	if e = t.entries[key]; e != nil && !e.shared {
 		return e, false, nil
 	}
-	dem, err := t.patcher.Variant(base, c, model, rounds, basis)
-	if err != nil {
-		return nil, false, err
+	if e != nil {
+		e = &tableEntry{dem: e.dem, graph: e.graph, sampler: e.sampler, stats: e.stats}
+	} else {
+		dem, err := t.patcher.Variant(base, c, model, rounds, basis)
+		if err != nil {
+			return nil, false, err
+		}
+		e = &tableEntry{dem: dem}
 	}
 	if t.built >= hotCacheLimit {
 		t.entries, t.built = map[sim.DEMKey]*tableEntry{}, 0
 	}
-	e = &tableEntry{dem: dem}
 	t.entries[key] = e
 	t.built++
 	return e, true, nil
@@ -88,7 +95,7 @@ func (t *modelTable) own(base *sim.DEM, c *code.Code, model *noise.Model, rounds
 
 // graphOf returns the entry's decoding graph: a shared entry's from the
 // process-wide cache, the graph of nom — the chunk's nominal entry — in
-// full, and any other entry's replayed from nom's.
+// full, and any other entry's folded from the skeleton of nom's.
 func (e *tableEntry) graphOf(nom *tableEntry) *decoder.Graph {
 	switch {
 	case e.graph != nil:

@@ -48,7 +48,8 @@ func TestVariantGraphsStayPrivate(t *testing.T) {
 // variant of a shared nominal is patched, counting once in sim.dem.patches
 // and never in sim.dem.builds, and only it counts toward the bound; a
 // repeat lookup hits without patching again; and a private lookup of the
-// shared nominal's own key still misses and builds in full.
+// shared nominal's own key still misses and counts as built, but adopts
+// the shared entry's DEM without a build.
 func TestTablePatchAccounting(t *testing.T) {
 	c := buildCode(t, 3)
 	nominal := noise.Uniform(1e-3)
@@ -84,9 +85,9 @@ func TestTablePatchAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !built || own == nom || builds.Value() != b0+1 || tab.built != 2 {
-		t.Errorf("private lookup of a shared key: built %v, %d full builds, %d built entries; want a miss, 1, 2",
-			built, builds.Value()-b0, tab.built)
+	if !built || own == nom || own.dem != nom.dem || builds.Value() != b0 || tab.built != 2 {
+		t.Errorf("private lookup of a shared key: built %v, adopted %v, %d full builds, %d built entries; want a miss, the shared DEM, 0, 2",
+			built, own.dem == nom.dem, builds.Value()-b0, tab.built)
 	}
 }
 
