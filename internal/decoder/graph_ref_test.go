@@ -4,7 +4,7 @@ package decoder
 // oracle refNewGraph: it merges parallel mechanisms and rates each edge in
 // the same pass, through a map, where NewGraph merges a rate-free skeleton
 // and folds it. It is that builder verbatim, less the skeleton it recorded
-// and its metrics.
+// and its metrics, reading each mechanism's probability from DEM.P.
 
 import (
 	"math"
@@ -44,25 +44,26 @@ func refNewGraph(dem *sim.DEM) *Graph {
 		}
 		acc[k] = &Edge{U: u, V: v, Obs: obs, P: p}
 	}
-	for _, m := range dem.Mechs {
+	for mi, m := range dem.Mechs {
+		p := dem.P[mi]
 		switch len(m.Dets) {
 		case 0:
 			if m.Obs {
-				g.FreeLogicalP = g.FreeLogicalP + m.P - 2*g.FreeLogicalP*m.P
+				g.FreeLogicalP = g.FreeLogicalP + p - 2*g.FreeLogicalP*p
 			}
 		case 1:
-			addPair(m.Dets[0], Boundary, m.P, m.Obs)
+			addPair(m.Dets[0], Boundary, p, m.Obs)
 		case 2:
-			addPair(m.Dets[0], m.Dets[1], m.P, m.Obs)
+			addPair(m.Dets[0], m.Dets[1], p, m.Obs)
 		default:
 			g.Decomposed++
 			// Pair consecutive detectors; attach the observable flip to the
 			// first pair only (the decomposition keeps total parity).
 			for i := 0; i+1 < len(m.Dets); i += 2 {
-				addPair(m.Dets[i], m.Dets[i+1], m.P, m.Obs && i == 0)
+				addPair(m.Dets[i], m.Dets[i+1], p, m.Obs && i == 0)
 			}
 			if len(m.Dets)%2 == 1 {
-				addPair(m.Dets[len(m.Dets)-1], Boundary, m.P, false)
+				addPair(m.Dets[len(m.Dets)-1], Boundary, p, false)
 			}
 		}
 	}

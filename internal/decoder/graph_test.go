@@ -11,12 +11,13 @@ func TestGraphDecomposition(t *testing.T) {
 	dem := &sim.DEM{
 		NumDets: 6,
 		Mechs: []sim.Mechanism{
-			{P: 0.01, Dets: []int32{0, 1}},                   // plain edge
-			{P: 0.02, Dets: []int32{2}},                      // boundary edge
-			{P: 0.005, Dets: []int32{0, 1, 3, 4}, Obs: true}, // 4-det: decomposed
-			{P: 0.003, Dets: []int32{2, 3, 5}},               // 3-det: pair + boundary
-			{P: 0.001, Dets: nil, Obs: true},                 // free logical
+			{Dets: []int32{0, 1}},                  // plain edge
+			{Dets: []int32{2}},                     // boundary edge
+			{Dets: []int32{0, 1, 3, 4}, Obs: true}, // 4-det: decomposed
+			{Dets: []int32{2, 3, 5}},               // 3-det: pair + boundary
+			{Dets: nil, Obs: true},                 // free logical
 		},
+		P: []float64{0.01, 0.02, 0.005, 0.003, 0.001},
 	}
 	g := NewGraph(dem)
 	if err := g.Validate(); err != nil {
@@ -59,9 +60,10 @@ func TestGraphMergesObsToDominant(t *testing.T) {
 	dem := &sim.DEM{
 		NumDets: 2,
 		Mechs: []sim.Mechanism{
-			{P: 0.001, Dets: []int32{0, 1}, Obs: false},
-			{P: 0.01, Dets: []int32{0, 1}, Obs: true},
+			{Dets: []int32{0, 1}, Obs: false},
+			{Dets: []int32{0, 1}, Obs: true},
 		},
+		P: []float64{0.001, 0.01},
 	}
 	g := NewGraph(dem)
 	if len(g.Edges) != 1 {
@@ -81,12 +83,13 @@ func TestGraphClampAndDropSurfaced(t *testing.T) {
 	dem := &sim.DEM{
 		NumDets: 4,
 		Mechs: []sim.Mechanism{
-			{P: 0.6, Dets: []int32{0, 1}},  // clamped outright
-			{P: 0.4, Dets: []int32{2}},     // merges with the next...
-			{P: 0.3, Dets: []int32{2}},     // ...to 0.4+0.3-2·0.12 = 0.46: kept
-			{P: 0, Dets: []int32{3}},       // dropped (zero probability)
-			{P: 0.01, Dets: []int32{0, 3}}, // healthy edge
+			{Dets: []int32{0, 1}}, // clamped outright
+			{Dets: []int32{2}},    // merges with the next...
+			{Dets: []int32{2}},    // ...to 0.4+0.3-2·0.12 = 0.46: kept
+			{Dets: []int32{3}},    // dropped (zero probability)
+			{Dets: []int32{0, 3}}, // healthy edge
 		},
+		P: []float64{0.6, 0.4, 0.3, 0, 0.01},
 	}
 	g := NewGraph(dem)
 	if err := g.Validate(); err != nil {
@@ -113,7 +116,7 @@ func TestGraphClampAndDropSurfaced(t *testing.T) {
 		}
 	}
 	// A nominal-rate graph reports zero for both.
-	nominal := NewGraph(&sim.DEM{NumDets: 2, Mechs: []sim.Mechanism{{P: 0.001, Dets: []int32{0, 1}}}})
+	nominal := NewGraph(&sim.DEM{NumDets: 2, Mechs: []sim.Mechanism{{Dets: []int32{0, 1}}}, P: []float64{0.001}})
 	if nominal.Clamped != 0 || nominal.Dropped != 0 {
 		t.Errorf("nominal graph reports clamped=%d dropped=%d, want 0/0", nominal.Clamped, nominal.Dropped)
 	}
@@ -123,9 +126,10 @@ func TestGraphWeightsPositive(t *testing.T) {
 	dem := &sim.DEM{
 		NumDets: 2,
 		Mechs: []sim.Mechanism{
-			{P: 0.49, Dets: []int32{0, 1}},
-			{P: 1e-9, Dets: []int32{0}},
+			{Dets: []int32{0, 1}},
+			{Dets: []int32{0}},
 		},
+		P: []float64{0.49, 1e-9},
 	}
 	g := NewGraph(dem)
 	for _, e := range g.Edges {

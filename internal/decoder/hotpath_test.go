@@ -5,6 +5,9 @@ import (
 	"slices"
 	"testing"
 
+	"surfdeformer/internal/code"
+	"surfdeformer/internal/lattice"
+	"surfdeformer/internal/noise"
 	"surfdeformer/internal/sim"
 )
 
@@ -52,6 +55,58 @@ func TestDecodeZeroAllocs(t *testing.T) {
 	_ = sink
 	if allocs != 0 {
 		t.Errorf("rebind plus DecodeToObs allocates %.1f per %d-shot run, want 0", allocs, 2*len(corpus))
+	}
+}
+
+// graphFromCase returns a fresh d=5 code's 8-round memory-Z DEM, its
+// graph, and the DEM patched from it under a six-site overlay at 4–16× the
+// base rate, the shape BenchmarkDEMPatch times.
+func graphFromCase(tb testing.TB) (patched, base *sim.DEM, baseGraph *Graph) {
+	c := code.FromPatch(lattice.NewPatch(lattice.Coord{}, 5))
+	nominal := noise.Uniform(1e-3)
+	base, err := sim.BuildDEM(c, nominal, 8, lattice.ZCheck)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sites := append(c.DataQubits(), c.SyndromeQubits()...)
+	rates := map[lattice.Coord]float64{}
+	for i, q := range sites[10:16] {
+		rates[q] = []float64{4e-3, 8e-3, 16e-3}[i%3]
+	}
+	patched, ok := (&sim.Patcher{}).Patch(base, nominal.WithSiteRates(rates))
+	if !ok {
+		tb.Fatal("patch refused")
+	}
+	return patched, base, NewGraph(base)
+}
+
+// TestGraphFromAllocs pins a same-core GraphFrom at two allocations, the
+// graph header and its edge array: the refold shares the skeleton and the
+// adjacency, and marks nothing.
+func TestGraphFromAllocs(t *testing.T) {
+	patched, base, bg := graphFromCase(t)
+	if g := GraphFrom(patched, base, bg); g.skel != bg.skel {
+		t.Fatal("the variant's graph was not refolded from the base's skeleton")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		benchGraph = GraphFrom(patched, base, bg)
+	})
+	if allocs > 2 {
+		t.Errorf("same-core GraphFrom does %.1f allocs, want <= 2 (graph + edges)", allocs)
+	}
+}
+
+var benchGraph *Graph
+
+// BenchmarkGraphFrom times one GraphFrom of graphFromCase's variant from
+// its base's graph: the copied edge array plus the refold of every edge
+// the changed mechanisms feed.
+func BenchmarkGraphFrom(b *testing.B) {
+	patched, base, bg := graphFromCase(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchGraph = GraphFrom(patched, base, bg)
 	}
 }
 

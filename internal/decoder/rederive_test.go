@@ -14,9 +14,13 @@ import (
 	"surfdeformer/internal/sim"
 )
 
-// graphsIdentical asserts every consumer-visible field matches bit for bit.
+// graphsIdentical asserts every consumer-visible field matches bit for bit,
+// and that got kept its merge skeleton exactly when nothing dropped.
 func graphsIdentical(t *testing.T, got, want *Graph, ctx string) {
 	t.Helper()
+	if (got.skel != nil) != (want.Dropped == 0) {
+		t.Fatalf("%s: skeleton kept %v with %d dropped edges", ctx, got.skel != nil, want.Dropped)
+	}
 	if got.NumDets != want.NumDets || got.Decomposed != want.Decomposed ||
 		got.Clamped != want.Clamped || got.Dropped != want.Dropped {
 		t.Fatalf("%s: header fields differ: got %+v want %+v", ctx, got, want)
@@ -41,11 +45,15 @@ func graphsIdentical(t *testing.T, got, want *Graph, ctx string) {
 
 // TestRederiveMatchesNewGraph pins the decoder half of the incremental
 // equivalence contract against the one-pass oracle refNewGraph: for random
-// site-rate overlays, both NewGraph of the patched DEM and the graph
-// GraphFrom folds from the nominal template's merge skeleton are identical
-// to it — edges, weights, observable flags, adjacency, free logical mass,
-// clamp and drop counts — and decode corrections over sampled syndromes are
-// bit identical.
+// site-rate overlays, NewGraph of the patched DEM, GraphFrom from the
+// nominal's graph and GraphFrom from the previous variant's graph (a chain
+// base → v1 → v2 …) are identical to it — edges, weights, observable
+// flags, adjacency, free logical mass, clamp and drop counts — and decode
+// corrections over sampled syndromes are bit identical. The schedule makes
+// every refold case happen: a site lifted to ¾ clamps edges that the next
+// variant unclamps, a site at 16 turns merged probabilities negative so a
+// refolded edge drops and the full fold answers, and every sixth variant
+// repeats the previous model, a fresh DEM with no changed mechanism.
 func TestRederiveMatchesNewGraph(t *testing.T) {
 	c := code.FromPatch(lattice.NewPatch(lattice.Coord{Row: 0, Col: 0}, 5))
 	nominal := noise.Uniform(1e-3)
@@ -62,40 +70,72 @@ func TestRederiveMatchesNewGraph(t *testing.T) {
 	sites = append(sites, c.SyndromeQubits()...)
 	rng := rand.New(rand.NewSource(23))
 	pt := &sim.Patcher{}
-	for trial := 0; trial < 20; trial++ {
-		overlay := map[lattice.Coord]float64{}
-		for i := 0; i < 1+rng.Intn(5); i++ {
-			mult := float64(int64(2) << rng.Intn(6))
-			r := mult * 1e-3
-			if r > 0.45 {
-				r = 0.45
+	prev, prevGraph := base, tmpl
+	var overlay map[lattice.Coord]float64
+	var rose, fell, repeats, fallbacks int
+	for trial := 0; trial < 24; trial++ {
+		if trial%6 != 5 {
+			overlay = map[lattice.Coord]float64{}
+			for i := 0; i < 1+rng.Intn(5); i++ {
+				mult := float64(int64(2) << rng.Intn(6))
+				r := mult * 1e-3
+				if r > 0.45 {
+					r = 0.45
+				}
+				overlay[sites[rng.Intn(len(sites))]] = r
 			}
-			overlay[sites[rng.Intn(len(sites))]] = r
+			switch trial % 6 {
+			case 1:
+				overlay[sites[rng.Intn(len(sites))]] = 0.75
+			case 3:
+				overlay[sites[rng.Intn(len(sites))]] = 16
+			}
 		}
 		variant := nominal.WithSiteRates(overlay)
 		patched, ok := pt.Patch(base, variant)
 		if !ok {
 			t.Fatal("patch refused")
 		}
+		ctx := fmt.Sprintf("trial %d", trial)
 		want := refNewGraph(patched)
-		graphsIdentical(t, NewGraph(patched), want, "built")
+		graphsIdentical(t, NewGraph(patched), want, ctx+"/built")
 		got := GraphFrom(patched, base, tmpl)
-		graphsIdentical(t, got, want, "rederived")
+		graphsIdentical(t, got, want, ctx+"/rederived")
+		chained := GraphFrom(patched, prev, prevGraph)
+		graphsIdentical(t, chained, want, ctx+"/chained")
+		if prevGraph.skel != nil && sim.SamePatchCore(patched, prev) {
+			switch {
+			case want.Dropped > 0:
+				fallbacks++
+			case slices.Equal(patched.P, prev.P):
+				repeats++
+			case want.Clamped > prevGraph.Clamped:
+				rose++
+			case want.Clamped < prevGraph.Clamped:
+				fell++
+			}
+		}
 		if err := got.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		// Decode corrections must be bit-identical between the two graphs.
-		ufGot, ufWant := NewUnionFind(got), NewUnionFind(want)
+		// Decode corrections must be bit-identical between the graphs.
+		ufGot, ufChained, ufWant := NewUnionFind(got), NewUnionFind(chained), NewUnionFind(want)
 		sampler := sim.NewSampler(patched)
 		shotRNG := rand.New(rand.NewSource(int64(100 + trial)))
 		for shot := 0; shot < 50; shot++ {
 			flagged, _ := sampler.Shot(shotRNG)
 			a := slices.Clone(ufGot.DecodeToEdges(flagged))
-			b := ufWant.DecodeToEdges(flagged)
-			if !slices.Equal(a, b) {
-				t.Fatalf("trial %d shot %d: corrections diverge: %v vs %v", trial, shot, a, b)
+			b := slices.Clone(ufChained.DecodeToEdges(flagged))
+			w := ufWant.DecodeToEdges(flagged)
+			if !slices.Equal(a, w) || !slices.Equal(b, w) {
+				t.Fatalf("trial %d shot %d: corrections diverge: %v and %v vs %v", trial, shot, a, b, w)
 			}
 		}
+		prev, prevGraph = patched, chained
+	}
+	if rose == 0 || fell == 0 || repeats == 0 || fallbacks == 0 {
+		t.Errorf("chained refolds: clamps rose %d, fell %d, repeats %d, drop fallbacks %d; want each case at least once",
+			rose, fell, repeats, fallbacks)
 	}
 }
 
@@ -104,10 +144,14 @@ func TestRederiveMatchesNewGraph(t *testing.T) {
 // count and a basis, and patches the nominal DEM with overlays whose rates
 // run from 2p to ½ and above, so edges clamp, and on to 16, where merged
 // probabilities can turn non-positive and edges drop. NewGraph of every
-// patched DEM, and GraphFrom of it from the nominal's graph, must equal
-// refNewGraph field by field; so must NewGraph of the nominal.
+// patched DEM, GraphFrom of it from the nominal's graph, and GraphFrom of
+// it from the previous step's graph (a chain base → v1 → v2 …, whose
+// clamps come and go) must equal refNewGraph field by field; so must
+// NewGraph of the nominal. Step 2 repeats step 1's model, a fresh DEM with
+// no changed mechanism. The seeds from 5 on make a variant drop a refolded
+// edge, so the refold's fallback to the full fold runs in the seed corpus.
 func FuzzGraphMatchesReference(f *testing.F) {
-	for seed := int64(0); seed < 4; seed++ {
+	for _, seed := range []int64{0, 1, 2, 3, 5, 7, 8, 9, 11} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
@@ -138,21 +182,26 @@ func FuzzGraphMatchesReference(f *testing.F) {
 		graphsIdentical(t, tmpl, refNewGraph(base), "nominal")
 		sites := append(c.DataQubits(), c.SyndromeQubits()...)
 		pt := &sim.Patcher{}
-		for step := 0; step < 4; step++ {
-			overlay := map[lattice.Coord]float64{}
-			for i := 0; i < 1+rng.Intn(6); i++ {
-				r := math.Ldexp(p, 1+rng.Intn(6))
-				switch rng.Intn(6) {
-				case 0:
-					r = 0.5
-				case 1:
-					r = 0.5 + rng.Float64()/2
-				case 2:
-					r = 1 + 15*rng.Float64()
+		prev, prevGraph := base, tmpl
+		var model *noise.Model
+		for step := 0; step < 5; step++ {
+			if step != 2 {
+				overlay := map[lattice.Coord]float64{}
+				for i := 0; i < 1+rng.Intn(6); i++ {
+					r := math.Ldexp(p, 1+rng.Intn(6))
+					switch rng.Intn(6) {
+					case 0:
+						r = 0.5
+					case 1:
+						r = 0.5 + rng.Float64()/2
+					case 2:
+						r = 1 + 15*rng.Float64()
+					}
+					overlay[sites[rng.Intn(len(sites))]] = r
 				}
-				overlay[sites[rng.Intn(len(sites))]] = r
+				model = nominal.WithSiteRates(overlay)
 			}
-			patched, ok := pt.Patch(base, nominal.WithSiteRates(overlay))
+			patched, ok := pt.Patch(base, model)
 			if !ok {
 				t.Fatal("patch refused")
 			}
@@ -160,6 +209,9 @@ func FuzzGraphMatchesReference(f *testing.F) {
 			want := refNewGraph(patched)
 			graphsIdentical(t, NewGraph(patched), want, ctx+"/built")
 			graphsIdentical(t, GraphFrom(patched, base, tmpl), want, ctx+"/folded")
+			chained := GraphFrom(patched, prev, prevGraph)
+			graphsIdentical(t, chained, want, ctx+"/chained")
+			prev, prevGraph = patched, chained
 		}
 	})
 }

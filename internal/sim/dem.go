@@ -37,10 +37,11 @@ var (
 	obsDEMBuildNs = obs.Default().Histogram("sim.dem.build_ns")
 )
 
-// Mechanism is one independent error source: with probability P it flips
-// the listed detectors and, if Obs, the logical observable.
+// Mechanism is one independent error source: when it fires it flips the
+// listed detectors and, if Obs, the logical observable. Its probability
+// lives in DEM.P, so a mechanism list is rate-free and every variant of a
+// DEM can share it.
 type Mechanism struct {
-	P    float64
 	Dets []int32 // sorted detector IDs
 	Obs  bool
 }
@@ -49,6 +50,9 @@ type Mechanism struct {
 type DEM struct {
 	NumDets int
 	Mechs   []Mechanism
+	// P holds each mechanism's probability: mechanism i fires with
+	// probability P[i]. A patched DEM shares its base's Mechs and owns P.
+	P []float64
 
 	// DetRound and DetObs give, per detector, the round of its later
 	// measurement and the observable (schedule index) it tracks — used by
@@ -60,9 +64,9 @@ type DEM struct {
 	// defect detector uses it to turn flagged observables into regions.
 	Observables []ObsInfo
 
-	// plan, when non-nil, is the fault structure Mechs was folded from
-	// under one model, mechanism for mechanism, so Patcher.Patch can refold
-	// it under another (see patch.go). A phased DEM, and one whose fold
+	// plan, when non-nil, is the fault structure P was folded from under
+	// one model, mechanism for mechanism, so Patcher.Patch can refold it
+	// under another (see patch.go). A phased DEM, and one whose fold
 	// dropped a mechanism, carries none.
 	plan *demPlan
 }
@@ -77,8 +81,8 @@ func (d *DEM) DetectorFireRates() []float64 {
 	for i := range rates {
 		rates[i] = 1
 	}
-	for _, m := range d.Mechs {
-		f := 1 - 2*m.P
+	for i, m := range d.Mechs {
+		f := 1 - 2*d.P[i]
 		for _, det := range m.Dets {
 			rates[det] *= f
 		}
@@ -170,13 +174,14 @@ func build(c *code.Code, phases []Phase, basis lattice.CheckType) (*DEM, error) 
 			contribs[i].a, contribs[i].b, contribs[i].kind = c.a+k*n, c.b+k*n, c.kind+uint16(4*k)
 		}
 	}
+	dem.P = make([]float64, len(dem.Mechs))
 	dem.fold(nil, contribs, &t)
 	return dem, nil
 }
 
 // enumerate finds the rate-free fault structure of a memory experiment:
 // the detector layout, the merged mechanisms' detector sets and observable
-// flags in emission order (P left zero), and each mechanism's elementary
+// flags in emission order (P left nil), and each mechanism's elementary
 // contributions in fold order as the returned DEM's plan core. The
 // correlated X⊗X/Z⊗Z pair of every CX is enumerated only when correlated.
 func enumerate(c *code.Code, rounds int, basis lattice.CheckType, correlated bool) (*DEM, error) {

@@ -424,9 +424,11 @@ func refBuildDEM(c *code.Code, modelAt func(int) *noise.Model, rounds int, basis
 	}
 	sort.Strings(keys)
 	dem.Mechs = make([]Mechanism, 0, len(keys))
+	dem.P = make([]float64, 0, len(keys))
 	for _, k := range keys {
 		m := merged[k]
-		dem.Mechs = append(dem.Mechs, Mechanism{P: m.p, Dets: m.dets, Obs: m.obs})
+		dem.Mechs = append(dem.Mechs, Mechanism{Dets: m.dets, Obs: m.obs})
+		dem.P = append(dem.P, m.p)
 	}
 
 	core := &planCore{coords: coords, qIdx: qIdx}

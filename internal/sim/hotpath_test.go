@@ -114,7 +114,7 @@ func BenchmarkBuildDEM(b *testing.B) {
 // BenchmarkDEMPatch times one Patcher.Patch of a fresh d=5 code's 8-round
 // memory-Z DEM from its nominal base under a six-site overlay at 4–16×
 // the base rate: the refold of every mechanism those sites feed, plus the
-// cloned mechanism vector.
+// copied probability vector.
 func BenchmarkDEMPatch(b *testing.B) {
 	c := code.FromPatch(lattice.NewPatch(lattice.Coord{}, 5))
 	nominal := noise.Uniform(1e-3)

@@ -48,8 +48,7 @@ type planContrib struct {
 // correlated) enumeration. It is shared by every DEM folded or patched
 // from it, which lets consumers (decoder.GraphFrom) recognize structural
 // identity by pointer: two DEMs with the same core have identical NumDets,
-// identical Mechs[i].Dets/Obs for every i, and differ only in
-// probabilities.
+// identical Mechs, and differ only in P.
 type planCore struct {
 	coords []lattice.Coord
 	qIdx   map[lattice.Coord]int32
@@ -116,21 +115,21 @@ func (pc *planCore) resolve(t *rateTable, m *noise.Model) {
 }
 
 // fold rates the mechanisms mis of d — every mechanism when mis is nil —
-// from contribs, the plan's contributions or a phased build's re-pointed
-// copy of them, under t: a mechanism's probability is the XOR fold
-// p ⊕ q = p + q − 2pq, in order, of its contributions' probabilities. A
-// zero probability leaves q as it is, as long as q is finite — which every
-// fold of rates up to 1 keeps it — so folding it equals skipping it, with
-// no branch in the loop. A mechanism with no positive probability is
-// dropped, and with it the plan, since the mechanism list no longer
-// follows the core.
+// into d.P from contribs, the plan's contributions or a phased build's
+// re-pointed copy of them, under t: a mechanism's probability is the XOR
+// fold p ⊕ q = p + q − 2pq, in order, of its contributions'
+// probabilities. A zero probability leaves q as it is, as long as q is
+// finite — which every fold of rates up to 1 keeps it — so folding it
+// equals skipping it, with no branch in the loop. A mechanism with no
+// positive probability is dropped, and with it the plan, since the
+// mechanism list no longer follows the core.
 func (d *DEM) fold(mis []int32, contribs []planContrib, t *rateTable) {
-	off, over, scalar, mechs := d.plan.core.mechOff, t.over, t.scalar, d.Mechs
+	off, over, scalar, ps := d.plan.core.mechOff, t.over, t.scalar, d.P
 	n := len(mis)
 	if mis == nil {
-		n = len(mechs)
+		n = len(ps)
 	}
-	dropped := false
+	var dropped []int32
 	for i := 0; i < n; i++ {
 		mi := int32(i)
 		if mis != nil {
@@ -143,16 +142,31 @@ func (d *DEM) fold(mis []int32, contribs []planContrib, t *rateTable) {
 			sum += p
 		}
 		if sum == 0 {
-			mechs[mi] = Mechanism{} // no effect: never a live mechanism
-			dropped = true
+			dropped = append(dropped, mi) // no effect: never a live mechanism
 			continue
 		}
-		mechs[mi].P = q
+		ps[mi] = q
 	}
-	if dropped {
-		d.Mechs = slices.DeleteFunc(mechs, func(m Mechanism) bool { return len(m.Dets) == 0 && !m.Obs })
-		d.plan = nil
+	if dropped != nil {
+		d.drop(dropped)
 	}
+}
+
+// drop removes the mechanisms listed in mis, and the plan with them, into
+// fresh Mechs and P slices. It never filters in place: a patched DEM's
+// Mechs is its base's.
+func (d *DEM) drop(mis []int32) {
+	slices.Sort(mis)
+	n := len(d.Mechs) - len(mis)
+	mechs, ps := make([]Mechanism, 0, n), make([]float64, 0, n)
+	for i, m := range d.Mechs {
+		if len(mis) > 0 && mis[0] == int32(i) {
+			mis = mis[1:]
+			continue
+		}
+		mechs, ps = append(mechs, m), append(ps, d.P[i])
+	}
+	d.Mechs, d.P, d.plan = mechs, ps, nil
 }
 
 // buildSiteIndex derives the site → mechanisms CSR from the contribution
@@ -212,7 +226,7 @@ func SamePatchCore(a, b *DEM) bool {
 
 // Patcher derives variants of a plan-carrying DEM by refolding its plan
 // instead of re-running the fault enumeration. Scratch persists across
-// calls, so a steady-state Patch allocates only the cloned mechanism
+// calls, so a steady-state Patch allocates only the copied probability
 // vector (plus the output DEM and plan headers). Not safe for concurrent
 // use; callers keep one per goroutine.
 type Patcher struct {
@@ -251,11 +265,12 @@ func (pt *Patcher) Variant(base *DEM, c *code.Code, model *noise.Model, rounds i
 // caller must build in full — only when base carries no plan, or when
 // model rates the correlated pair on a structure enumerated without it.
 //
-// The returned DEM shares everything but the mechanism vector with base:
-// detector layout, observable info, each mechanism's Dets slice, and —
-// unless the fold dropped a mechanism — the plan core, so patched DEMs can
-// themselves serve as patch bases and decoder.GraphFrom can re-derive
-// graphs structurally.
+// The returned DEM owns its probability vector P, a copy of base's with
+// the refolded mechanisms rewritten, and shares everything else with base:
+// detector layout, observable info, the mechanism list Mechs, and —
+// unless the fold dropped a mechanism, which gives the DEM fresh Mechs and
+// P — the plan core, so patched DEMs can themselves serve as patch bases
+// and decoder.GraphFrom can re-derive graphs structurally.
 func (pt *Patcher) Patch(base *DEM, model *noise.Model) (*DEM, bool) {
 	if base == nil || base.plan == nil || model == nil {
 		return nil, false
@@ -272,7 +287,7 @@ func (pt *Patcher) Patch(base *DEM, model *noise.Model) (*DEM, bool) {
 	core.resolve(&pt.to, model)
 	var mis []int32 // nil: every mechanism
 	if slices.Equal(pt.from.scalar, pt.to.scalar) {
-		nm := len(base.Mechs)
+		nm := len(base.P)
 		if cap(pt.marked) < nm {
 			pt.marked = make([]bool, nm)
 		}
@@ -302,7 +317,8 @@ func (pt *Patcher) Patch(base *DEM, model *noise.Model) (*DEM, bool) {
 	}
 	out := &DEM{
 		NumDets:     base.NumDets,
-		Mechs:       slices.Clone(base.Mechs),
+		Mechs:       base.Mechs,
+		P:           slices.Clone(base.P),
 		DetRound:    base.DetRound,
 		DetObs:      base.DetObs,
 		Observables: base.Observables,

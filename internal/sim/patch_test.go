@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -59,14 +60,15 @@ func demValuesEqual(t *testing.T, got, want *DEM, ctx string) {
 	if !reflect.DeepEqual(got.Observables, want.Observables) {
 		t.Fatalf("%s: observables differ", ctx)
 	}
-	if len(got.Mechs) != len(want.Mechs) {
-		t.Fatalf("%s: %d mechanisms, want %d", ctx, len(got.Mechs), len(want.Mechs))
+	if len(got.Mechs) != len(want.Mechs) || len(got.P) != len(got.Mechs) || len(want.P) != len(want.Mechs) {
+		t.Fatalf("%s: %d mechanisms with %d probabilities, want %d with %d",
+			ctx, len(got.Mechs), len(got.P), len(want.Mechs), len(want.P))
 	}
 	for i := range got.Mechs {
 		g, w := got.Mechs[i], want.Mechs[i]
-		if g.P != w.P || g.Obs != w.Obs || !reflect.DeepEqual(g.Dets, w.Dets) {
+		if got.P[i] != want.P[i] || g.Obs != w.Obs || !reflect.DeepEqual(g.Dets, w.Dets) {
 			t.Fatalf("%s: mechanism %d = {P:%v Dets:%v Obs:%v}, want {P:%v Dets:%v Obs:%v}",
-				ctx, i, g.P, g.Dets, g.Obs, w.P, w.Dets, w.Obs)
+				ctx, i, got.P[i], g.Dets, g.Obs, want.P[i], w.Dets, w.Obs)
 		}
 	}
 }
@@ -467,6 +469,43 @@ func TestDEMPatchFallsBack(t *testing.T) {
 	demValuesEqual(t, got, want, "post-fallback")
 }
 
+// TestDEMPatchSharesMechanisms pins the split of structure and rates: a
+// patched DEM's Mechs is its base's backing array and its P is its own, and
+// a fold that drops a mechanism builds fresh Mechs and P slices, leaving
+// the base's untouched (a filter in place would rewrite the base's
+// mechanism list under every DEM that shares it).
+func TestDEMPatchSharesMechanisms(t *testing.T) {
+	c := freshCode(t, 3)
+	nominal := noise.Uniform(1e-3)
+	base, err := BuildDEM(c, nominal, 4, lattice.ZCheck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mechs, ps := slices.Clone(base.Mechs), slices.Clone(base.P)
+	pt := &Patcher{}
+	got, ok := pt.Patch(base, nominal.WithSiteRates(map[lattice.Coord]float64{c.DataQubits()[0]: 8e-3}))
+	if !ok {
+		t.Fatal("patch refused")
+	}
+	if &got.Mechs[0] != &base.Mechs[0] || len(got.Mechs) != len(base.Mechs) {
+		t.Error("patched DEM does not share its base's mechanism list")
+	}
+	if &got.P[0] == &base.P[0] || slices.Equal(got.P, base.P) {
+		t.Error("patched DEM does not own a probability vector of its own")
+	}
+	dropped, ok := pt.Patch(base, &noise.Model{P1: 1e-3})
+	if !ok || dropped.plan != nil || len(dropped.Mechs) >= len(base.Mechs) {
+		t.Fatalf("idle-only patch: ok %v, plan kept %v, %d of %d mechanisms; want a drop",
+			ok, dropped.plan != nil, len(dropped.Mechs), len(base.Mechs))
+	}
+	if &dropped.Mechs[0] == &base.Mechs[0] || &dropped.P[0] == &base.P[0] {
+		t.Error("a fold that dropped mechanisms reused its base's slices")
+	}
+	if !reflect.DeepEqual(base.Mechs, mechs) || !slices.Equal(base.P, ps) {
+		t.Error("patching rewrote the base DEM")
+	}
+}
+
 // TestDEMPatchZeroAllocs pins the steady-state allocation budget: beyond
 // the clone-on-write probability vector and the two fixed output headers
 // (DEM + plan), a warm Patcher allocates nothing per patch.
@@ -522,8 +561,8 @@ func TestConcurrentPatchRace(t *testing.T) {
 					t.Error("patch refused")
 					return
 				}
-				for mi := range got.Mechs {
-					if got.Mechs[mi].P != want.Mechs[mi].P {
+				for mi := range got.P {
+					if got.P[mi] != want.P[mi] {
 						t.Errorf("mechanism %d diverged across goroutines", mi)
 						return
 					}

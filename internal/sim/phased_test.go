@@ -30,7 +30,7 @@ func TestPhasedDEMLayoutMatchesUniform(t *testing.T) {
 		t.Fatalf("mechanism count %d vs %d", len(phased.Mechs), len(uniform.Mechs))
 	}
 	for i := range phased.Mechs {
-		if phased.Mechs[i].P != uniform.Mechs[i].P {
+		if phased.P[i] != uniform.P[i] {
 			t.Fatalf("mechanism %d probability differs", i)
 		}
 	}

@@ -25,9 +25,9 @@ type Sampler struct {
 // never allocates.
 func NewSampler(dem *DEM) *Sampler {
 	pmax := 0.0
-	for _, m := range dem.Mechs {
-		if m.P > pmax {
-			pmax = m.P
+	for _, p := range dem.P {
+		if p > pmax {
+			pmax = p
 		}
 	}
 	if pmax >= 1 {
@@ -52,7 +52,7 @@ func (s *Sampler) Shot(rng *rand.Rand) (flagged []int32, obs bool) {
 	if s.pmax <= 0 {
 		return nil, false
 	}
-	mechs := s.dem.Mechs
+	mechs, ps := s.dem.Mechs, s.dem.P
 	fired := s.fired[:0]
 	s.flagged = s.flagged[:0]
 	i := 0
@@ -64,11 +64,11 @@ func (s *Sampler) Shot(rng *rand.Rand) (flagged []int32, obs bool) {
 		}
 		skip := int(math.Log(u) / s.logQ)
 		i += skip
-		if i >= len(mechs) {
+		if i >= len(ps) {
 			break
 		}
 		// Thinning: accept with p_i / pmax.
-		if rng.Float64()*s.pmax < mechs[i].P {
+		if rng.Float64()*s.pmax < ps[i] {
 			fired = append(fired, i)
 		}
 		i++
@@ -99,14 +99,4 @@ func (s *Sampler) Shot(rng *rand.Rand) (flagged []int32, obs bool) {
 	s.fired = fired
 	slices.Sort(s.flagged)
 	return s.flagged, obs
-}
-
-// ExpectedFirings returns the mean number of mechanism firings per shot —
-// a quick sanity statistic used by tests and diagnostics.
-func (s *Sampler) ExpectedFirings() float64 {
-	sum := 0.0
-	for _, m := range s.dem.Mechs {
-		sum += m.P
-	}
-	return sum
 }

@@ -34,9 +34,12 @@ func TestBuildDEMBasics(t *testing.T) {
 	if len(dem.Mechs) == 0 {
 		t.Fatal("no mechanisms")
 	}
-	for _, m := range dem.Mechs {
-		if m.P <= 0 || m.P >= 1 {
-			t.Errorf("mechanism probability %v out of range", m.P)
+	if len(dem.P) != len(dem.Mechs) {
+		t.Fatalf("%d probabilities for %d mechanisms", len(dem.P), len(dem.Mechs))
+	}
+	for i, m := range dem.Mechs {
+		if p := dem.P[i]; p <= 0 || p >= 1 {
+			t.Errorf("mechanism probability %v out of range", p)
 		}
 		for i := 1; i < len(m.Dets); i++ {
 			if m.Dets[i] <= m.Dets[i-1] {
@@ -95,13 +98,23 @@ func TestSamplerStatistics(t *testing.T) {
 	// Expected detection events per shot: roughly bounded by twice the
 	// expected mechanism firings (each fires <= a few detectors).
 	mean := float64(totalFlags) / float64(shots)
-	exp := s.ExpectedFirings()
+	exp := expectedFirings(dem)
 	if mean <= 0 {
 		t.Fatal("sampler produced no detection events at p=2e-3")
 	}
 	if mean > 6*exp {
 		t.Errorf("mean detections %.2f wildly exceeds expected firings %.2f", mean, exp)
 	}
+}
+
+// expectedFirings returns the mean number of mechanism firings per shot of
+// dem: the sum of its mechanism probabilities.
+func expectedFirings(dem *DEM) float64 {
+	sum := 0.0
+	for _, p := range dem.P {
+		sum += p
+	}
+	return sum
 }
 
 func TestDeformedCodeDEMBuilds(t *testing.T) {
@@ -141,10 +154,11 @@ func TestDetectorFireRates(t *testing.T) {
 	dem := &DEM{
 		NumDets: 3,
 		Mechs: []Mechanism{
-			{P: 0.1, Dets: []int32{0}},
-			{P: 0.2, Dets: []int32{0, 1}},
+			{Dets: []int32{0}},
+			{Dets: []int32{0, 1}},
 			// Detector 2 untouched: rate 0.
 		},
+		P: []float64{0.1, 0.2},
 	}
 	got := dem.DetectorFireRates()
 	want := []float64{

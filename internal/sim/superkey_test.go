@@ -92,7 +92,7 @@ func TestPatcherRefusesAcrossCodeStructureChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumDets != want.NumDets || !reflect.DeepEqual(got.Mechs, want.Mechs) {
+	if got.NumDets != want.NumDets || !reflect.DeepEqual(got.Mechs, want.Mechs) || !reflect.DeepEqual(got.P, want.P) {
 		t.Error("full-build fallback differs from a direct BuildDEM of the merged code")
 	}
 
@@ -109,7 +109,7 @@ func TestPatcherRefusesAcrossCodeStructureChange(t *testing.T) {
 	if !SamePatchCore(patched, mergedBase) {
 		t.Error("same-code patch base did not take the patch fast path")
 	}
-	if patched.NumDets != want.NumDets || !reflect.DeepEqual(patched.Mechs, want.Mechs) {
+	if patched.NumDets != want.NumDets || !reflect.DeepEqual(patched.Mechs, want.Mechs) || !reflect.DeepEqual(patched.P, want.P) {
 		t.Error("patched DEM of the merged code differs from its full build")
 	}
 }
