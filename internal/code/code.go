@@ -18,6 +18,7 @@
 package code
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -446,38 +447,66 @@ func (c *Code) ReplaceWith(src *Code) {
 // and syndrome qubits, stabilizers with their ancillas, Direct flags and
 // super-stabilizer membership, gauges, and both logical representatives.
 // Two codes with equal fingerprints have identical detector error models,
-// which is why the DEM cache keys on it. It is computed once per code state.
+// which is why the DEM cache keys on it. Only equality is meaningful: the
+// encoding is binary — varints, every list prefixed by its length — and
+// equal exactly when the text form the package's tests keep as an oracle
+// is. It is computed once per code state.
 func (c *Code) Fingerprint() string {
 	if fp := c.fingerprint.Load(); fp != nil {
 		return *fp
 	}
-	var sb strings.Builder
-	sb.WriteString("D:")
-	for _, q := range c.DataQubits() {
-		fmt.Fprintf(&sb, "%d.%d,", q.Row, q.Col)
-	}
-	sb.WriteString("S:")
-	for _, q := range c.SyndromeQubits() {
-		fmt.Fprintf(&sb, "%d.%d,", q.Row, q.Col)
-	}
-	sb.WriteString("stabs:")
+	b := make([]byte, 0, 512)
+	b = appendCoords(b, c.DataQubits())
+	b = appendCoords(b, c.SyndromeQubits())
+	b = binary.AppendUvarint(b, uint64(len(c.stabs)))
 	for _, s := range c.stabs {
-		fmt.Fprintf(&sb, "{%s@%d.%d/%v/%v}", s.Op.String(), s.Ancilla.Row, s.Ancilla.Col, s.Direct, s.MemberIDs)
+		b = appendCoord(appendOp(b, s.Op), s.Ancilla)
+		b = append(b, boolByte(s.Direct))
+		b = binary.AppendUvarint(b, uint64(len(s.MemberIDs)))
+		for _, id := range s.MemberIDs {
+			b = binary.AppendVarint(b, int64(id))
+		}
 	}
-	sb.WriteString("gauges:")
+	b = binary.AppendUvarint(b, uint64(len(c.gauges)))
 	for _, g := range c.gauges {
-		fmt.Fprintf(&sb, "{%s@%d.%d/%v}", g.Op.String(), g.Ancilla.Row, g.Ancilla.Col, g.Direct)
+		b = append(appendCoord(appendOp(b, g.Op), g.Ancilla), boolByte(g.Direct))
 	}
-	fmt.Fprintf(&sb, "LX:%s,LZ:%s", c.logicalX.String(), c.logicalZ.String())
-	fp := sb.String()
+	b = appendOp(appendOp(b, c.logicalX), c.logicalZ)
+	fp := string(b)
 	c.fingerprint.Store(&fp)
 	return fp
+}
+
+// appendOp appends an operator's X and Z supports.
+func appendOp(b []byte, op pauli.Op) []byte {
+	return appendCoords(appendCoords(b, op.XSupport()), op.ZSupport())
+}
+
+// appendCoords appends a length-prefixed coordinate list.
+func appendCoords(b []byte, qs []lattice.Coord) []byte {
+	b = binary.AppendUvarint(b, uint64(len(qs)))
+	for _, q := range qs {
+		b = appendCoord(b, q)
+	}
+	return b
+}
+
+// appendCoord appends q as two varints.
+func appendCoord(b []byte, q lattice.Coord) []byte {
+	return binary.AppendVarint(binary.AppendVarint(b, int64(q.Row)), int64(q.Col))
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // ID returns the code's interned identity: a process-wide table maps each
 // Fingerprint to an integer, so codes with equal fingerprints in one table
 // generation share an ID, and the DEM caches key on the 8-byte ID instead
-// of the ~1 KB fingerprint. IDs come from a counter that never rewinds, so
+// of the fingerprint (0.4 KB at d=5). IDs come from a counter that never rewinds, so
 // an ID is never reused: when the table resets at internLimit entries,
 // codes still holding an old ID keep it, a fingerprint interned afterwards
 // gets a fresh one, and the reset costs cache misses, never a wrong hit.
@@ -492,10 +521,10 @@ func (c *Code) ID() uint64 {
 }
 
 // internLimit bounds the intern table. The table holds the fingerprints of
-// codes that may be long dead (a d=3 fingerprint is ~0.4 KB, d=5 ~1.2 KB),
+// codes that may be long dead (a d=3 fingerprint is 150 bytes, d=5 430),
 // so it resets wholesale past the bound, like the DEM caches do. A reset
 // costs one full DEM build per configuration still in use; the bound keeps
-// the table near 0.25 MB.
+// the table near 0.1 MB.
 const internLimit = 256
 
 var (

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"surfdeformer/internal/obs"
 	"surfdeformer/internal/sim"
@@ -84,20 +85,26 @@ type skelContrib struct {
 // contributions in merge order, plus the mechanisms folded into
 // FreeLogicalP and the count of decomposed mechanisms. mechEdges, CSR via
 // mechOff, lists per mechanism the edges it contributes to, so a refold
-// visits only the edges of mechanisms whose probability changed. The CSR
-// adjacency of the full edge list is a pure function of the endpoints, so
-// every graph folded from the skeleton without a drop shares it; NewGraph
-// sets it from the skeleton's first fold.
+// visits only the edges of mechanisms whose probability changed; the first
+// refold builds it (mechIndex), since memory sweeps and pristine nominals
+// never refold. The CSR adjacency of the full edge list is a pure function
+// of the endpoints, so every graph folded from the skeleton without a drop
+// shares it; NewGraph sets it from the skeleton's first fold.
 type graphSkel struct {
 	ends       [][2]int32
 	edgeOff    []int32
 	contribs   []skelContrib
-	mechOff    []int32
-	mechEdges  []int32
+	nMech      int
 	free       []int32
 	decomposed int
 	adjOff     []int32
 	adjList    []int32
+
+	// Skeletons of process-wide graphs (SharedGraph) are refolded from
+	// many goroutines, so the index is built once under mechOnce.
+	mechOnce  sync.Once
+	mechOff   []int32
+	mechEdges []int32
 }
 
 // MaxEdgeProb is the edge-probability ceiling of the decoding graph. An
@@ -180,26 +187,34 @@ func newSkel(dem *sim.DEM) *graphSkel {
 		sk.contribs = append(sk.contribs, acc[k]...)
 		sk.edgeOff = append(sk.edgeOff, int32(len(sk.contribs)))
 	}
-	// The mechanism → edges CSR, a counting sort of the contributions by
-	// mechanism: mechOff[m+1] counts, then the fill advances mechOff[m] to
-	// the end of m's row, and the final shift restores the row starts.
-	sk.mechOff = make([]int32, len(dem.Mechs)+1)
-	for _, c := range sk.contribs {
-		sk.mechOff[c.mech+1]++
-	}
-	for m := range dem.Mechs {
-		sk.mechOff[m+1] += sk.mechOff[m]
-	}
-	sk.mechEdges = make([]int32, len(sk.contribs))
-	for ei := range sk.ends {
-		for _, c := range sk.contribs[sk.edgeOff[ei]:sk.edgeOff[ei+1]] {
-			sk.mechEdges[sk.mechOff[c.mech]] = int32(ei)
-			sk.mechOff[c.mech]++
-		}
-	}
-	copy(sk.mechOff[1:], sk.mechOff[:len(dem.Mechs)])
-	sk.mechOff[0] = 0
+	sk.nMech = len(dem.Mechs)
 	return sk
+}
+
+// mechIndex builds the mechanism → edges CSR on first use, a counting sort
+// of the contributions by mechanism: mechOff[m+1] counts, then the fill
+// advances mechOff[m] to the end of m's row, and the final shift restores
+// the row starts.
+func (sk *graphSkel) mechIndex() {
+	sk.mechOnce.Do(func() {
+		off := make([]int32, sk.nMech+1)
+		for _, c := range sk.contribs {
+			off[c.mech+1]++
+		}
+		for m := 0; m < sk.nMech; m++ {
+			off[m+1] += off[m]
+		}
+		edges := make([]int32, len(sk.contribs))
+		for ei := range sk.ends {
+			for _, c := range sk.contribs[sk.edgeOff[ei]:sk.edgeOff[ei+1]] {
+				edges[off[c.mech]] = int32(ei)
+				off[c.mech]++
+			}
+		}
+		copy(off[1:], off[:sk.nMech])
+		off[0] = 0
+		sk.mechOff, sk.mechEdges = off, edges
+	})
 }
 
 // fold rates the skeleton under dem's mechanism probabilities: every
@@ -248,6 +263,7 @@ func (sk *graphSkel) fold(dem *sim.DEM) *Graph {
 func (sk *graphSkel) refold(dem, base *sim.DEM, g0 *Graph) *Graph {
 	g := &Graph{NumDets: dem.NumDets, Decomposed: sk.decomposed, FreeLogicalP: sk.freeLogicalP(dem.P),
 		Edges: slices.Clone(g0.Edges), Clamped: g0.Clamped, adjOff: g0.adjOff, adjList: g0.adjList, skel: sk}
+	sk.mechIndex()
 	p, p0 := dem.P, base.P
 	for mi := range p {
 		if p[mi] == p0[mi] {

@@ -73,7 +73,7 @@ func graphFromCase(tb testing.TB) (patched, base *sim.DEM, baseGraph *Graph) {
 	for i, q := range sites[10:16] {
 		rates[q] = []float64{4e-3, 8e-3, 16e-3}[i%3]
 	}
-	patched, ok := (&sim.Patcher{}).Patch(base, nominal.WithSiteRates(rates))
+	patched, ok := (&sim.Patcher{}).Patch(base, nominal.WithSiteRates(siteRates(rates)))
 	if !ok {
 		tb.Fatal("patch refused")
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"surfdeformer/internal/code"
@@ -91,7 +92,7 @@ func TestRederiveMatchesNewGraph(t *testing.T) {
 				overlay[sites[rng.Intn(len(sites))]] = 16
 			}
 		}
-		variant := nominal.WithSiteRates(overlay)
+		variant := nominal.WithSiteRates(siteRates(overlay))
 		patched, ok := pt.Patch(base, variant)
 		if !ok {
 			t.Fatal("patch refused")
@@ -199,7 +200,7 @@ func FuzzGraphMatchesReference(f *testing.F) {
 					}
 					overlay[sites[rng.Intn(len(sites))]] = r
 				}
-				model = nominal.WithSiteRates(overlay)
+				model = nominal.WithSiteRates(siteRates(overlay))
 			}
 			patched, ok := pt.Patch(base, model)
 			if !ok {
@@ -229,7 +230,7 @@ func TestGraphFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 	bg := NewGraph(base)
-	variant := nominal.WithSiteRates(map[lattice.Coord]float64{c.DataQubits()[0]: 8e-3})
+	variant := nominal.WithSiteRates(siteRates(map[lattice.Coord]float64{c.DataQubits()[0]: 8e-3}))
 	patched, ok := (&sim.Patcher{}).Patch(base, variant)
 	if !ok {
 		t.Fatal("patch refused")
@@ -257,4 +258,41 @@ func TestGraphFrom(t *testing.T) {
 	if obsGraphCacheMisses.Value() != m0 {
 		t.Error("GraphFrom touched the process-wide graph cache")
 	}
+}
+
+// TestGraphFromConcurrentFirstRefold refolds one base graph's skeleton
+// from several goroutines at once, its first refold included, as the
+// trajectories of a fan-out do with the graphs SharedGraph caches: the
+// skeleton's mechanism → edge index is built by whichever refold comes
+// first. Every refold must equal NewGraph's; run it with -race.
+func TestGraphFromConcurrentFirstRefold(t *testing.T) {
+	patched, base, _ := graphFromCase(t)
+	want := NewGraph(patched)
+	for trial := 0; trial < 4; trial++ {
+		bg := NewGraph(base) // a fresh skeleton, its index not yet built
+		got := make([]*Graph, 8)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i] = GraphFrom(patched, base, bg)
+			}(i)
+		}
+		wg.Wait()
+		for i, g := range got {
+			graphsIdentical(t, g, want, fmt.Sprintf("trial %d, goroutine %d", trial, i))
+		}
+	}
+}
+
+// siteRates is the sorted site-rate vector (noise.Model.SiteRates) of a
+// per-site rate map.
+func siteRates(m map[lattice.Coord]float64) []noise.SiteRate {
+	out := make([]noise.SiteRate, 0, len(m))
+	for q, r := range m {
+		out = append(out, noise.SiteRate{Q: q, Rate: r})
+	}
+	slices.SortFunc(out, func(a, b noise.SiteRate) int { return a.Q.Compare(b.Q) })
+	return out
 }

@@ -39,15 +39,44 @@ func Oracle(truth, healthy []lattice.Coord, fp, fn float64, rng *rand.Rand) []la
 // Window is a sliding-window syndrome-rate defect detector. Feed it the
 // per-round firing pattern of each tracked observable; an observable whose
 // event rate within the window exceeds the threshold is flagged.
+//
+// Every observable ever fed owns a dense slot holding its count of firings
+// inside the trailing window. Feed keeps the counts current as the window
+// slides: a queue of the fed firings, in round order, tells it whose
+// firings leave the window. Flagged and EstimateRates then visit only the
+// slots with firings inside the window, never the whole history.
 type Window struct {
-	rounds    int     // window length in rounds
+	rounds    int     // window length in rounds (≥ 1)
 	threshold float64 // firing-rate threshold in (0, 1)
 	halflife  float64 // EstimateRates temporal half-life in rounds (0 = uniform)
 
-	history map[int32][]int // per observable: recent firing rounds
+	history map[int32][]int // per observable: firing rounds since the last Trim, ascending
 	current int
 	first   int  // first round ever fed (for the warm-up window length)
 	started bool // whether any round has been fed yet
+
+	slotOf map[int32]int32 // observable → index into slots
+	slots  []obsSlot
+	live   []int32 // slots with firings inside the window, in no order
+	queue  []firing
+	qHead  int       // queue[qHead:] are the firings inside the window
+	decay  []float64 // decay[a] = 0.5^(a/halflife), grown on demand
+}
+
+// obsSlot is one observable's dense state. Its in-window firings are the
+// last n entries of history[obs], which is always rounds.
+type obsSlot struct {
+	obs    int32
+	rounds []int
+	n      int
+	live   int32 // index in Window.live while n > 0
+}
+
+// firing is one fed (round, observable) pair, queued until it leaves the
+// window.
+type firing struct {
+	round int
+	slot  int32
 }
 
 // NewWindow creates a detector with the given window length and rate
@@ -56,7 +85,7 @@ type Window struct {
 // defect fires at a rate near 0.5, so thresholds around 0.25 separate the
 // two populations after a ~20-round window.
 func NewWindow(rounds int, threshold float64) *Window {
-	return &Window{rounds: rounds, threshold: threshold, history: map[int32][]int{}}
+	return &Window{rounds: rounds, threshold: threshold, history: map[int32][]int{}, slotOf: map[int32]int32{}}
 }
 
 // SetHalflife enables exponential temporal weighting in EstimateRates: a
@@ -72,6 +101,7 @@ func (w *Window) SetHalflife(halflife float64) {
 		halflife = 0
 	}
 	w.halflife = halflife
+	w.decay = w.decay[:0]
 }
 
 // Feed records the observables that fired (produced a detection event) in
@@ -90,10 +120,45 @@ func (w *Window) Feed(round int, fired []int32) {
 	}
 	w.current = round
 	for _, o := range fired {
-		if h := w.history[o]; len(h) > 0 && h[len(h)-1] == round {
+		si, ok := w.slotOf[o]
+		if !ok {
+			si = int32(len(w.slots))
+			w.slotOf[o] = si
+			w.slots = append(w.slots, obsSlot{obs: o})
+		}
+		s := &w.slots[si]
+		if h := s.rounds; len(h) > 0 && h[len(h)-1] == round {
 			continue // duplicate (round, observable) feed
 		}
-		w.history[o] = append(w.history[o], round)
+		s.rounds = append(s.rounds, round)
+		w.history[o] = s.rounds
+		if s.n == 0 {
+			s.live = int32(len(w.live))
+			w.live = append(w.live, si)
+		}
+		s.n++
+		w.queue = append(w.queue, firing{round: round, slot: si})
+	}
+	w.expire()
+}
+
+// expire takes the firings older than the window out of the in-window
+// counts.
+func (w *Window) expire() {
+	lo := w.current - w.rounds + 1
+	for w.qHead < len(w.queue) && w.queue[w.qHead].round < lo {
+		si := w.queue[w.qHead].slot
+		w.qHead++
+		s := &w.slots[si]
+		if s.n--; s.n == 0 {
+			last := w.live[len(w.live)-1]
+			w.live[s.live] = last
+			w.slots[last].live = s.live
+			w.live = w.live[:len(w.live)-1]
+		}
+	}
+	if w.qHead == len(w.queue) {
+		w.queue, w.qHead = w.queue[:0], 0
 	}
 }
 
@@ -117,25 +182,26 @@ func (w *Window) effectiveRounds() int {
 // length, so defects striking before one full window has elapsed are judged
 // by the same rate criterion as late ones.
 func (w *Window) Flagged() []int32 {
+	return w.AppendFlagged(nil)
+}
+
+// AppendFlagged appends Flagged's observables, sorted, to dst and returns
+// the extended slice, so a caller that flags every round can reuse one
+// buffer. It returns dst unchanged (nil for a nil dst) when nothing is
+// flagged.
+func (w *Window) AppendFlagged(dst []int32) []int32 {
 	eff := w.effectiveRounds()
 	if eff == 0 {
-		return nil
+		return dst
 	}
-	lo := w.current - w.rounds + 1
-	var out []int32
-	for o, rounds := range w.history {
-		n := 0
-		for _, r := range rounds {
-			if r >= lo {
-				n++
-			}
-		}
-		if float64(n) >= w.threshold*float64(eff) {
-			out = append(out, o)
+	n := len(dst)
+	for _, si := range w.live {
+		if s := &w.slots[si]; float64(s.n) >= w.threshold*float64(eff) {
+			dst = append(dst, s.obs)
 		}
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // RateEstimate is one observable with sustained elevated firing: the
@@ -191,27 +257,27 @@ func (w *Window) EstimateRates(p float64, baseline func(int32) float64, minMulti
 	if minFirings < 1 {
 		minFirings = 1
 	}
-	lo := w.current - w.rounds + 1
 	// Under exponential weighting the denominator is the total weight of
 	// the rounds inside the effective window; it depends only on (eff,
 	// halflife), so hoist it out of the per-observable loop.
 	var weightedEff float64
+	logNominal := math.Log(1 - 2*p) // each k below divides by it
 	if w.halflife > 0 {
-		for a := 0; a < eff; a++ {
-			weightedEff += math.Pow(0.5, float64(a)/w.halflife)
+		for a := len(w.decay); a < eff; a++ {
+			w.decay = append(w.decay, math.Pow(0.5, float64(a)/w.halflife))
+		}
+		for _, d := range w.decay[:eff] {
+			weightedEff += d
 		}
 	}
 	var out []RateEstimate
-	for o, rounds := range w.history {
-		n := 0
-		for _, r := range rounds {
-			if r >= lo {
-				n++
-			}
-		}
+	for li, si := range w.live {
+		s := &w.slots[si]
+		n := s.n
 		if n < minFirings {
 			continue
 		}
+		o := s.obs
 		f0 := baseline(o)
 		if f0 <= 0 {
 			continue
@@ -226,12 +292,10 @@ func (w *Window) EstimateRates(p float64, baseline func(int32) float64, minMulti
 			// estimate with the half-life instead of persisting until it
 			// slides past the window edge. The minFirings gate above
 			// stays on the raw count — "sustained" is about evidence,
-			// not recency.
+			// not recency. The mass sums in ascending round order.
 			var mass float64
-			for _, r := range rounds {
-				if r >= lo {
-					mass += math.Pow(0.5, float64(w.current-r)/w.halflife)
-				}
+			for _, r := range s.rounds[len(s.rounds)-n:] {
+				mass += w.decay[w.current-r]
 			}
 			raw = mass / weightedEff
 		}
@@ -239,7 +303,7 @@ func (w *Window) EstimateRates(p float64, baseline func(int32) float64, minMulti
 		if f > maxFireRate {
 			f = maxFireRate
 		}
-		k := math.Log(1-2*f0) / math.Log(1-2*p)
+		k := math.Log(1-2*f0) / logNominal
 		if k < 1 {
 			k = 1
 		}
@@ -248,6 +312,9 @@ func (w *Window) EstimateRates(p float64, baseline func(int32) float64, minMulti
 		if mult < minMultiplier {
 			continue
 		}
+		if out == nil {
+			out = make([]RateEstimate, 0, len(w.live)-li) // the remaining slots bound the result
+		}
 		out = append(out, RateEstimate{Observable: o, FireRate: raw, Baseline: f0, Multiplier: mult})
 	}
 	slices.SortFunc(out, func(a, b RateEstimate) int { return int(a.Observable) - int(b.Observable) })
@@ -255,20 +322,21 @@ func (w *Window) EstimateRates(p float64, baseline func(int32) float64, minMulti
 }
 
 // Trim drops history older than the window (call occasionally on long
-// streams to bound memory).
+// streams to bound memory). The in-window counts say how much of each
+// observable's history to keep, so no round is compared.
 func (w *Window) Trim() {
-	lo := w.current - w.rounds + 1
-	for o, rounds := range w.history {
-		keep := rounds[:0]
-		for _, r := range rounds {
-			if r >= lo {
-				keep = append(keep, r)
-			}
+	for i := range w.slots {
+		s := &w.slots[i]
+		if len(s.rounds) == s.n {
+			continue // nothing older than the window
 		}
-		if len(keep) == 0 {
-			delete(w.history, o)
+		s.rounds = s.rounds[:copy(s.rounds, s.rounds[len(s.rounds)-s.n:])]
+		if s.n == 0 {
+			delete(w.history, s.obs)
 			continue
 		}
-		w.history[o] = keep
+		w.history[s.obs] = s.rounds
 	}
+	w.queue = w.queue[:copy(w.queue, w.queue[w.qHead:])]
+	w.qHead = 0
 }

@@ -78,14 +78,18 @@ func abs(x int) int {
 	return x
 }
 
+// Compare orders coordinates row-major, like Less, as a three-way result
+// for slices.SortFunc and slices.BinarySearchFunc.
+func (c Coord) Compare(d Coord) int {
+	if r := cmp.Compare(c.Row, d.Row); r != 0 {
+		return r
+	}
+	return cmp.Compare(c.Col, d.Col)
+}
+
 // SortCoords sorts a coordinate slice in row-major order (Coord.Less).
 func SortCoords(cs []Coord) {
-	slices.SortFunc(cs, func(a, b Coord) int {
-		if c := cmp.Compare(a.Row, b.Row); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Col, b.Col)
-	})
+	slices.SortFunc(cs, Coord.Compare)
 }
 
 // CheckType distinguishes the two stabilizer flavours.

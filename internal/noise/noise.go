@@ -4,7 +4,11 @@
 // describing dynamic-defect regions with elevated error rates.
 package noise
 
-import "surfdeformer/internal/lattice"
+import (
+	"slices"
+
+	"surfdeformer/internal/lattice"
+)
 
 // Model is a circuit-level Pauli error model.
 //
@@ -34,10 +38,91 @@ type Model struct {
 	// SiteRates elevates individual qubits to individual rates — the
 	// multi-species defect picture (cosmic-ray regions at ≈50%, leakage
 	// neighbourhoods at ≈25%, drifted qubits at a few ×p) the trajectory
-	// engine composes. A SiteRates entry takes precedence over Defective
-	// for the same qubit; two-qubit gates use the largest rate among the
-	// qubits they touch.
-	SiteRates map[lattice.Coord]float64
+	// engine composes. It is sorted by coordinate (lattice.Coord.Compare)
+	// and holds each coordinate at most once: the DEM cache key encodes it
+	// as it stands, and lookups binary-search it. An entry is an override
+	// even at rate 0: it takes precedence over Defective for the same qubit
+	// and over the scalar rates; two-qubit gates use the largest rate among
+	// the qubits they touch.
+	SiteRates []SiteRate
+}
+
+// SiteRate is one qubit's rate override.
+type SiteRate struct {
+	Q    lattice.Coord
+	Rate float64
+}
+
+// OverlayRates appends to dst the max-wins overlay of over on base, two
+// sorted site-rate vectors, in one linear merge: every entry of base,
+// raised to over's rate at the same coordinate where that is larger, and
+// every entry of over at a coordinate base lacks whose rate is positive.
+// That is exactly what writing over into a map holding base with
+// "if r > m[q] { m[q] = r }" leaves, absent coordinates reading 0, so the
+// result gains an entry only where such a map would. dst must not overlap
+// base or over.
+func OverlayRates(dst, base, over []SiteRate) []SiteRate {
+	i, j := 0, 0
+	for i < len(base) || j < len(over) {
+		var c int
+		switch {
+		case j == len(over):
+			c = -1
+		case i == len(base):
+			c = 1
+		default:
+			c = base[i].Q.Compare(over[j].Q)
+		}
+		switch {
+		case c < 0:
+			dst = append(dst, base[i])
+			i++
+		case c > 0:
+			if over[j].Rate > 0 {
+				dst = append(dst, over[j])
+			}
+			j++
+		default:
+			sr := base[i]
+			if over[j].Rate > sr.Rate {
+				sr.Rate = over[j].Rate
+			}
+			dst = append(dst, sr)
+			i++
+			j++
+		}
+	}
+	return dst
+}
+
+// CompactRates sorts rates by coordinate and compacts them in place, max
+// wins per coordinate, keeping a coordinate only where its largest rate is
+// positive: the vector that writing each entry into an empty map with
+// "if r > m[q] { m[q] = r }" leaves. It returns the compacted prefix.
+func CompactRates(rates []SiteRate) []SiteRate {
+	slices.SortFunc(rates, func(a, b SiteRate) int { return a.Q.Compare(b.Q) })
+	out := rates[:0]
+	for _, sr := range rates {
+		if n := len(out); n > 0 && out[n-1].Q == sr.Q {
+			if sr.Rate > out[n-1].Rate {
+				out[n-1].Rate = sr.Rate
+			}
+			continue
+		}
+		if sr.Rate > 0 {
+			out = append(out, sr)
+		}
+	}
+	return out
+}
+
+// siteRate returns q's SiteRates entry, if any.
+func (m *Model) siteRate(q lattice.Coord) (float64, bool) {
+	i, ok := slices.BinarySearchFunc(m.SiteRates, q, func(sr SiteRate, q lattice.Coord) int { return sr.Q.Compare(q) })
+	if !ok {
+		return 0, false
+	}
+	return m.SiteRates[i].Rate, true
 }
 
 // Uniform returns the paper's baseline model with all rates equal to p.
@@ -66,53 +151,50 @@ func (m *Model) WithCorrelated(pc float64) *Model {
 }
 
 // WithSiteRates returns a copy of the model with the given per-qubit rate
-// overrides. The map is adopted, not copied: callers must not mutate it
-// afterwards (DEM caches fingerprint it).
-func (m *Model) WithSiteRates(rates map[lattice.Coord]float64) *Model {
+// overrides, a vector sorted by coordinate with each coordinate at most
+// once (see SiteRates). The vector is adopted, not copied: callers must not
+// mutate it while the model is in use, and a model a DEM or a cache keeps
+// must own its vector.
+func (m *Model) WithSiteRates(rates []SiteRate) *Model {
 	c := *m
 	c.SiteRates = rates
 	return &c
 }
 
 // OverlaySiteRates returns a copy of the model with the given per-qubit
-// rates overlaid on any existing SiteRates: for each site the larger rate
-// wins, so composing an estimated-prior overlay can only elevate, never
-// mask, an existing override. Unlike WithSiteRates, both input maps are
-// left untouched (the copy owns a fresh map), so callers may keep mutating
-// their overlay; the returned model must not be mutated afterwards (DEM
-// caches fingerprint it). The reweight tier composes decode models this
-// way: nominal priors plus the detector's estimated elevations.
-func (m *Model) OverlaySiteRates(rates map[lattice.Coord]float64) *Model {
+// rates, a sorted vector, overlaid on any existing SiteRates (OverlayRates):
+// for each site the larger rate wins, so composing an estimated-prior
+// overlay can only elevate, never mask, an existing override. Unlike
+// WithSiteRates, both input vectors are left untouched (the copy owns a
+// fresh vector), so callers may keep reusing their overlay's storage; the
+// returned model must not be mutated afterwards (DEM caches key on it).
+func (m *Model) OverlaySiteRates(rates []SiteRate) *Model {
 	c := *m
-	c.SiteRates = make(map[lattice.Coord]float64, len(m.SiteRates)+len(rates))
-	for q, r := range m.SiteRates {
-		c.SiteRates[q] = r
-	}
-	for q, r := range rates {
-		if r > c.SiteRates[q] {
-			c.SiteRates[q] = r
-		}
-	}
+	c.SiteRates = OverlayRates(make([]SiteRate, 0, len(m.SiteRates)+len(rates)), m.SiteRates, rates)
 	return &c
 }
 
-// DeviceDefectRates builds the per-site rate map of a device's permanent
-// fabrication defects (defect.Device): every listed site at the device's
-// defective-site error rate. The result feeds WithSiteRates /
-// OverlaySiteRates like any dynamic-defect map — fabrication defects are
-// just site-rate elevations that never subside, so the trajectory engine
-// merges them (max-wins) under whatever dynamic events strike on top.
-func DeviceDefectRates(sites []lattice.Coord, rate float64) map[lattice.Coord]float64 {
-	out := make(map[lattice.Coord]float64, len(sites))
-	for _, q := range sites {
-		out[q] = rate
+// DeviceDefectRates builds the per-site rate vector of a device's
+// permanent fabrication defects (defect.Device): every listed site, once,
+// at the device's defective-site error rate, sorted by coordinate. The
+// result feeds WithSiteRates / OverlayRates like any dynamic-defect vector
+// — fabrication defects are just site-rate elevations that never subside,
+// so the trajectory engine merges them (max-wins) under whatever dynamic
+// events strike on top.
+func DeviceDefectRates(sites []lattice.Coord, rate float64) []SiteRate {
+	qs := slices.Clone(sites)
+	lattice.SortCoords(qs)
+	qs = slices.Compact(qs)
+	out := make([]SiteRate, len(qs))
+	for i, q := range qs {
+		out[i] = SiteRate{Q: q, Rate: rate}
 	}
 	return out
 }
 
 // IsDefective reports whether q lies in a defect region.
 func (m *Model) IsDefective(q lattice.Coord) bool {
-	if _, ok := m.SiteRates[q]; ok {
+	if _, ok := m.siteRate(q); ok {
 		return true
 	}
 	return m.Defective[q]
@@ -154,7 +236,7 @@ func GateRate(a, b Override, base float64) float64 {
 // override returns the override at q: its SiteRates entry, else DefectRate
 // when q is Defective.
 func (m *Model) override(q lattice.Coord) Override {
-	if r, ok := m.SiteRates[q]; ok {
+	if r, ok := m.siteRate(q); ok {
 		return Override{Rate: r, Set: true}
 	}
 	if m.Defective[q] {

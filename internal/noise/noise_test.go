@@ -2,6 +2,8 @@ package noise
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"surfdeformer/internal/lattice"
@@ -56,7 +58,7 @@ func TestSiteRateOverrides(t *testing.T) {
 	warm := lattice.Coord{Row: 3, Col: 3} // drifted: 1e-2
 	hot := lattice.Coord{Row: 5, Col: 5}  // leaked neighbour: 0.25
 	cold := lattice.Coord{Row: 1, Col: 1}
-	m := Uniform(1e-3).WithSiteRates(map[lattice.Coord]float64{warm: 1e-2, hot: 0.25})
+	m := Uniform(1e-3).WithSiteRates([]SiteRate{{warm, 1e-2}, {hot, 0.25}})
 	if got := m.Rate1(warm); got != 1e-2 {
 		t.Errorf("Rate1(warm) = %v, want 1e-2", got)
 	}
@@ -114,7 +116,7 @@ func TestGateRatePrecedence(t *testing.T) {
 		t.Errorf("unset Or = %v, want the base", got)
 	}
 	lowQ, highQ, cold := lattice.Coord{Row: 1, Col: 1}, lattice.Coord{Row: 1, Col: 3}, lattice.Coord{Row: 3, Col: 3}
-	m := Uniform(1e-3).WithSiteRates(map[lattice.Coord]float64{lowQ: 2.5e-4, highQ: 8e-3})
+	m := Uniform(1e-3).WithSiteRates([]SiteRate{{lowQ, 2.5e-4}, {highQ, 8e-3}})
 	if m.Rate1(lowQ) != 2.5e-4 || m.RateM(lowQ) != 2.5e-4 || m.Rate2(lowQ, cold) != 2.5e-4 || m.Rate2(cold, lowQ) != 2.5e-4 {
 		t.Error("an override below the base rate must replace it")
 	}
@@ -134,14 +136,14 @@ func TestWithCorrelated(t *testing.T) {
 }
 
 // TestOverlaySiteRates pins the reweight tier's composition helper: the
-// larger rate wins per site, neither input map is mutated, and the copy
+// larger rate wins per site, neither input vector is mutated, and the copy
 // owns fresh storage.
 func TestOverlaySiteRates(t *testing.T) {
 	a := lattice.Coord{Row: 1, Col: 1}
 	b := lattice.Coord{Row: 1, Col: 3}
 	c := lattice.Coord{Row: 3, Col: 1}
-	base := Uniform(1e-3).WithSiteRates(map[lattice.Coord]float64{a: 0.25, b: 0.01})
-	overlay := map[lattice.Coord]float64{b: 0.05, c: 0.02}
+	base := Uniform(1e-3).WithSiteRates([]SiteRate{{a, 0.25}, {b, 0.01}})
+	overlay := []SiteRate{{b, 0.05}, {c, 0.02}}
 	m := base.OverlaySiteRates(overlay)
 	if got := m.Rate1(a); got != 0.25 {
 		t.Errorf("Rate1(a) = %v, want the existing 0.25 kept", got)
@@ -153,22 +155,104 @@ func TestOverlaySiteRates(t *testing.T) {
 		t.Errorf("Rate1(c) = %v, want the overlaid 0.02", got)
 	}
 	// An overlay below the existing override never masks it.
-	if got := base.OverlaySiteRates(map[lattice.Coord]float64{a: 0.1}).Rate1(a); got != 0.25 {
+	if got := base.OverlaySiteRates([]SiteRate{{a, 0.1}}).Rate1(a); got != 0.25 {
 		t.Errorf("smaller overlay masked the override: %v", got)
 	}
 	// Inputs are untouched; the copy owns fresh storage.
-	if base.SiteRates[b] != 0.01 || len(base.SiteRates) != 2 {
+	if !slices.Equal(base.SiteRates, []SiteRate{{a, 0.25}, {b, 0.01}}) {
 		t.Errorf("base model mutated: %v", base.SiteRates)
 	}
-	if overlay[b] != 0.05 || len(overlay) != 2 {
-		t.Errorf("overlay map mutated: %v", overlay)
+	if !slices.Equal(overlay, []SiteRate{{b, 0.05}, {c, 0.02}}) {
+		t.Errorf("overlay vector mutated: %v", overlay)
 	}
-	m.SiteRates[c] = 0.5
-	if base.SiteRates[c] != 0 {
+	m.SiteRates[0].Rate = 0.5
+	if base.SiteRates[0].Rate != 0.25 {
 		t.Error("overlaid model shares storage with the base model")
 	}
-	// Overlaying onto a model with no overrides works from a nil map.
+	// Overlaying onto a model with no overrides works from a nil vector.
 	if got := Uniform(1e-3).OverlaySiteRates(overlay).Rate1(c); got != 0.02 {
 		t.Errorf("overlay on clean model = %v, want 0.02", got)
+	}
+}
+
+// TestOverlayRatesMatchesMap pins OverlayRates against the map rule it
+// replaced: write base into a map, then each overlay rate r at q with
+// "if r > m[q] { m[q] = r }". Rates include zeros of both signs, negative
+// rates and NaN, so the result must gain and lose entries exactly where the
+// map does, and keep each value bit for bit.
+func TestOverlayRatesMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	rates := []float64{0, math.Copysign(0, -1), -1e-3, math.NaN(), 1e-3, 2e-3, 0.25, 0.5}
+	vector := func() []SiteRate {
+		m := map[lattice.Coord]float64{}
+		for k := rng.Intn(8); k > 0; k-- {
+			m[lattice.Coord{Row: rng.Intn(4), Col: rng.Intn(4)}] = rates[rng.Intn(len(rates))]
+		}
+		out := make([]SiteRate, 0, len(m))
+		for q, r := range m {
+			out = append(out, SiteRate{q, r})
+		}
+		slices.SortFunc(out, func(a, b SiteRate) int { return a.Q.Compare(b.Q) })
+		return out
+	}
+	for trial := 0; trial < 2000; trial++ {
+		base, over := vector(), vector()
+		want := map[lattice.Coord]float64{}
+		for _, sr := range base {
+			want[sr.Q] = sr.Rate
+		}
+		for _, sr := range over {
+			if sr.Rate > want[sr.Q] {
+				want[sr.Q] = sr.Rate
+			}
+		}
+		got := OverlayRates(nil, base, over)
+		if len(got) != len(want) || !slices.IsSortedFunc(got, func(a, b SiteRate) int { return a.Q.Compare(b.Q) }) {
+			t.Fatalf("OverlayRates(%v, %v) = %v, map rule %v", base, over, got, want)
+		}
+		for _, sr := range got {
+			if r, ok := want[sr.Q]; !ok || math.Float64bits(r) != math.Float64bits(sr.Rate) {
+				t.Fatalf("OverlayRates(%v, %v) = %v, map rule %v", base, over, got, want)
+			}
+		}
+	}
+}
+
+// TestCompactRatesMatchesMap pins CompactRates against the same map rule,
+// written from an empty map: candidates repeat coordinates and carry
+// zeros, negative rates and NaN.
+func TestCompactRatesMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	rates := []float64{0, math.Copysign(0, -1), -1e-3, math.NaN(), 1e-3, 2e-3, 0.25, 0.5}
+	for trial := 0; trial < 2000; trial++ {
+		var cands []SiteRate
+		want := map[lattice.Coord]float64{}
+		for k := rng.Intn(10); k > 0; k-- {
+			sr := SiteRate{lattice.Coord{Row: rng.Intn(3), Col: rng.Intn(3)}, rates[rng.Intn(len(rates))]}
+			cands = append(cands, sr)
+			if sr.Rate > want[sr.Q] {
+				want[sr.Q] = sr.Rate
+			}
+		}
+		in := slices.Clone(cands)
+		got := CompactRates(cands)
+		if len(got) != len(want) || !slices.IsSortedFunc(got, func(a, b SiteRate) int { return a.Q.Compare(b.Q) }) {
+			t.Fatalf("CompactRates(%v) = %v, map rule %v", in, got, want)
+		}
+		for _, sr := range got {
+			if r, ok := want[sr.Q]; !ok || math.Float64bits(r) != math.Float64bits(sr.Rate) {
+				t.Fatalf("CompactRates(%v) = %v, map rule %v", in, got, want)
+			}
+		}
+	}
+}
+
+// TestDeviceDefectRates pins the device vector: every listed site once,
+// sorted, at the device rate — a zero rate included.
+func TestDeviceDefectRates(t *testing.T) {
+	a, b := lattice.Coord{Row: 1, Col: 1}, lattice.Coord{Row: 0, Col: 2}
+	got := DeviceDefectRates([]lattice.Coord{a, b, a}, 0)
+	if want := []SiteRate{{b, 0}, {a, 0}}; !slices.Equal(got, want) {
+		t.Errorf("DeviceDefectRates = %v, want %v", got, want)
 	}
 }

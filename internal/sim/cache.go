@@ -137,9 +137,12 @@ func (dc *DEMCache) Stats() CacheStats {
 //     distinguishes −0 from +0);
 //   - Defective and SiteRates enter as one compact string: the
 //     count-prefixed sorted defective coordinates (false entries too) as
-//     varints, then the sorted overrides as varint coordinates and
-//     canonical rate bits. It is empty when both maps are, so a lookup on
-//     a plain scalar model allocates nothing.
+//     varints, then the overrides as varint coordinates and canonical rate
+//     bits, in the vector's own order — SiteRates is sorted by coordinate
+//     and holds each coordinate once (noise.Model.SiteRates), so the
+//     encoding is straight, with no sort. It is empty when the map and the
+//     vector both are, so a lookup on a plain scalar model allocates
+//     nothing.
 type DEMKey struct {
 	code   uint64
 	rounds int
@@ -176,22 +179,18 @@ func siteKey(m *noise.Model) string {
 	var coordBuf [32]lattice.Coord
 	var byteBuf [256]byte
 	b := binary.AppendUvarint(byteBuf[:0], uint64(len(m.Defective)))
-	for _, q := range sortedKeys(coordBuf[:0], m.Defective) {
+	defs := coordBuf[:0]
+	for q := range m.Defective {
+		defs = append(defs, q)
+	}
+	lattice.SortCoords(defs)
+	for _, q := range defs {
 		b = appendCoord(b, q)
 	}
-	for _, q := range sortedKeys(coordBuf[:0], m.SiteRates) {
-		b = binary.LittleEndian.AppendUint64(appendCoord(b, q), rateBits(m.SiteRates[q]))
+	for _, sr := range m.SiteRates {
+		b = binary.LittleEndian.AppendUint64(appendCoord(b, sr.Q), rateBits(sr.Rate))
 	}
 	return string(b)
-}
-
-// sortedKeys appends the keys of m to buf in lattice.SortCoords order.
-func sortedKeys[V any](buf []lattice.Coord, m map[lattice.Coord]V) []lattice.Coord {
-	for q := range m {
-		buf = append(buf, q)
-	}
-	lattice.SortCoords(buf)
-	return buf
 }
 
 // appendCoord appends q as two varints.

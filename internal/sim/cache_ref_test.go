@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -41,18 +43,15 @@ func refWriteModelFingerprint(sb *strings.Builder, m *noise.Model) {
 	}
 	if len(m.SiteRates) > 0 {
 		sb.WriteString("sr:")
-		var sites []lattice.Coord
-		for q := range m.SiteRates {
-			sites = append(sites, q)
-		}
-		lattice.SortCoords(sites)
-		for _, q := range sites {
+		sites := slices.Clone(m.SiteRates)
+		sort.Slice(sites, func(i, j int) bool { return sites[i].Q.Less(sites[j].Q) })
+		for _, sr := range sites {
 			// Exact (hex-float) rate encoding: site rates are products of
 			// quantized power-of-two multipliers and physical rates, and the
 			// key must never identify two models whose rates differ in any
 			// bit — nor split one overlay into two keys by formatting.
-			fmt.Fprintf(sb, "%d.%d=", q.Row, q.Col)
-			sb.WriteString(strconv.FormatFloat(m.SiteRates[q], 'x', -1, 64))
+			fmt.Fprintf(sb, "%d.%d=", sr.Q.Row, sr.Q.Col)
+			sb.WriteString(strconv.FormatFloat(sr.Rate, 'x', -1, 64))
 			sb.WriteByte(',')
 		}
 	}
@@ -68,8 +67,9 @@ func refWriteModelFingerprint(sb *strings.Builder, m *noise.Model) {
 // coordinates, Defective sets (false entries included), 0–12 site
 // overrides, and any round count and basis byte. Each model also meets
 // deliberate near-pairs: another NaN payload, the other zero or a rate one
-// ulp away (in a scalar and in a site override), its maps refilled in
-// reverse insertion order, and an empty map in place of a nil one.
+// ulp away (in a scalar and in a site override), its Defective map
+// refilled in reverse insertion order, its site vector copied into fresh
+// storage, and an empty map or vector in place of a nil one.
 func TestDEMCacheKeyMatchesReference(t *testing.T) {
 	var codes []*code.Code
 	var rng *rand.Rand
@@ -169,7 +169,11 @@ func TestDEMCacheKeyMatchesReference(t *testing.T) {
 		}
 		reordered := *m
 		if m.Defective != nil {
-			defs := sortedKeys(nil, m.Defective)
+			var defs []lattice.Coord
+			for q := range m.Defective {
+				defs = append(defs, q)
+			}
+			lattice.SortCoords(defs)
 			reordered.Defective = make(map[lattice.Coord]bool, len(defs))
 			for i := len(defs) - 1; i >= 0; i-- {
 				reordered.Defective[defs[i]] = m.Defective[defs[i]]
@@ -177,16 +181,11 @@ func TestDEMCacheKeyMatchesReference(t *testing.T) {
 		}
 		site := *m
 		if m.SiteRates != nil {
-			sites := sortedKeys(nil, m.SiteRates)
-			reordered.SiteRates = make(map[lattice.Coord]float64, len(sites))
-			site.SiteRates = make(map[lattice.Coord]float64, len(sites))
-			for i := len(sites) - 1; i >= 0; i-- {
-				reordered.SiteRates[sites[i]] = m.SiteRates[sites[i]]
-				site.SiteRates[sites[i]] = m.SiteRates[sites[i]]
-			}
-			if len(sites) > 0 {
-				q := sites[rng.Intn(len(sites))]
-				site.SiteRates[q] = near(site.SiteRates[q])
+			reordered.SiteRates = slices.Clone(m.SiteRates)
+			site.SiteRates = slices.Clone(m.SiteRates)
+			if len(site.SiteRates) > 0 {
+				sr := &site.SiteRates[rng.Intn(len(site.SiteRates))]
+				sr.Rate = near(sr.Rate)
 			}
 		}
 		empty := *m
@@ -194,7 +193,7 @@ func TestDEMCacheKeyMatchesReference(t *testing.T) {
 			empty.Defective = map[lattice.Coord]bool{}
 		}
 		if m.SiteRates == nil {
-			empty.SiteRates = map[lattice.Coord]float64{}
+			empty.SiteRates = []noise.SiteRate{}
 		}
 		return []*noise.Model{&scalar, &reordered, &site, &empty}
 	}
@@ -225,10 +224,13 @@ func TestDEMCacheKeyMatchesReference(t *testing.T) {
 			}
 		}
 		if n := rng.Intn(13); n > 0 || rng.Intn(2) == 0 {
-			m.SiteRates = make(map[lattice.Coord]float64, n)
+			// A valid vector: sorted by coordinate, each coordinate once.
+			m.SiteRates = make([]noise.SiteRate, 0, n)
 			for j := 0; j < n; j++ {
-				m.SiteRates[coord()] = rate()
+				m.SiteRates = append(m.SiteRates, noise.SiteRate{Q: coord(), Rate: rate()})
 			}
+			slices.SortStableFunc(m.SiteRates, func(a, b noise.SiteRate) int { return a.Q.Compare(b.Q) })
+			m.SiteRates = slices.CompactFunc(m.SiteRates, func(a, b noise.SiteRate) bool { return a.Q == b.Q })
 		}
 		rounds := rng.Intn(64) - 8
 		if rng.Intn(50) == 0 {

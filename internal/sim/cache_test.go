@@ -74,8 +74,8 @@ func TestDEMCacheMissesOnAnyDifference(t *testing.T) {
 		{"rate", c, noise.Uniform(2e-3), 4, lattice.ZCheck},
 		{"defects", c, model.WithDefects([]lattice.Coord{{Row: 1, Col: 1}}, 0.5), 4, lattice.ZCheck},
 		{"correlated", c, model.WithCorrelated(1e-4), 4, lattice.ZCheck},
-		{"siterates", c, model.WithSiteRates(map[lattice.Coord]float64{{Row: 1, Col: 1}: 0.25}), 4, lattice.ZCheck},
-		{"siterate-value", c, model.WithSiteRates(map[lattice.Coord]float64{{Row: 1, Col: 1}: 0.5}), 4, lattice.ZCheck},
+		{"siterates", c, model.WithSiteRates(siteRates(map[lattice.Coord]float64{{Row: 1, Col: 1}: 0.25})), 4, lattice.ZCheck},
+		{"siterate-value", c, model.WithSiteRates(siteRates(map[lattice.Coord]float64{{Row: 1, Col: 1}: 0.5})), 4, lattice.ZCheck},
 		{"code", freshCode(t, 5), model, 4, lattice.ZCheck},
 	}
 	for _, v := range variants {
@@ -193,7 +193,7 @@ func TestDEMCacheAcrossInternReset(t *testing.T) {
 	}
 	demValuesEqual(t, dem, oldDEM, "rebuilt nominal")
 
-	variant := nominal.WithSiteRates(map[lattice.Coord]float64{c.DataQubits()[0]: 8e-3})
+	variant := nominal.WithSiteRates(siteRates(map[lattice.Coord]float64{c.DataQubits()[0]: 8e-3}))
 	builds := obs.Default().Counter("sim.dem.builds")
 	patches := obs.Default().Counter("sim.dem.patches")
 	b0, p0 := builds.Value(), patches.Value()

@@ -598,7 +598,7 @@ func demModels(c *code.Code, rng *rand.Rand) []namedModel {
 	return []namedModel{
 		{"uniform", uniform},
 		{"correlated", uniform.WithCorrelated(p / 4)},
-		{"site-rates", uniform.WithSiteRates(randomOverlay(rng, sites, p))},
+		{"site-rates", uniform.WithSiteRates(siteRates(randomOverlay(rng, sites, p)))},
 		{"defects", uniform.WithDefects(defects, noise.DefaultDefectRate)},
 		{"p1-zero", &noise.Model{P2: p, PM: p}},
 		{"pm-zero", &noise.Model{P1: p, P2: p}},

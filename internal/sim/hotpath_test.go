@@ -127,7 +127,7 @@ func BenchmarkDEMPatch(b *testing.B) {
 	for i, q := range sites[10:16] {
 		rates[q] = []float64{4e-3, 8e-3, 16e-3}[i%3]
 	}
-	variant := nominal.WithSiteRates(rates)
+	variant := nominal.WithSiteRates(siteRates(rates))
 	pt := &Patcher{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

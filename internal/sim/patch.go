@@ -102,9 +102,9 @@ func (pc *planCore) resolve(t *rateTable, m *noise.Model) {
 			blk[qi] = noise.Override{Rate: max(m.DefectRate, 0), Set: true}
 		}
 	}
-	for q, r := range m.SiteRates {
-		if qi, ok := pc.qIdx[q]; ok {
-			blk[qi] = noise.Override{Rate: max(r, 0), Set: true}
+	for _, sr := range m.SiteRates {
+		if qi, ok := pc.qIdx[sr.Q]; ok {
+			blk[qi] = noise.Override{Rate: max(sr.Rate, 0), Set: true}
 		}
 	}
 	corr := 0.0

@@ -146,7 +146,7 @@ func TestIncrementalDEMMatchesFullRebuild(t *testing.T) {
 						}
 					}
 				}
-				variant := nominal.WithSiteRates(cloneRates(active))
+				variant := nominal.WithSiteRates(siteRates(active))
 				want := refDEM(t, tc.c, variant, 4, basis)
 				full, err := BuildDEM(tc.c, variant, 4, basis)
 				if err != nil {
@@ -224,7 +224,7 @@ func TestDEMPatchLowerOverrideMatchesBuild(t *testing.T) {
 				if third := sites[(i+len(sites)/2)%len(sites)]; rates[third] == 0 {
 					rates[third] = 1e-4
 				}
-				variant := nominal.WithSiteRates(rates)
+				variant := nominal.WithSiteRates(siteRates(rates))
 				want, err := BuildDEM(tc.c, variant, 4, basis)
 				if err != nil {
 					t.Fatal(err)
@@ -350,7 +350,7 @@ func randomPatchModel(rng *rand.Rand, nominal *noise.Model, sites []lattice.Coor
 		}
 		rates[q] = r
 	}
-	return m.WithSiteRates(rates)
+	return m.WithSiteRates(siteRates(rates))
 }
 
 // refDEM is refBuildDEM's DEM of a single-model build.
@@ -385,7 +385,7 @@ func TestDEMPatchNoOverlayReturnsBase(t *testing.T) {
 	if got, ok := pt.Patch(base, nominal); !ok || got != base {
 		t.Errorf("patch to the base model = (%p, %v), want the base pointer back", got, ok)
 	}
-	offCircuit := nominal.WithSiteRates(map[lattice.Coord]float64{{Row: 99, Col: 99}: 0.25})
+	offCircuit := nominal.WithSiteRates(siteRates(map[lattice.Coord]float64{{Row: 99, Col: 99}: 0.25}))
 	if got, ok := pt.Patch(base, offCircuit); !ok || got != base {
 		t.Errorf("off-circuit overlay = (%p, %v), want the base pointer back", got, ok)
 	}
@@ -415,7 +415,7 @@ func TestDEMPatchFallsBack(t *testing.T) {
 			{"scalar-rate", noise.Uniform(2e-3).WithCorrelated(bm.PCorrelated)},
 			{"zero-idle", &noise.Model{P2: 1e-3, PM: 1e-3, PCorrelated: bm.PCorrelated}},
 			{"defects", bm.WithDefects([]lattice.Coord{site}, 0.5)},
-			{"zero-override", bm.WithSiteRates(map[lattice.Coord]float64{site: 0})},
+			{"zero-override", bm.WithSiteRates(siteRates(map[lattice.Coord]float64{site: 0}))},
 		}
 		if bm.PCorrelated > 0 {
 			cases = append(cases, struct {
@@ -442,7 +442,7 @@ func TestDEMPatchFallsBack(t *testing.T) {
 	if _, ok := pt.Patch(base, nominal.WithCorrelated(1e-4)); ok {
 		t.Error("patch rated a correlated pair the base's structure lacks")
 	}
-	variant := nominal.WithSiteRates(map[lattice.Coord]float64{site: 0.25})
+	variant := nominal.WithSiteRates(siteRates(map[lattice.Coord]float64{site: 0.25}))
 	planless := &DEM{NumDets: base.NumDets, Mechs: base.Mechs}
 	if _, ok := pt.Patch(planless, variant); ok {
 		t.Error("patch accepted a DEM without a contribution plan")
@@ -483,7 +483,7 @@ func TestDEMPatchSharesMechanisms(t *testing.T) {
 	}
 	mechs, ps := slices.Clone(base.Mechs), slices.Clone(base.P)
 	pt := &Patcher{}
-	got, ok := pt.Patch(base, nominal.WithSiteRates(map[lattice.Coord]float64{c.DataQubits()[0]: 8e-3}))
+	got, ok := pt.Patch(base, nominal.WithSiteRates(siteRates(map[lattice.Coord]float64{c.DataQubits()[0]: 8e-3})))
 	if !ok {
 		t.Fatal("patch refused")
 	}
@@ -516,10 +516,10 @@ func TestDEMPatchZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	variant := nominal.WithSiteRates(map[lattice.Coord]float64{
+	variant := nominal.WithSiteRates(siteRates(map[lattice.Coord]float64{
 		c.DataQubits()[0]: 8e-3,
 		c.DataQubits()[3]: 16e-3,
-	})
+	}))
 	pt := &Patcher{}
 	if _, ok := pt.Patch(base, variant); !ok { // warm the scratch
 		t.Fatal("patch refused")
@@ -544,7 +544,7 @@ func TestConcurrentPatchRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	variant := nominal.WithSiteRates(map[lattice.Coord]float64{c.DataQubits()[1]: 8e-3})
+	variant := nominal.WithSiteRates(siteRates(map[lattice.Coord]float64{c.DataQubits()[1]: 8e-3}))
 	want, ok := (&Patcher{}).Patch(base, variant)
 	if !ok {
 		t.Fatal("patch refused")
@@ -592,11 +592,11 @@ func TestDEMCacheOverlayFingerprintCanonical(t *testing.T) {
 	dc := NewDEMCache(0)
 	builds := obs.Default().Counter("sim.dem.builds")
 	b0 := builds.Value()
-	a, err := dc.BuildDEM(c, nominal.WithSiteRates(forward), 4, lattice.ZCheck)
+	a, err := dc.BuildDEM(c, nominal.WithSiteRates(siteRates(forward)), 4, lattice.ZCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := dc.BuildDEM(c, nominal.WithSiteRates(backward), 4, lattice.ZCheck)
+	b, err := dc.BuildDEM(c, nominal.WithSiteRates(siteRates(backward)), 4, lattice.ZCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,11 +609,22 @@ func TestDEMCacheOverlayFingerprintCanonical(t *testing.T) {
 	// Exactness: a one-ulp rate difference is a different configuration.
 	nudged := cloneRates(forward)
 	nudged[qs[0]] = math.Nextafter(nudged[qs[0]], 1)
-	cNudged, err := dc.BuildDEM(c, nominal.WithSiteRates(nudged), 4, lattice.ZCheck)
+	cNudged, err := dc.BuildDEM(c, nominal.WithSiteRates(siteRates(nudged)), 4, lattice.ZCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cNudged == a {
 		t.Error("one-ulp rate difference collided in the cache key")
 	}
+}
+
+// siteRates is the sorted site-rate vector (noise.Model.SiteRates) of a
+// per-site rate map.
+func siteRates(m map[lattice.Coord]float64) []noise.SiteRate {
+	out := make([]noise.SiteRate, 0, len(m))
+	for q, r := range m {
+		out = append(out, noise.SiteRate{Q: q, Rate: r})
+	}
+	slices.SortFunc(out, func(a, b noise.SiteRate) int { return a.Q.Compare(b.Q) })
+	return out
 }

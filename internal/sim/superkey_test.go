@@ -73,7 +73,7 @@ func TestDEMCacheKeyFingerprintsSuperStabilizers(t *testing.T) {
 func TestPatcherRefusesAcrossCodeStructureChange(t *testing.T) {
 	nominal := noise.Uniform(1e-3)
 	merged, q := bandagedCode(t, 3)
-	variant := nominal.WithSiteRates(map[lattice.Coord]float64{q: 0.25})
+	variant := nominal.WithSiteRates(siteRates(map[lattice.Coord]float64{q: 0.25}))
 
 	dc := NewDEMCache(0)
 	pt := &Patcher{}

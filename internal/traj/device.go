@@ -9,6 +9,8 @@ package traj
 // whatever dynamic events strike on top.
 
 import (
+	"slices"
+
 	"surfdeformer/internal/code"
 	"surfdeformer/internal/core"
 	"surfdeformer/internal/defect"
@@ -42,40 +44,28 @@ func sampleDevice(cfg Config, min, max lattice.Coord, seed int64) *defect.Device
 	return cfg.Device.Sample(min, max, mc.DeriveSeed(seed, saltDevice))
 }
 
-// deviceRateMap is the permanent site-rate floor of a sampled device: every
-// defective site (data and syndrome) at the device's error rate. Sites the
-// boot adaptation removes from the circuit keep their entries — the DEM
-// builder only consults rates at live circuit sites, and keeping the map
-// constant per trajectory keeps the cache keys stable.
-func deviceRateMap(dev *defect.Device) map[lattice.Coord]float64 {
+// deviceRates is the permanent site-rate floor of a sampled device: every
+// defective site (data and syndrome) at the device's error rate, as a
+// sorted vector. Sites the boot adaptation removes from the circuit keep
+// their entries — the DEM builder only consults rates at live circuit
+// sites, and keeping the vector constant per trajectory keeps the cache
+// keys stable.
+func deviceRates(dev *defect.Device) []noise.SiteRate {
 	if dev == nil {
 		return nil
 	}
-	out := noise.DeviceDefectRates(dev.DataDefects, dev.ErrorRate)
-	for q, r := range noise.DeviceDefectRates(dev.SyndromeDefects, dev.ErrorRate) {
-		out[q] = r
-	}
-	return out
+	return noise.DeviceDefectRates(slices.Concat(dev.DataDefects, dev.SyndromeDefects), dev.ErrorRate)
 }
 
 // mergedRates overlays the permanent device rates under the dynamic event
 // rates, max-wins per site — the same composition rule activeRates applies
-// among overlapping events. Returns dynamic unchanged when no device rates
-// apply.
-func mergedRates(dynamic, device map[lattice.Coord]float64) map[lattice.Coord]float64 {
+// among overlapping events — into f's next buffer. Returns dynamic
+// unchanged when no device rates apply.
+func mergedRates(dynamic, device []noise.SiteRate, f *siteFold) []noise.SiteRate {
 	if len(device) == 0 {
 		return dynamic
 	}
-	out := make(map[lattice.Coord]float64, len(dynamic)+len(device))
-	for q, r := range dynamic {
-		out[q] = r
-	}
-	for q, r := range device {
-		if r > out[q] {
-			out[q] = r
-		}
-	}
-	return out
+	return f.overlay(dynamic, device)
 }
 
 // bootAdapt adapts patch i of a system to the sampled device before cycle

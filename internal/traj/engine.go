@@ -24,7 +24,6 @@ package traj
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"time"
@@ -129,16 +128,21 @@ type patchState struct {
 	shotRNG     *rand.Rand
 	quietUntil  int64 // post-deformation dwell: no detector consults
 	blocked     bool
-	prevOverlay map[lattice.Coord]float64
-	codeSites   map[lattice.Coord]bool
-	sitesOf     *code.Code // code codeSites and keyCode were computed for
-	keyCode     *code.Code // the code DEM lookups key on (engine.keyCode)
-	scratch     [][]int32  // roundStream scratch
+	codeSites   []lattice.Coord  // sorted sites of sitesOf
+	sitesOf     *code.Code       // code codeSites and keyCode were computed for
+	keyCode     *code.Code       // the code DEM lookups key on (engine.keyCode)
+	scratch     [][]int32        // roundStream scratch
+	flags       []int32          // newFlags scratch
+	rateFold    siteFold         // storage of rates
+	overlayNext []noise.SiteRate // storage of the next chunk's overlay
+	overlayWork overlayScratch
 
-	// Per-chunk staging, valid between the sample and score phases.
+	// Per-chunk staging, valid between the sample and score phases. The
+	// overlay double-buffers with overlayNext: it stays the previous
+	// chunk's until a chunk's differs, so a change is one slices.Equal.
 	byRound            [][]int32
-	overlay            map[lattice.Coord]float64
-	rates              map[lattice.Coord]float64
+	overlay            []noise.SiteRate
+	rates              []noise.SiteRate
 	failed             bool
 	fresh              []int32
 	dem                *sim.DEM // the chunk's sample DEM (for attribution)
@@ -259,7 +263,7 @@ type engine struct {
 	mit            deform.Mitigation
 	reweightFactor float64
 	nominal        *noise.Model
-	deviceRates    map[lattice.Coord]float64
+	deviceRates    []noise.SiteRate
 	// The pristine patch's nominal DEMs come from the shared cache; every
 	// DEM, graph, sampler and stats object the chunks use lives in the
 	// trajectory's model table (modelTable). Every chunk of every patch
@@ -358,7 +362,7 @@ func run(cfg Config, mode Mode, seed int64) (*Result, error) {
 	perPatch, chans, removable := splitEvents(e.lay, specs, events)
 	e.chans = chans
 	device := sampleDevice(cfg, umin, umax, seed)
-	e.deviceRates = deviceRateMap(device)
+	e.deviceRates = deviceRates(device)
 
 	res := &Result{
 		Mode:           mode.String(),
@@ -521,7 +525,7 @@ func run(cfg Config, mode Mode, seed int64) (*Result, error) {
 				if at < ps.quietUntil {
 					continue
 				}
-				if ps.fresh = newFlags(ps.window, ps.attributed); len(ps.fresh) != 0 {
+				if ps.fresh = newFlags(ps.window, ps.attributed, &ps.flags); len(ps.fresh) != 0 {
 					cut = r
 				}
 			}
@@ -582,11 +586,11 @@ func run(cfg Config, mode Mode, seed int64) (*Result, error) {
 func (e *engine) sampleChunk(i int, cycle, chunk int64) error {
 	cfg, ps := &e.cfg, e.patches[i]
 	if ps.sitesOf != ps.curCode {
-		ps.codeSites = siteSet(ps.curCode)
+		ps.codeSites = codeSites(ps.curCode)
 		ps.keyCode = e.keyCode(ps.curCode)
 		ps.sitesOf = ps.curCode
 	}
-	ps.rates = mergedRates(activeRates(ps.events, cycle), e.deviceRates)
+	ps.rates = mergedRates(activeRates(ps.events, cycle, &ps.rateFold), e.deviceRates, &ps.rateFold)
 	rounds := int(chunk)
 	// Nominal model first: it is both the decode-side baseline and the
 	// patch base of this chunk's site-rate variants (true defect rates on
@@ -607,7 +611,7 @@ func (e *engine) sampleChunk(i int, cycle, chunk int64) error {
 		return err
 	}
 	coldEntry := func(m *noise.Model) (*tableEntry, error) {
-		dem, err := sim.BuildDEM(ps.curCode, m, rounds, cfg.Basis)
+		dem, err := sim.BuildDEM(ps.curCode, owned(m), rounds, cfg.Basis)
 		return &tableEntry{dem: dem}, err
 	}
 	sampleModel, sample := e.nominal, nom
@@ -622,7 +626,7 @@ func (e *engine) sampleChunk(i int, cycle, chunk int64) error {
 	// overlay derives from window state accumulated by *previous* chunks:
 	// the detector, not the event list, drives the decode model, so it is
 	// nominal until detection and keeps sampling on true rates.
-	var overlay map[lattice.Coord]float64
+	overlay := ps.overlayNext[:0]
 	if e.mit.ReweightTier && cycle >= int64(cfg.Window) {
 		src := nom
 		if coldPath {
@@ -631,12 +635,21 @@ func (e *engine) sampleChunk(i int, cycle, chunk int64) error {
 			}
 		}
 		overlay = reweightOverlay(ps.window, src.statsOf(), e.mit,
-			cfg.PhysicalRate, e.reweightFactor, cfg.Threshold, cycle >= ps.quietUntil)
+			cfg.PhysicalRate, e.reweightFactor, cfg.Threshold, cycle >= ps.quietUntil, &ps.overlayWork, overlay)
 	}
+	changed := !slices.Equal(overlay, ps.overlay)
+	if changed {
+		ps.overlay, overlay = overlay, ps.overlay
+	}
+	ps.overlayNext = overlay[:0]
+	overlay = ps.overlay
+	// The nominal carries no site overrides, so composing the overlay on it
+	// (noise.OverlayRates) leaves the overlay itself: the decode model
+	// adopts it.
 	decodeModel, decode := e.nominal, nom
 	overlayBuilt := false
 	if len(overlay) > 0 {
-		decodeModel = e.nominal.OverlaySiteRates(overlay)
+		decodeModel = e.nominal.WithSiteRates(overlay)
 		if decode, overlayBuilt, err = e.table.own(nom.dem, ps.keyCode, decodeModel, rounds, cfg.Basis); err != nil {
 			return err
 		}
@@ -644,19 +657,17 @@ func (e *engine) sampleChunk(i int, cycle, chunk int64) error {
 			e.res.OverlayDEMBuilds++
 		}
 	}
-	if !maps.Equal(overlay, ps.prevOverlay) {
+	if changed {
 		e.res.Reweights++
-		ps.prevOverlay = overlay
 		if cfg.Trace != nil {
 			maxMult := 0.0
-			for _, rate := range overlay {
-				maxMult = max(maxMult, rate/cfg.PhysicalRate)
+			for _, sr := range overlay {
+				maxMult = max(maxMult, sr.Rate/cfg.PhysicalRate)
 			}
 			e.emit(obs.TraceEvent{Type: obs.TraceReweight, Cycle: cycle, Patch: i,
 				Overlay: len(overlay), MaxMult: maxMult, DEMBuild: overlayBuilt})
 		}
 	}
-	ps.overlay = overlay
 	// The cold path decodes and samples from fresh entries of fresh DEMs,
 	// with a fresh decoder.
 	dec := &e.dec

@@ -10,6 +10,7 @@ package traj
 
 import (
 	"math"
+	"slices"
 
 	"surfdeformer/internal/code"
 	"surfdeformer/internal/decoder"
@@ -17,6 +18,7 @@ import (
 	"surfdeformer/internal/deform"
 	"surfdeformer/internal/detect"
 	"surfdeformer/internal/lattice"
+	"surfdeformer/internal/noise"
 	"surfdeformer/internal/sim"
 )
 
@@ -50,57 +52,69 @@ func (m Mode) Mitigation() deform.Mitigation {
 	return deform.Mitigation{} // untreated: nominal priors, untouched code
 }
 
-// obsStats is the per-DEM view the rate estimator needs: each stable
-// observable id's nominal per-round firing probability (the baseline
-// elevation is measured against), its data support, and its ancillas —
-// kept apart because the overlay localizes drift by voting across
-// supports and falls back to the ancilla only when voting fails.
+// obsStats is the per-DEM view the rate estimator needs, over the DEM's
+// stable observable ids in ascending order: each id's nominal per-round
+// firing probability (the baseline elevation is measured against), its
+// data support, and its ancillas — kept apart because the overlay
+// localizes drift by voting across supports and falls back to the ancilla
+// only when voting fails. Supports and ancillas are sorted, each site
+// once.
 type obsStats struct {
-	baseline map[int32]float64
-	support  map[int32][]lattice.Coord
-	ancillas map[int32][]lattice.Coord
+	ids      []int32
+	baseline []float64
+	support  [][]lattice.Coord
+	ancillas [][]lattice.Coord
+}
+
+// index returns the position of id in st.ids.
+func (st *obsStats) index(id int32) (int, bool) {
+	return slices.BinarySearch(st.ids, id)
+}
+
+// baselineOf is id's nominal firing probability, 0 for an id the DEM
+// lacks (EstimateRates skips it).
+func (st *obsStats) baselineOf(id int32) float64 {
+	if i, ok := st.index(id); ok {
+		return st.baseline[i]
+	}
+	return 0
 }
 
 func newObsStats(dem *sim.DEM) *obsStats {
-	st := &obsStats{
-		baseline: map[int32]float64{},
-		support:  map[int32][]lattice.Coord{},
-		ancillas: map[int32][]lattice.Coord{},
+	ids := make([]int32, len(dem.Observables))
+	for oi, info := range dem.Observables {
+		ids[oi] = stableID(info)
 	}
-	fire := dem.DetectorFireRates()
-	counts := map[int32]int{}
-	for det, f := range fire {
-		id := stableID(dem.Observables[dem.DetObs[det]])
-		st.baseline[id] += f
-		counts[id]++
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	st := &obsStats{ids: ids, baseline: make([]float64, len(ids)),
+		support: make([][]lattice.Coord, len(ids)), ancillas: make([][]lattice.Coord, len(ids))}
+	// Observables sharing an id pool their supports and ancillas.
+	slot := make([]int, len(dem.Observables)) // observable → position in ids
+	for oi, info := range dem.Observables {
+		i, _ := st.index(stableID(info))
+		slot[oi] = i
+		st.support[i] = append(st.support[i], info.Support...)
+		st.ancillas[i] = append(st.ancillas[i], info.Ancillas...)
 	}
-	for id, n := range counts {
-		st.baseline[id] /= float64(n)
+	for i := range ids {
+		lattice.SortCoords(st.support[i])
+		st.support[i] = slices.Compact(st.support[i])
+		lattice.SortCoords(st.ancillas[i])
+		st.ancillas[i] = slices.Compact(st.ancillas[i])
 	}
-	addUnique := func(dst map[int32][]lattice.Coord, id int32, qs []lattice.Coord) {
-		for _, q := range qs {
-			found := false
-			for _, have := range dst[id] {
-				if have == q {
-					found = true
-					break
-				}
-			}
-			if !found {
-				dst[id] = append(dst[id], q)
-			}
+	// Each id's baseline is the mean fire rate of its detectors, summed in
+	// detector order.
+	counts := make([]int, len(ids))
+	for det, f := range dem.DetectorFireRates() {
+		i := slot[dem.DetObs[det]]
+		st.baseline[i] += f
+		counts[i]++
+	}
+	for i, n := range counts {
+		if n > 0 {
+			st.baseline[i] /= float64(n)
 		}
-	}
-	for _, info := range dem.Observables {
-		id := stableID(info)
-		addUnique(st.support, id, info.Support)
-		addUnique(st.ancillas, id, info.Ancillas)
-	}
-	for id := range st.support {
-		lattice.SortCoords(st.support[id])
-	}
-	for id := range st.ancillas {
-		lattice.SortCoords(st.ancillas[id])
 	}
 	return st
 }
@@ -140,16 +154,14 @@ func quantizeMultiplier(m float64) float64 {
 // signature of measurement-side drift). Blanketing every elevated check's
 // full support instead smears the estimated rate over ~8 healthy sites
 // per drifted qubit and makes the reweighted prior *worse* than the
-// nominal one. Returns nil when nothing qualifies.
-func reweightOverlay(w *detect.Window, st *obsStats, mit deform.Mitigation, p, minFactor, flagThreshold float64, flagActive bool) map[lattice.Coord]float64 {
-	ests := w.EstimateRates(p, func(o int32) float64 { return st.baseline[o] }, minFactor, reweightMinFirings)
-	type elevation struct {
-		obs  int32
-		rate float64
-	}
-	var kept []elevation
-	counts := map[lattice.Coord]int{}
-	rates := map[lattice.Coord]float64{}
+// nominal one.
+//
+// The overlay is a sorted site-rate vector, max-wins per site, written
+// into dst[:0]; it is empty when nothing qualifies. The votes live in sc,
+// so a steady-state call allocates only the estimator's result.
+func reweightOverlay(w *detect.Window, st *obsStats, mit deform.Mitigation, p, minFactor, flagThreshold float64, flagActive bool, sc *overlayScratch, dst []noise.SiteRate) []noise.SiteRate {
+	ests := w.EstimateRates(p, st.baselineOf, minFactor, reweightMinFirings)
+	sc.kept, sc.votes = sc.kept[:0], sc.votes[:0]
 	for _, est := range ests {
 		rate := p * quantizeMultiplier(est.Multiplier)
 		if rate > decoder.MaxEdgeProb {
@@ -159,77 +171,127 @@ func reweightOverlay(w *detect.Window, st *obsStats, mit deform.Mitigation, p, m
 			flagActive && est.FireRate >= flagThreshold {
 			continue // severe and actionable by the flag path: removal owns it
 		}
-		kept = append(kept, elevation{obs: est.Observable, rate: rate})
-		// A site's true rate is bounded by *every* covering check's
-		// aggregate elevation, so a voted site takes the minimum — each
-		// check's estimate also absorbs its other drifted neighbours, and
-		// the max would systematically overshoot in dense-drift regimes.
-		for _, q := range st.support[est.Observable] {
-			counts[q]++
-			if r, ok := rates[q]; !ok || rate < r {
-				rates[q] = rate
-			}
+		// An estimate exists only where the baseline is positive, so its
+		// observable is one of st's.
+		i, _ := st.index(est.Observable)
+		sc.kept = append(sc.kept, elevation{stat: i, rate: rate, votes: len(sc.votes)})
+		for _, q := range st.support[i] {
+			sc.votes = append(sc.votes, siteVote{q: q, pos: len(sc.votes), rate: rate})
 		}
 	}
-	var overlay map[lattice.Coord]float64
-	add := func(q lattice.Coord, rate float64) {
-		if overlay == nil {
-			overlay = map[lattice.Coord]float64{}
+	// Tally the votes per site: sorted by site, each run of one site gets
+	// its count and the least of its rates, written back to every vote of
+	// the run by its position. A site's true rate is bounded by *every*
+	// covering check's aggregate elevation, so a voted site takes the
+	// minimum — each check's estimate also absorbs its other drifted
+	// neighbours, and the max would systematically overshoot in
+	// dense-drift regimes.
+	votes := sc.votes
+	sc.tally = slices.Grow(sc.tally[:0], len(votes))[:len(votes)]
+	slices.SortFunc(votes, func(a, b siteVote) int { return a.q.Compare(b.q) })
+	for lo := 0; lo < len(votes); {
+		hi, rate := lo+1, votes[lo].rate
+		for ; hi < len(votes) && votes[hi].q == votes[lo].q; hi++ {
+			rate = min(rate, votes[hi].rate)
 		}
-		if rate > overlay[q] {
-			overlay[q] = rate
+		for _, v := range votes[lo:hi] {
+			sc.tally[v.pos] = siteTally{n: hi - lo, rate: rate}
 		}
+		lo = hi
 	}
-	for _, e := range kept {
+	out := dst[:0]
+	for _, e := range sc.kept {
 		voted := false
-		for _, q := range st.support[e.obs] {
-			if counts[q] >= 2 {
-				add(q, rates[q])
+		for k, q := range st.support[e.stat] {
+			if t := sc.tally[e.votes+k]; t.n >= 2 {
+				out = append(out, noise.SiteRate{Q: q, Rate: t.rate})
 				voted = true
 			}
 		}
 		if !voted {
-			for _, q := range st.ancillas[e.obs] {
-				add(q, e.rate)
+			for _, q := range st.ancillas[e.stat] {
+				out = append(out, noise.SiteRate{Q: q, Rate: e.rate})
 			}
 		}
 	}
-	return overlay
+	// A site several elevations name takes the largest of their rates.
+	return noise.CompactRates(out)
+}
+
+// overlayScratch is reweightOverlay's per-patch working storage.
+type overlayScratch struct {
+	kept  []elevation
+	votes []siteVote
+	tally []siteTally
+}
+
+// elevation is one estimate the overlay keeps: its observable's position
+// in obsStats, its quantized site rate, and the position of its first
+// support site's vote.
+type elevation struct {
+	stat  int
+	rate  float64
+	votes int
+}
+
+// siteVote is one kept elevation's vote for a support site, at position
+// pos of the votes in the order they were cast.
+type siteVote struct {
+	q    lattice.Coord
+	pos  int
+	rate float64
+}
+
+// siteTally is the tally of a vote's site: how many kept elevations cover
+// it and the least of their rates.
+type siteTally struct {
+	n    int
+	rate float64
 }
 
 // overlayError is the estimated-vs-true prior error of one chunk: the mean
 // absolute difference between the estimated site rate and the true active
 // rate over the union of estimated and truly elevated sites (restricted to
-// sites of the current code; a site absent from one side carries the
-// nominal rate there). Summation runs in sorted site order so the float
-// accumulation is deterministic.
-func overlayError(overlay, truth map[lattice.Coord]float64, onCode map[lattice.Coord]bool, p float64) float64 {
-	union := make([]lattice.Coord, 0, len(overlay)+len(truth))
-	for q := range overlay {
-		union = append(union, q)
-	}
-	for q := range truth {
-		if _, ok := overlay[q]; !ok && onCode[q] {
-			union = append(union, q)
+// sites of the current code, onCode, sorted; a site absent from one side
+// carries the nominal rate there). The three sorted vectors merge in one
+// pass, so the summation runs in site order and the float accumulation is
+// deterministic.
+func overlayError(overlay, truth []noise.SiteRate, onCode []lattice.Coord, p float64) float64 {
+	sum, n := 0.0, 0
+	i, j, k := 0, 0, 0
+	for i < len(overlay) || j < len(truth) {
+		c := -1
+		switch {
+		case i == len(overlay):
+			c = 1
+		case j < len(truth):
+			c = overlay[i].Q.Compare(truth[j].Q)
 		}
+		switch {
+		case c < 0:
+			sum += math.Abs(overlay[i].Rate - p)
+			i++
+		case c > 0:
+			q := truth[j].Q
+			for k < len(onCode) && onCode[k].Less(q) {
+				k++
+			}
+			j++
+			if k == len(onCode) || onCode[k] != q {
+				continue
+			}
+			sum += math.Abs(p - truth[j-1].Rate)
+		default:
+			sum += math.Abs(overlay[i].Rate - truth[j].Rate)
+			i++
+			j++
+		}
+		n++
 	}
-	if len(union) == 0 {
+	if n == 0 {
 		return 0
 	}
-	lattice.SortCoords(union)
-	sum := 0.0
-	for _, q := range union {
-		est, ok := overlay[q]
-		if !ok {
-			est = p
-		}
-		tr, ok := truth[q]
-		if !ok {
-			tr = p
-		}
-		sum += math.Abs(est - tr)
-	}
-	return sum / float64(len(union))
+	return sum / float64(n)
 }
 
 // accrueReweight folds one chunk's prior bookkeeping into the result:
@@ -237,7 +299,7 @@ func overlayError(overlay, truth map[lattice.Coord]float64, onCode map[lattice.C
 // and the cycle-weighted estimated-vs-true error; cycles decoded with the
 // nominal prior while true elevations were live on the code accrue
 // MismatchCycles.
-func accrueReweight(res *Result, elapsed int64, overlay, rates map[lattice.Coord]float64, onCode map[lattice.Coord]bool, p float64) {
+func accrueReweight(res *Result, elapsed int64, overlay, rates []noise.SiteRate, onCode []lattice.Coord, p float64) {
 	if len(overlay) > 0 {
 		res.ReweightedCycles += elapsed
 		res.RateErrCycles += overlayError(overlay, rates, onCode, p) * float64(elapsed)
@@ -249,26 +311,29 @@ func accrueReweight(res *Result, elapsed int64, overlay, rates map[lattice.Coord
 }
 
 // activeOnCode reports whether any true rate override touches a site of
-// the current code — the condition under which decoding with nominal
-// priors is a prior mismatch (rates confined to removed sites no longer
-// reach the circuit).
-func activeOnCode(rates map[lattice.Coord]float64, onCode map[lattice.Coord]bool) bool {
-	for q := range rates {
-		if onCode[q] {
+// the current code (both sorted) — the condition under which decoding with
+// nominal priors is a prior mismatch (rates confined to removed sites no
+// longer reach the circuit).
+func activeOnCode(rates []noise.SiteRate, onCode []lattice.Coord) bool {
+	k := 0
+	for _, sr := range rates {
+		for k < len(onCode) && onCode[k].Less(sr.Q) {
+			k++
+		}
+		if k == len(onCode) {
+			return false
+		}
+		if onCode[k] == sr.Q {
 			return true
 		}
 	}
 	return false
 }
 
-// siteSet is the membership view of a code's physical sites.
-func siteSet(c *code.Code) map[lattice.Coord]bool {
-	set := map[lattice.Coord]bool{}
-	for _, q := range c.DataQubits() {
-		set[q] = true
-	}
-	for _, q := range c.SyndromeQubits() {
-		set[q] = true
-	}
-	return set
+// codeSites is the sorted list of a code's physical sites: its data and
+// syndrome qubits.
+func codeSites(c *code.Code) []lattice.Coord {
+	sites := append(c.DataQubits(), c.SyndromeQubits()...)
+	lattice.SortCoords(sites)
+	return slices.Compact(sites)
 }

@@ -79,7 +79,7 @@ func (t *modelTable) own(base *sim.DEM, c *code.Code, model *noise.Model, rounds
 	if e != nil {
 		e = &tableEntry{dem: e.dem, graph: e.graph, sampler: e.sampler, stats: e.stats}
 	} else {
-		dem, err := t.patcher.Variant(base, c, model, rounds, basis)
+		dem, err := t.patcher.Variant(base, c, owned(model), rounds, basis)
 		if err != nil {
 			return nil, false, err
 		}
@@ -92,6 +92,11 @@ func (t *modelTable) own(base *sim.DEM, c *code.Code, model *noise.Model, rounds
 	t.built++
 	return e, true, nil
 }
+
+// owned returns m as a DEM may keep it (its patch plan's base model): a
+// copy that owns its site vector. Chunks compose their models over
+// per-trajectory scratch, so every DEM the table builds gets one.
+func owned(m *noise.Model) *noise.Model { return m.OverlaySiteRates(nil) }
 
 // graphOf returns the entry's decoding graph: a shared entry's from the
 // process-wide cache, the graph of nom — the chunk's nominal entry — in

@@ -2,6 +2,7 @@ package traj
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"surfdeformer/internal/lattice"
@@ -59,7 +60,7 @@ func TestTablePatchAccounting(t *testing.T) {
 	}
 	tab := newModelTable()
 	nom := tab.shared(key, base)
-	variant := nominal.WithSiteRates(map[lattice.Coord]float64{c.DataQubits()[0]: 8e-3})
+	variant := nominal.WithSiteRates(siteRates(map[lattice.Coord]float64{c.DataQubits()[0]: 8e-3}))
 	builds := obs.Default().Counter("sim.dem.builds")
 	patches := obs.Default().Counter("sim.dem.patches")
 	b0, p0 := builds.Value(), patches.Value()
@@ -111,7 +112,7 @@ func TestMemoPrunedAfterCacheClear(t *testing.T) {
 		return dem, tab.shared(key, dem)
 	}
 	variant := func(i int) *noise.Model {
-		return noise.Uniform(1e-3).WithSiteRates(map[lattice.Coord]float64{{Row: 1, Col: 1}: 0.01 + float64(i)*0.01})
+		return noise.Uniform(1e-3).WithSiteRates(siteRates(map[lattice.Coord]float64{{Row: 1, Col: 1}: 0.01 + float64(i)*0.01}))
 	}
 	_, nom := nominal(3)
 	for i := 0; i < 40; i++ {
@@ -194,4 +195,46 @@ func TestRunDeterministicUnderMemoEviction(t *testing.T) {
 	if raised == 0 {
 		t.Error("no run revisited an overlay model after a reset; the bound was not exercised")
 	}
+}
+
+// TestTableModelsOwnTheirSiteRates pins that a DEM the model table builds
+// keeps a model owning its site vector: chunks pass vectors in scratch
+// they rewrite next chunk, and a DEM whose patch base aliased that scratch
+// would, as a patch base itself, refold the wrong sites. Here the scratch
+// moves the override to another site after the build; patching the
+// variant back to the nominal must still give the nominal's DEM.
+func TestTableModelsOwnTheirSiteRates(t *testing.T) {
+	c := buildCode(t, 3)
+	nominal := noise.Uniform(1e-3)
+	tab := newModelTable()
+	nom, _, err := tab.own(nil, c, nominal, 3, lattice.ZCheck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := c.DataQubits()
+	scratch := []noise.SiteRate{{Q: qs[0], Rate: 8e-3}}
+	e, built, err := tab.own(nom.dem, c, nominal.WithSiteRates(scratch), 3, lattice.ZCheck)
+	if err != nil || !built {
+		t.Fatalf("variant not built: %v", err)
+	}
+	scratch[0] = noise.SiteRate{Q: qs[len(qs)-1], Rate: 8e-3} // the next chunk's rates
+	var pt sim.Patcher
+	back, ok := pt.Patch(e.dem, nominal)
+	if !ok {
+		t.Fatal("patch refused")
+	}
+	if !reflect.DeepEqual(back.P, nom.dem.P) {
+		t.Error("patching the variant back to the nominal missed the variant's own override site")
+	}
+}
+
+// siteRates is the sorted site-rate vector (noise.Model.SiteRates) of a
+// per-site rate map.
+func siteRates(m map[lattice.Coord]float64) []noise.SiteRate {
+	out := make([]noise.SiteRate, 0, len(m))
+	for q, r := range m {
+		out = append(out, noise.SiteRate{Q: q, Rate: r})
+	}
+	slices.SortFunc(out, func(a, b noise.SiteRate) int { return a.Q.Compare(b.Q) })
+	return out
 }

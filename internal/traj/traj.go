@@ -386,6 +386,23 @@ type event struct {
 	rates      []float64
 	remove     bool  // severity: needs deformation (vs decoder reweighting)
 	detectedAt int64 // first cycle a flag matched this event (-1 until then)
+
+	vec []noise.SiteRate // siteRates' memo
+}
+
+// siteRates returns the event's sorted site-rate vector: each site once,
+// at the largest of its rates, and only where that rate is positive — what
+// writing the event into an empty max-wins map leaves
+// (noise.CompactRates). Computed on first use.
+func (e *event) siteRates() []noise.SiteRate {
+	if e.vec == nil {
+		vec := make([]noise.SiteRate, len(e.sites))
+		for i, q := range e.sites {
+			vec[i] = noise.SiteRate{Q: q, Rate: e.rates[i]}
+		}
+		e.vec = noise.CompactRates(vec)
+	}
+	return e.vec
 }
 
 // boundary kinds, processed at chunk scheduling points.
@@ -443,6 +460,8 @@ func (cfg Config) validate() error {
 	switch {
 	case cfg.D < 3:
 		return fmt.Errorf("traj: distance %d too small", cfg.D)
+	case cfg.DeltaD < 0:
+		return fmt.Errorf("traj: negative growth reserve Δd = %d", cfg.DeltaD)
 	case cfg.Horizon < 2:
 		return fmt.Errorf("traj: horizon %d too short", cfg.Horizon)
 	case cfg.ChunkRounds < 2:
@@ -574,23 +593,33 @@ func eventBoundaries(cfg Config, events []*event) []boundary {
 }
 
 // activeRates returns the per-site rate overrides of the events active at
-// the cycle; overlapping events take the maximum rate per site.
-func activeRates(events []*event, cycle int64) map[lattice.Coord]float64 {
-	var rates map[lattice.Coord]float64
+// the cycle, a sorted vector in f's buffers; overlapping events take the
+// maximum rate per site.
+func activeRates(events []*event, cycle int64, f *siteFold) []noise.SiteRate {
+	var rates []noise.SiteRate
 	for _, e := range events {
 		if cycle < e.start || cycle >= e.end {
 			continue
 		}
-		if rates == nil {
-			rates = map[lattice.Coord]float64{}
-		}
-		for i, q := range e.sites {
-			if e.rates[i] > rates[q] {
-				rates[q] = e.rates[i]
-			}
-		}
+		rates = f.overlay(rates, e.siteRates())
 	}
 	return rates
+}
+
+// siteFold max-wins-merges sorted site-rate vectors (noise.OverlayRates)
+// into two alternating buffers, so a chain of merges, each reading the
+// previous result, allocates nothing at steady state.
+type siteFold struct {
+	buf [2][]noise.SiteRate
+	k   int
+}
+
+// overlay merges over onto base into the buffer base does not occupy.
+func (f *siteFold) overlay(base, over []noise.SiteRate) []noise.SiteRate {
+	out := noise.OverlayRates(f.buf[f.k][:0], base, over)
+	f.buf[f.k] = out
+	f.k ^= 1
+	return out
 }
 
 // stableID maps an observable to a code-change-stable detector identity:
@@ -652,9 +681,11 @@ func (a *attribution) claim(q lattice.Coord) bool {
 }
 
 // newFlags returns the currently flagged stable ids not yet attributed.
-func newFlags(w *detect.Window, attributed map[int32]*attribution) []int32 {
+// The window's flags pass through buf, the caller's per-patch scratch.
+func newFlags(w *detect.Window, attributed map[int32]*attribution, buf *[]int32) []int32 {
+	*buf = w.AppendFlagged((*buf)[:0])
 	var fresh []int32
-	for _, id := range w.Flagged() {
+	for _, id := range *buf {
 		if _, ok := attributed[id]; !ok {
 			fresh = append(fresh, id)
 		}

@@ -179,6 +179,7 @@ func TestNoDefectProcesses(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.D = 2 },
+		func(c *Config) { c.DeltaD = -1 },
 		func(c *Config) { c.Horizon = 1 },
 		func(c *Config) { c.ChunkRounds = 1 },
 		func(c *Config) { c.Window = 0 },
