@@ -130,12 +130,29 @@ func NewGraph(dem *sim.DEM) *Graph {
 	return g
 }
 
+// skelPair is one detector pair a mechanism contributes to: key packs the
+// canonical endpoints, U above V+1 (V+1 ≥ 0, since the boundary sorts
+// first), so ordering keys orders (U, V); seq is the pair's position in
+// mechanism order.
+type skelPair struct {
+	key  uint64
+	seq  int32
+	mech int32
+	obs  bool
+}
+
 // newSkel merges dem's mechanisms into edges: each edge's contributions in
-// mechanism order, the edges sorted by (U, V).
+// mechanism order, the edges sorted by (U, V). It records every detector
+// pair once, in mechanism order, and sorts the pairs by (U, V, sequence),
+// so each run of equal endpoints is an edge with its contributions in
+// merge order.
 func newSkel(dem *sim.DEM) *graphSkel {
-	type key struct{ u, v int32 }
-	acc := map[key][]skelContrib{}
-	sk := &graphSkel{}
+	sk := &graphSkel{nMech: len(dem.Mechs)}
+	n := 0
+	for _, m := range dem.Mechs {
+		n += (len(m.Dets) + 1) / 2
+	}
+	pairs := make([]skelPair, 0, n)
 	addPair := func(u, v int32, obs bool, mech int32) {
 		// Canonical order: boundary always in V, otherwise ascending.
 		if u == Boundary {
@@ -147,8 +164,7 @@ func newSkel(dem *sim.DEM) *graphSkel {
 		if u == Boundary {
 			return // boundary-boundary mechanisms carry no decodable info
 		}
-		k := key{u, v}
-		acc[k] = append(acc[k], skelContrib{mech: mech, obs: obs})
+		pairs = append(pairs, skelPair{key: uint64(u)<<32 | uint64(uint32(v+1)), seq: int32(len(pairs)), mech: mech, obs: obs})
 	}
 	for mi, m := range dem.Mechs {
 		mech := int32(mi)
@@ -173,21 +189,26 @@ func newSkel(dem *sim.DEM) *graphSkel {
 			}
 		}
 	}
-	keys := make([]key, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b key) int {
-		return cmp.Or(cmp.Compare(a.u, b.u), cmp.Compare(a.v, b.v))
+	slices.SortFunc(pairs, func(a, b skelPair) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.seq, b.seq))
 	})
-	sk.ends = make([][2]int32, len(keys))
-	sk.edgeOff = make([]int32, 1, len(keys)+1)
-	for i, k := range keys {
-		sk.ends[i] = [2]int32{k.u, k.v}
-		sk.contribs = append(sk.contribs, acc[k]...)
-		sk.edgeOff = append(sk.edgeOff, int32(len(sk.contribs)))
+	edges := 0
+	for i := range pairs {
+		if i == 0 || pairs[i].key != pairs[i-1].key {
+			edges++
+		}
 	}
-	sk.nMech = len(dem.Mechs)
+	sk.ends = make([][2]int32, 0, edges)
+	sk.edgeOff = make([]int32, 0, edges+1)
+	sk.contribs = make([]skelContrib, len(pairs))
+	for i, p := range pairs {
+		if i == 0 || p.key != pairs[i-1].key {
+			sk.ends = append(sk.ends, [2]int32{int32(p.key >> 32), int32(uint32(p.key)) - 1})
+			sk.edgeOff = append(sk.edgeOff, int32(i))
+		}
+		sk.contribs[i] = skelContrib{mech: p.mech, obs: p.obs}
+	}
+	sk.edgeOff = append(sk.edgeOff, int32(len(pairs)))
 	return sk
 }
 

@@ -98,6 +98,42 @@ func TestGraphFromAllocs(t *testing.T) {
 
 var benchGraph *Graph
 
+// newGraphDEM returns a fresh d=5 code's 6-round memory-Z DEM.
+func newGraphDEM(tb testing.TB) *sim.DEM {
+	c := code.FromPatch(lattice.NewPatch(lattice.Coord{}, 5))
+	dem, err := sim.BuildDEM(c, noise.Uniform(1e-3), 6, lattice.ZCheck)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dem
+}
+
+// TestNewGraphAllocs pins a full NewGraph of newGraphDEM's DEM at 10
+// allocations: the graph header and edge array; the skeleton header, its
+// endpoints, edge offsets and contributions; the adjacency offsets, list
+// and fill cursor; and the detector-pair list the merge sorts. A map, or a
+// slice per edge, fails.
+func TestNewGraphAllocs(t *testing.T) {
+	dem := newGraphDEM(t)
+	allocs := testing.AllocsPerRun(20, func() {
+		benchGraph = NewGraph(dem)
+	})
+	if allocs > 10 {
+		t.Errorf("NewGraph does %.1f allocs at d=5 over 6 rounds, want <= 10", allocs)
+	}
+}
+
+// BenchmarkNewGraph times one full NewGraph of newGraphDEM's DEM: the
+// merge skeleton, its fold and the adjacency.
+func BenchmarkNewGraph(b *testing.B) {
+	dem := newGraphDEM(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchGraph = NewGraph(dem)
+	}
+}
+
 // BenchmarkGraphFrom times one GraphFrom of graphFromCase's variant from
 // its base's graph: the copied edge array plus the refold of every edge
 // the changed mechanisms feed.

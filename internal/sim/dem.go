@@ -16,6 +16,7 @@ package sim
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -184,65 +185,113 @@ func build(c *code.Code, phases []Phase, basis lattice.CheckType) (*DEM, error) 
 // flags in emission order (P left nil), and each mechanism's elementary
 // contributions in fold order as the returned DEM's plan core. The
 // correlated X⊗X/Z⊗Z pair of every CX is enumerated only when correlated.
+// A check or observable that reads a coordinate outside the data qubits
+// fails the build. Its working memory — the flat circuit, slot and record
+// indices, the signature arena, the merge index and the fold records — is
+// sized from the schedule and allocated once per build; the DEM shares
+// none of it.
 func enumerate(c *code.Code, rounds int, basis lattice.CheckType, correlated bool) (*DEM, error) {
 	sched, err := circuit.NewSchedule(c)
 	if err != nil {
 		return nil, err
 	}
 
-	// Dense qubit indexing: data qubits first, then ancillas.
+	// Dense qubit indexing: data qubits first, then ancillas. Every data
+	// lookup below checks its key, so a coordinate outside the data qubits
+	// fails the build rather than reading as data qubit 0.
 	dataQubits := c.DataQubits()
-	qIdx := map[lattice.Coord]int32{}
-	var coords []lattice.Coord
-	for _, q := range dataQubits {
-		qIdx[q] = int32(len(coords))
-		coords = append(coords, q)
+	nData, nSlots := len(dataQubits), len(sched.Ops)
+	qIdx := make(map[lattice.Coord]int32, nData+nSlots)
+	coords := make([]lattice.Coord, nData, nData+nSlots)
+	copy(coords, dataQubits)
+	for qi, q := range dataQubits {
+		qIdx[q] = int32(qi)
 	}
-	for _, op := range sched.Ops {
-		if op.Direct {
+	for si := range sched.Ops {
+		m := &sched.Ops[si]
+		if m.Direct {
 			continue
 		}
-		if _, ok := qIdx[op.Ancilla]; !ok {
-			qIdx[op.Ancilla] = int32(len(coords))
-			coords = append(coords, op.Ancilla)
+		if _, ok := qIdx[m.Ancilla]; !ok {
+			qIdx[m.Ancilla] = int32(len(coords))
+			coords = append(coords, m.Ancilla)
+		}
+	}
+	dataIndex := func(q lattice.Coord) (int32, bool) {
+		qi, ok := qIdx[q]
+		return qi, ok && int(qi) < nData
+	}
+
+	// Resolve every schedule slot once: its measured qubit (the ancilla, or
+	// the data qubit of a direct measurement) and, CSR via slotOff, its data
+	// qubits in schedule order.
+	slotQ := make([]int32, nSlots)
+	slotOff := make([]int32, 1, nSlots+1)
+	var slotData []int32
+	for si := range sched.Ops {
+		m := &sched.Ops[si]
+		for _, q := range m.Data {
+			qi, ok := dataIndex(q)
+			if !ok {
+				return nil, fmt.Errorf("sim: check at %v acts on %v, which is not a data qubit", m.Ancilla, q)
+			}
+			slotData = append(slotData, qi)
+		}
+		slotOff = append(slotOff, int32(len(slotData)))
+		if m.Direct {
+			slotQ[si] = slotData[slotOff[si]]
+		} else {
+			slotQ[si] = qIdx[m.Ancilla]
 		}
 	}
 
-	// Materialize the flat circuit.
-	var ops []flatOp
-	nRec := int32(0)
-	recOf := make(map[[2]int]int32) // (round, slot) -> record
-	// Data initialization in the memory basis (reset noise applies).
-	for _, q := range dataQubits {
-		ops = append(ops, flatOp{kind: opReset, basis: basis, a: qIdx[q], round: 0})
+	// Materialize the flat circuit: per round, each measured slot's reset
+	// and CXs unless it is direct, and its measurement, between the data
+	// initialization and readout. Data initialization in the memory basis
+	// comes first (reset noise applies).
+	nOps := 2 * nData
+	for r := 0; r < rounds; r++ {
+		for si := range sched.Ops {
+			if m := &sched.Ops[si]; m.MeasuredThisRound(r) {
+				nOps++
+				if !m.Direct {
+					nOps += 1 + len(m.Data)
+				}
+			}
+		}
+	}
+	ops := make([]flatOp, 0, nOps)
+	for qi := range nData {
+		ops = append(ops, flatOp{kind: opReset, basis: basis, a: int32(qi), round: 0})
 	}
 	roundStart := make([]int, rounds)
+	// slotRec holds the record of slot si in round r, plus one, at
+	// r*nSlots+si; 0 when the slot is not measured that round.
+	slotRec := make([]int32, rounds*nSlots)
+	live := make([]int32, 0, nSlots)
+	nRec := int32(0)
 	for r := 0; r < rounds; r++ {
 		roundStart[r] = len(ops)
-		var live []circuit.MeasuredOp
-		for _, m := range sched.Ops {
-			if m.MeasuredThisRound(r) {
-				live = append(live, m)
-			}
-		}
-		for _, m := range live {
-			if m.Direct {
+		live = live[:0]
+		maxSteps := 0
+		for si := range sched.Ops {
+			m := &sched.Ops[si]
+			if !m.MeasuredThisRound(r) {
 				continue
 			}
-			ops = append(ops, flatOp{kind: opReset, basis: m.Basis, a: qIdx[m.Ancilla], round: int16(r)})
-		}
-		maxSteps := 0
-		for _, m := range live {
-			if !m.Direct && len(m.Data) > maxSteps {
-				maxSteps = len(m.Data)
+			live = append(live, int32(si))
+			if !m.Direct {
+				ops = append(ops, flatOp{kind: opReset, basis: m.Basis, a: slotQ[si], round: int16(r)})
+				maxSteps = max(maxSteps, len(m.Data))
 			}
 		}
 		for t := 0; t < maxSteps; t++ {
-			for _, m := range live {
+			for _, si := range live {
+				m := &sched.Ops[si]
 				if m.Direct || t >= len(m.Data) {
 					continue
 				}
-				anc, dat := qIdx[m.Ancilla], qIdx[m.Data[t]]
+				anc, dat := slotQ[si], slotData[int(slotOff[si])+t]
 				if m.Basis == lattice.XCheck {
 					ops = append(ops, flatOp{kind: opCX, a: anc, b: dat, round: int16(r)}) // anc controls
 				} else {
@@ -250,78 +299,122 @@ func enumerate(c *code.Code, rounds int, basis lattice.CheckType, correlated boo
 				}
 			}
 		}
-		for _, m := range live {
-			rec := nRec
+		for _, si := range live {
+			slotRec[r*nSlots+int(si)] = nRec + 1
+			ops = append(ops, flatOp{kind: opMeas, basis: sched.Ops[si].Basis, a: slotQ[si], rec: nRec, round: int16(r)})
 			nRec++
-			recOf[[2]int{r, m.Slot}] = rec
-			target := m.Ancilla
-			if m.Direct {
-				target = m.Data[0]
-			}
-			ops = append(ops, flatOp{kind: opMeas, basis: m.Basis, a: qIdx[target], rec: rec, round: int16(r)})
 		}
 	}
-	// Transversal readout of all data qubits in the memory basis.
-	readoutRec := make(map[lattice.Coord]int32, len(dataQubits))
-	for _, q := range dataQubits {
-		rec := nRec
+	// Transversal readout of all data qubits in the memory basis: data
+	// qubit qi's record is readout+qi.
+	readout := nRec
+	for qi := range nData {
+		ops = append(ops, flatOp{kind: opMeas, basis: basis, a: int32(qi), rec: nRec, round: int16(rounds - 1)})
 		nRec++
-		readoutRec[q] = rec
-		ops = append(ops, flatOp{kind: opMeas, basis: basis, a: qIdx[q], rec: rec, round: int16(rounds - 1)})
 	}
 
-	// Detector layout. Each record participates in at most two detectors.
 	dem := &DEM{}
-	recDets := make([][]int32, nRec)
-	addDet := func(round int, obsIdx int, recs ...int32) {
-		id := int32(dem.NumDets)
-		dem.NumDets++
-		dem.DetRound = append(dem.DetRound, int32(round))
-		dem.DetObs = append(dem.DetObs, int32(obsIdx))
-		for _, r := range recs {
-			recDets[r] = append(recDets[r], id)
+	if len(sched.Observables) > 0 {
+		nAnc := 0
+		for _, o := range sched.Observables {
+			nAnc += len(o.Slots)
+		}
+		ancs := make([]lattice.Coord, nAnc)
+		dem.Observables = make([]ObsInfo, len(sched.Observables))
+		for oi, o := range sched.Observables {
+			info := &dem.Observables[oi]
+			info.Type, info.Support = o.Type, o.Support
+			if n := len(o.Slots); n > 0 {
+				info.Ancillas, ancs = ancs[:n:n], ancs[n:]
+				for i, slot := range o.Slots {
+					info.Ancillas[i] = sched.Ops[slot].Ancilla
+				}
+			}
 		}
 	}
-	for _, obs := range sched.Observables {
-		info := ObsInfo{Type: obs.Type, Support: obs.Support}
-		for _, slot := range obs.Slots {
-			info.Ancillas = append(info.Ancillas, sched.Ops[slot].Ancilla)
-		}
-		dem.Observables = append(dem.Observables, info)
-	}
-	for oi, obs := range sched.Observables {
-		if obs.Type != basis {
+
+	// Detector layout: per detector, its round and observable, and (CSR
+	// via detOff) its records.
+	var detRound, detObs, detRecs []int32
+	detOff := []int32{0}
+	for oi, o := range sched.Observables {
+		if o.Type != basis {
 			continue // opposite-type checks catch the other error species
 		}
-		var avail []int
-		for r := 0; r < rounds; r++ {
-			if obs.AvailableThisRound(r) {
-				avail = append(avail, r)
+		// value appends the records whose XOR is the observable's value in
+		// round r.
+		value := func(r int) error {
+			for _, slot := range o.Slots {
+				rec := slotRec[r*nSlots+slot] - 1
+				if rec < 0 {
+					return fmt.Errorf("sim: observable %d reads slot %d, which round %d does not measure", oi, slot, r)
+				}
+				detRecs = append(detRecs, rec)
 			}
+			return nil
 		}
-		if len(avail) == 0 {
+		addDet := func(r int) {
+			detRound = append(detRound, int32(r))
+			detObs = append(detObs, int32(oi))
+			detOff = append(detOff, int32(len(detRecs)))
+		}
+		// The initial detector compares the first value with the
+		// deterministic init, each later one a value with the previous.
+		prev := -1
+		for r := 0; r < rounds; r++ {
+			if !o.AvailableThisRound(r) {
+				continue
+			}
+			if prev >= 0 {
+				if err := value(prev); err != nil {
+					return nil, err
+				}
+			}
+			if err := value(r); err != nil {
+				return nil, err
+			}
+			addDet(r)
+			prev = r
+		}
+		if prev < 0 {
 			continue
 		}
-		valueRecs := func(r int) []int32 {
-			var out []int32
-			for _, slot := range obs.Slots {
-				out = append(out, recOf[[2]int{r, slot}])
-			}
-			return out
-		}
-		// Initial detector: first value vs the deterministic init.
-		addDet(avail[0], oi, valueRecs(avail[0])...)
-		// Consecutive comparisons.
-		for i := 1; i < len(avail); i++ {
-			recs := append(valueRecs(avail[i-1]), valueRecs(avail[i])...)
-			addDet(avail[i], oi, recs...)
-		}
 		// Final detector: reconstruction from data readout vs last value.
-		last := valueRecs(avail[len(avail)-1])
-		for _, q := range obs.Support {
-			last = append(last, readoutRec[q])
+		if err := value(prev); err != nil {
+			return nil, err
 		}
-		addDet(rounds, oi, last...)
+		for _, q := range o.Support {
+			qi, ok := dataIndex(q)
+			if !ok {
+				return nil, fmt.Errorf("sim: observable %d reads %v, which is not a data qubit", oi, q)
+			}
+			detRecs = append(detRecs, readout+qi)
+		}
+		addDet(rounds)
+	}
+	dem.NumDets, dem.DetRound, dem.DetObs = len(detRound), detRound, detObs
+
+	// Each record's detectors, ascending, as the first spans of the
+	// signature arena: a counting sort of the detectors' records.
+	recOff := make([]int32, nRec+1)
+	for _, rec := range detRecs {
+		recOff[rec+1]++
+	}
+	for rec := range nRec {
+		recOff[rec+1] += recOff[rec]
+	}
+	sigs := sigArena{buf: make([]int32, len(detRecs), 2*len(detRecs))}
+	next := make([]int32, nRec)
+	copy(next, recOff)
+	for d := range dem.NumDets {
+		for _, rec := range detRecs[detOff[d]:detOff[d+1]] {
+			sigs.buf[next[rec]] = int32(d)
+			next[rec]++
+		}
+	}
+	recSig := make([]sig, nRec)
+	for rec := range recSig {
+		recSig[rec] = sig{off: recOff[rec], n: recOff[rec+1] - recOff[rec]}
 	}
 
 	// Logical observable: readout parity over the logical support.
@@ -329,76 +422,96 @@ func enumerate(c *code.Code, rounds int, basis lattice.CheckType, correlated boo
 	if basis == lattice.XCheck {
 		logical = c.LogicalX()
 	}
-	obsRec := make([]bool, nRec)
 	for _, q := range logical.Support() {
-		rec, ok := readoutRec[q]
+		qi, ok := dataIndex(q)
 		if !ok {
 			return nil, fmt.Errorf("sim: logical support qubit %v missing from readout", q)
 		}
-		obsRec[rec] = true
+		recSig[readout+qi].obs = true
 	}
 
-	// Backward sensitivity pass (Stim's error analyzer). Walking the circuit
-	// from the readout back to the start, sx[q] and sz[q] hold the signature
-	// — flipped detectors and observable — that an X or a Z inserted on
-	// qubit q at the current point would produce. Undoing a reset clears
-	// both; undoing a CX xors the target's X signature into the control's
-	// and the control's Z signature into the target's; undoing a Z-basis
-	// (X-basis) measurement xors its record into the X (Z) signature. A
-	// reset or CX fault acts right after its op, so it reads the signatures
-	// before the op is undone; round r's idle channel acts right before op
-	// roundStart[r], so it reads them after.
-	var sigs sigArena
-	recSig := make([]sig, nRec)
-	for r, dets := range recDets {
-		recSig[r] = sigs.add(dets, obsRec[r])
-	}
+	// Backward sensitivity pass (Stim's error analyzer), merging as it
+	// walks. From the readout back to the start, sx[q] and sz[q] hold the
+	// signature — flipped detectors and observable — that an X or a Z
+	// inserted on qubit q at the current point would produce. Undoing a
+	// reset clears both; undoing a CX xors the target's X signature into
+	// the control's and the control's Z signature into the target's;
+	// undoing a Z-basis (X-basis) measurement xors its record into the X
+	// (Z) signature. A reset or CX fault acts right after its op, so it is
+	// merged from the signatures before the op is undone; round r's idle
+	// channel acts right before op roundStart[r], so it reads them after.
+	// Data qubits are dense indices [0, nData), so idleX/idleZ hold round
+	// r's idle signatures at [r*nData, (r+1)*nData).
 	sx := make([]sig, len(coords))
 	sz := make([]sig, len(coords))
-	// opSigs holds, in op order, each reset's fault signature and each CX's
-	// four generator signatures X_a, X_b, Z_a, Z_b; it fills back to front.
-	// Data qubits are dense indices [0, nData), so idleX/idleZ hold round
-	// r's idle signatures at [r*nData, (r+1)*nData). maxFolds bounds the
-	// components emission records: one per reset and measurement, 15 + 2
-	// correlated per CX, three idle Paulis per data qubit and round.
-	nData := len(dataQubits)
-	nOpSigs, maxFolds := 0, 3*rounds*nData
-	for _, op := range ops {
-		switch op.kind {
-		case opReset:
-			nOpSigs++
-			maxFolds++
-		case opMeas:
-			maxFolds++
-		case opCX:
-			nOpSigs += 4
-			maxFolds += 17
-		}
-	}
-	opSigs := make([]sig, nOpSigs)
 	idleX := make([]sig, rounds*nData)
 	idleZ := make([]sig, rounds*nData)
-	k, r := nOpSigs, rounds-1
+	// Each mechanism's contributions fold in the order a forward walk over
+	// the circuit visits them — ops first, then the idle channel round by
+	// round — so its probability does not depend on the pass that found
+	// them. The walk records each op's components last to first, the idle
+	// channel is recorded forward after it, and plan reads the walk's
+	// records back to front. Each component names its source (mechFold)
+	// for plan to decode.
+	mg := newMerger(len(ops))
+	var comp sigArena
+	var gen [16]sig
+	ids := [16]int32{-1}
+	r := rounds - 1
 	for i := len(ops) - 1; i >= 0; i-- {
-		op := ops[i]
+		op, src := ops[i], uint32(i)
 		switch op.kind {
 		case opReset:
-			k--
-			opSigs[k] = sx[op.a] // the reset flip: X after |0>, Z after |+>
+			// Pauli-X channel on reset: the state flips to the orthogonal
+			// basis state (X after |0>, Z after |+>).
+			sg := sx[op.a]
 			if op.basis == lattice.XCheck {
-				opSigs[k] = sz[op.a]
+				sg = sz[op.a]
 			}
+			mg.add(sigs.dets(sg), sg.obs, src)
 			sx[op.a], sz[op.a] = sig{}, sig{}
 		case opCX:
-			k -= 4
-			opSigs[k], opSigs[k+1], opSigs[k+2], opSigs[k+3] = sx[op.a], sx[op.b], sz[op.a], sz[op.b]
+			// The 15 two-qubit Paulis, composed from the four generators
+			// X_a, X_b, Z_a, Z_b at gen[1<<g]: gen[m] = gen[m&(m-1)] ⊕
+			// gen[m&-m]; then the correlated X⊗X and Z⊗Z with equal shares.
+			// About half the generators have no effect, and a Pauli with
+			// such a generator has the signature of the Pauli without it,
+			// so it takes that one's mechanism (-1: none) unmerged.
+			comp.buf = comp.buf[:0]
+			inert := 0
+			for g, sg := range [4]sig{sx[op.a], sx[op.b], sz[op.a], sz[op.b]} {
+				gen[1<<g] = comp.add(sigs.dets(sg), sg.obs)
+				if sg.n == 0 && !sg.obs {
+					inert |= 1 << g
+				}
+			}
+			for m := 1; m < 16; m++ {
+				if e := m & inert; e != 0 {
+					ids[m] = ids[m&^e]
+					continue
+				}
+				if m&(m-1) != 0 {
+					gen[m] = comp.xor(gen[m&(m-1)], gen[m&-m])
+				}
+				ids[m] = mg.id(comp.dets(gen[m]), gen[m].obs)
+			}
+			if correlated {
+				mg.record(ids[0b1100], src|srcCorr)
+				mg.record(ids[0b0011], src|srcCorr)
+			}
+			for m := 15; m > 0; m-- {
+				mg.record(ids[m], src)
+			}
 			sx[op.a] = sigs.xor(sx[op.a], sx[op.b])
 			sz[op.b] = sigs.xor(sz[op.b], sz[op.a])
 		case opMeas:
+			// Classical measurement flip.
+			sg := recSig[op.rec]
+			mg.add(sigs.dets(sg), sg.obs, src)
 			if op.basis == lattice.ZCheck {
-				sx[op.a] = sigs.xor(sx[op.a], recSig[op.rec])
+				sx[op.a] = sigs.xor(sx[op.a], sg)
 			} else {
-				sz[op.a] = sigs.xor(sz[op.a], recSig[op.rec])
+				sz[op.a] = sigs.xor(sz[op.a], sg)
 			}
 		}
 		for ; r >= 0 && roundStart[r] == i; r-- {
@@ -406,73 +519,26 @@ func enumerate(c *code.Code, rounds int, basis lattice.CheckType, correlated boo
 			copy(idleZ[r*nData:], sz[:nData])
 		}
 	}
-
-	// Forward emission, with k back at 0: record every fault component in
-	// the order a forward walk over the circuit visits it — ops first, then
-	// the idle channel round by round — so each mechanism's contributions,
-	// and with them its folded probability, do not depend on the pass that
-	// found them. Single-qubit contributions name their qubit twice and the
-	// correlated pair names the never-overridden slot len(coords), so one
-	// rate rule serves every kind (fold). Surface-code circuits have about
-	// one unique mechanism per two ops, which sizes the merge index and the
-	// mechanism list.
-	mg := merger{index: make(map[string]int32, len(ops)/2), mechs: make([]sig, 0, len(ops)/2),
-		folds: make([]mechFold, 0, maxFolds)}
-	var scratch sigArena
-	var comp [16]sig
-	for _, op := range ops {
-		switch op.kind {
-		case opReset:
-			// Pauli-X channel on reset: the state flips to the orthogonal
-			// basis state (X after |0>, Z after |+>).
-			s := opSigs[k]
-			k++
-			mg.add(sigs.dets(s), s.obs, planContrib{kind: contribMeasReset, a: op.a, b: op.a, round: op.round})
-		case opMeas:
-			// Classical measurement flip.
-			s := recSig[op.rec]
-			mg.add(sigs.dets(s), s.obs, planContrib{kind: contribMeasReset, a: op.a, b: op.a, round: op.round})
-		case opCX:
-			// The 15 two-qubit Paulis, composed from the four generators
-			// comp[1<<g] = opSigs[k+g]: comp[m] = comp[m&(m-1)] ⊕ comp[m&-m].
-			scratch.buf = scratch.buf[:0]
-			for g := 0; g < 4; g++ {
-				s := opSigs[k+g]
-				comp[1<<g] = scratch.add(sigs.dets(s), s.obs)
-			}
-			k += 4
-			for m := 1; m < 16; m++ {
-				if m&(m-1) != 0 {
-					comp[m] = scratch.xor(comp[m&(m-1)], comp[m&-m])
-				}
-				mg.add(scratch.dets(comp[m]), comp[m].obs, planContrib{kind: contribCX, a: op.a, b: op.b, round: op.round})
-			}
-			if correlated {
-				// Correlated X⊗X and Z⊗Z with equal shares.
-				unset := int32(len(coords))
-				for _, m := range [2]int{0b0011, 0b1100} {
-					mg.add(scratch.dets(comp[m]), comp[m].obs, planContrib{kind: contribCorr, a: unset, b: unset, round: op.round})
-				}
-			}
-		}
-	}
+	walked := len(mg.folds)
 
 	// Idle single-qubit depolarizing on every data qubit once per round
 	// (the identity gate while ancillas are measured); this is also where
 	// 50%-rate defect regions act when their checks have been disabled.
+	src := uint32(len(ops))
 	for r := 0; r < rounds; r++ {
 		for qi := 0; qi < nData; qi++ {
 			x, z := idleX[r*nData+qi], idleZ[r*nData+qi]
 			y := sigs.xor(x, z)
-			for _, s := range [3]sig{x, z, y} {
-				mg.add(sigs.dets(s), s.obs, planContrib{kind: contribIdle, a: int32(qi), b: int32(qi), round: int16(r)})
+			for _, sg := range [3]sig{x, z, y} {
+				mg.add(sigs.dets(sg), sg.obs, src)
 			}
+			src++
 		}
 	}
 
 	rank := mg.emit(dem)
 	core := &planCore{coords: coords, qIdx: qIdx, correlated: correlated}
-	core.mechOff, core.contribs = mg.plan(rank)
+	core.mechOff, core.contribs = mg.plan(rank, walked, ops, nData, len(coords))
 	core.buildSiteIndex()
 	dem.plan = &demPlan{core: core}
 	return dem, nil
@@ -532,53 +598,138 @@ func (a *sigArena) xor(x, y sig) sig {
 
 // merger merges fault components into unique mechanisms, numbered in
 // first-seen order until emit sorts them, and records every component as a
-// contribution to its mechanism.
+// fold of its mechanism.
 type merger struct {
-	index map[string]int32 // binary signature key → mechanism number
-	key   []byte
-	mechs []sig // each mechanism's signature, a span of dets
-	dets  sigArena
-	folds []mechFold // every recorded component in fold order
+	// table is an open-addressing index of the mechanisms, probed linearly
+	// from a signature's hash: a slot holds a mechanism number plus one, 0
+	// when empty. hashes holds each mechanism's hash, so a probe reads the
+	// detector span only on a full-hash match and growth rehashes without
+	// rereading spans. The load stays at most ½.
+	table  []int32
+	hashes []uint64
+	mechs  []sig // each mechanism's signature, a span of dets
+	dets   sigArena
+	folds  []mechFold // every recorded component in fold order
 }
 
-// mechFold is one component recorded for mechanism mech.
+// mechFold is one component recorded for mechanism mech. src names the
+// fault: an op index (its reset or measurement flip, or one of its CX's 15
+// Paulis), an op index with srcCorr set (one of its CX's correlated pair),
+// or, from len(ops) up, the idle Pauli of data qubit qi in round r at
+// len(ops)+r*nData+qi. plan decodes it into the contribution.
 type mechFold struct {
-	mech    int32
-	contrib planContrib
+	mech int32
+	src  uint32
+}
+
+const srcCorr = 1 << 31
+
+// newMerger returns a merger for a build of nOps ops. Surface-code
+// circuits have about one unique mechanism per two ops and six to seven
+// and a half components per op (d=3 to 9), so it reserves room for nOps/2
+// mechanisms and 8·nOps components; the buffers grow by append past that.
+func newMerger(nOps int) *merger {
+	n := 64
+	for n < nOps {
+		n <<= 1
+	}
+	return &merger{
+		table:  make([]int32, n),
+		hashes: make([]uint64, 0, nOps/2),
+		mechs:  make([]sig, 0, nOps/2),
+		dets:   sigArena{buf: make([]int32, 0, nOps)},
+		folds:  make([]mechFold, 0, 8*nOps),
+	}
+}
+
+// sigHash mixes a signature into 64 bits (a multiplicative fold of the
+// detectors, then the MurmurHash3 finalizer).
+func sigHash(dets []int32, obs bool) uint64 {
+	h := uint64(len(dets))
+	if obs {
+		h |= 1 << 32
+	}
+	for _, d := range dets {
+		h = (h ^ uint64(uint32(d))) * 0x9e3779b97f4a7c15
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
 }
 
 // add records one fault component; a component with no effect is dropped.
-func (mg *merger) add(dets []int32, obs bool, contrib planContrib) {
+func (mg *merger) add(dets []int32, obs bool, src uint32) {
+	mg.record(mg.id(dets, obs), src)
+}
+
+// record records a component of mechanism id from src; id -1, a component
+// with no effect, records nothing.
+func (mg *merger) record(id int32, src uint32) {
+	if id >= 0 {
+		mg.folds = append(mg.folds, mechFold{mech: id, src: src})
+	}
+}
+
+// id returns the number of the mechanism with signature (dets, obs),
+// adding it on first sight, or -1 when the signature has no effect.
+func (mg *merger) id(dets []int32, obs bool) int32 {
 	if len(dets) == 0 && !obs {
-		return
+		return -1
 	}
-	mg.key = mg.key[:0]
-	for _, d := range dets {
-		mg.key = binary.LittleEndian.AppendUint32(mg.key, uint32(d))
+	h := sigHash(dets, obs)
+	mask := uint64(len(mg.table) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		id := mg.table[i] - 1
+		if id < 0 {
+			id = int32(len(mg.mechs))
+			mg.table[i] = id + 1
+			mg.hashes = append(mg.hashes, h)
+			mg.mechs = append(mg.mechs, mg.dets.add(dets, obs))
+			if 2*len(mg.mechs) > len(mg.table) {
+				mg.grow()
+			}
+			return id
+		}
+		if m := mg.mechs[id]; mg.hashes[id] == h && m.obs == obs && slices.Equal(mg.dets.dets(m), dets) {
+			return id
+		}
 	}
-	if obs {
-		mg.key = append(mg.key, 1) // 4n+1 bytes: never another list's key
+}
+
+// grow doubles the index and reinserts every mechanism.
+func (mg *merger) grow() {
+	mg.table = make([]int32, 2*len(mg.table))
+	mask := uint64(len(mg.table) - 1)
+	for id, h := range mg.hashes {
+		i := h & mask
+		for mg.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		mg.table[i] = int32(id) + 1
 	}
-	id, ok := mg.index[string(mg.key)]
-	if !ok {
-		id = int32(len(mg.mechs))
-		mg.index[string(mg.key)] = id
-		mg.mechs = append(mg.mechs, mg.dets.add(dets, obs))
-	}
-	mg.folds = append(mg.folds, mechFold{mech: id, contrib: contrib})
+}
+
+// emitKey orders one mechanism for emission: prefix is the first 8 bytes
+// of its decimal key, zero-padded, as a big-endian integer.
+type emitKey struct {
+	prefix uint64
+	mech   int32
 }
 
 // emit writes the merged mechanisms into dem.Mechs, unrated, their
 // detector lists packed into one exactly sized array, and returns each
 // mechanism's index there. The order is the lexicographic order of the
 // decimal keys "<det>,<det>,…,\x00<obs>": the NUL sorts below every digit
-// and the comma, so a detector list precedes its extensions. The samplers'
-// draw streams, and so every stored result, depend on this order.
+// and the comma, so a detector list precedes its extensions. Comparing the
+// zero-padded 8-byte prefixes as integers agrees with that order wherever
+// they differ, so the bytes are compared only on a tie. The samplers' draw
+// streams, and so every stored result, depend on this order.
 func (mg *merger) emit(dem *DEM) []int32 {
 	n := len(mg.mechs)
 	var keys []byte
 	keyOff := make([]int32, n+1)
-	order := make([]int32, n)
+	order := make([]emitKey, n)
 	for i, m := range mg.mechs {
 		for _, d := range mg.dets.dets(m) {
 			keys = strconv.AppendInt(keys, int64(d), 10)
@@ -590,18 +741,24 @@ func (mg *merger) emit(dem *DEM) []int32 {
 		}
 		keys = append(keys, 0, obs)
 		keyOff[i+1] = int32(len(keys))
-		order[i] = int32(i)
+		var pad [8]byte
+		copy(pad[:], keys[keyOff[i]:])
+		order[i] = emitKey{prefix: binary.BigEndian.Uint64(pad[:]), mech: int32(i)}
 	}
-	key := func(i int32) []byte { return keys[keyOff[i]:keyOff[i+1]] }
-	slices.SortFunc(order, func(a, b int32) int { return bytes.Compare(key(a), key(b)) })
+	slices.SortFunc(order, func(a, b emitKey) int {
+		if a.prefix != b.prefix {
+			return cmp.Compare(a.prefix, b.prefix)
+		}
+		return bytes.Compare(keys[keyOff[a.mech]:keyOff[a.mech+1]], keys[keyOff[b.mech]:keyOff[b.mech+1]])
+	})
 
 	flat := make([]int32, len(mg.dets.buf))
 	dem.Mechs = make([]Mechanism, n)
 	rank := make([]int32, n)
 	off := int32(0)
-	for i, id := range order {
-		rank[id] = int32(i)
-		m := mg.mechs[id]
+	for i, k := range order {
+		rank[k.mech] = int32(i)
+		m := mg.mechs[k.mech]
 		dem.Mechs[i].Obs = m.obs
 		if m.n > 0 {
 			end := off + m.n
@@ -614,22 +771,49 @@ func (mg *merger) emit(dem *DEM) []int32 {
 }
 
 // plan lays the recorded folds out as the plan core's CSR: a stable
-// counting sort by emitted mechanism index, which keeps each mechanism's
-// contributions in fold order.
-func (mg *merger) plan(rank []int32) (mechOff []int32, contribs []planContrib) {
-	n := len(mg.mechs)
+// counting sort by emitted mechanism index of the folds in forward order —
+// the first walked, which the backward walk recorded last to first, back
+// to front, then the rest as recorded — which keeps each mechanism's
+// contributions in fold order, each fold's source decoded into its
+// contribution. Single-qubit contributions name their qubit twice and the
+// correlated pair names the never-overridden slot nQubits, so one rate
+// rule serves every kind (DEM.fold).
+func (mg *merger) plan(rank []int32, walked int, ops []flatOp, nData, nQubits int) (mechOff []int32, contribs []planContrib) {
+	folds := mg.folds
+	n := len(rank)
 	mechOff = make([]int32, n+1)
-	for _, f := range mg.folds {
+	for _, f := range folds {
 		mechOff[rank[f.mech]+1]++
 	}
 	for i := 0; i < n; i++ {
 		mechOff[i+1] += mechOff[i]
 	}
 	next := slices.Clone(mechOff[:n])
-	contribs = make([]planContrib, len(mg.folds))
-	for _, f := range mg.folds {
+	contribs = make([]planContrib, len(folds))
+	nOps, unset := uint32(len(ops)), int32(nQubits)
+	for j := range folds {
+		if j < walked {
+			j = walked - 1 - j
+		}
+		f := folds[j]
+		var c planContrib
+		switch {
+		case f.src&srcCorr != 0:
+			c = planContrib{kind: contribCorr, a: unset, b: unset, round: ops[f.src&^srcCorr].round}
+		case f.src < nOps:
+			op := ops[f.src]
+			if op.kind == opCX {
+				c = planContrib{kind: contribCX, a: op.a, b: op.b, round: op.round}
+			} else {
+				c = planContrib{kind: contribMeasReset, a: op.a, b: op.a, round: op.round}
+			}
+		default:
+			slot := int(f.src - nOps)
+			qi := int32(slot % nData)
+			c = planContrib{kind: contribIdle, a: qi, b: qi, round: int16(slot / nData)}
+		}
 		r := rank[f.mech]
-		contribs[next[r]] = f.contrib
+		contribs[next[r]] = c
 		next[r]++
 	}
 	return mechOff, contribs

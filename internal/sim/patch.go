@@ -170,33 +170,32 @@ func (d *DEM) drop(mis []int32) {
 }
 
 // buildSiteIndex derives the site → mechanisms CSR from the contribution
-// lists (two passes; per-mechanism duplicates collapse because each
-// mechanism's contributions are visited consecutively).
+// lists in two passes, a count and a fill. A mechanism's contributions are
+// visited consecutively, so last[q], the last mechanism listed for site q,
+// collapses its duplicates.
 func (pc *planCore) buildSiteIndex() {
 	nq := len(pc.coords)
-	nm := len(pc.mechOff) - 1
-	forEachSite := func(visit func(mi, q int32)) {
-		for mi := 0; mi < nm; mi++ {
-			for _, c := range pc.contribs[pc.mechOff[mi]:pc.mechOff[mi+1]] {
-				if c.kind != contribCorr {
-					visit(int32(mi), c.a)
-					visit(int32(mi), c.b)
-				}
-			}
-		}
-	}
+	nm := int32(len(pc.mechOff) - 1)
 	last := make([]int32, nq)
 	for i := range last {
 		last[i] = -1
 	}
 	counts := make([]int32, nq+1)
-	forEachSite(func(mi, q int32) {
-		if last[q] == mi {
-			return
+	for mi := range nm {
+		for _, c := range pc.contribs[pc.mechOff[mi]:pc.mechOff[mi+1]] {
+			if c.kind == contribCorr {
+				continue
+			}
+			if last[c.a] != mi {
+				last[c.a] = mi
+				counts[c.a+1]++
+			}
+			if last[c.b] != mi {
+				last[c.b] = mi
+				counts[c.b+1]++
+			}
 		}
-		last[q] = mi
-		counts[q+1]++
-	})
+	}
 	for i := 0; i < nq; i++ {
 		counts[i+1] += counts[i]
 	}
@@ -205,16 +204,24 @@ func (pc *planCore) buildSiteIndex() {
 	for i := range last {
 		last[i] = -1
 	}
-	cur := make([]int32, nq)
-	copy(cur, counts[:nq])
-	forEachSite(func(mi, q int32) {
-		if last[q] == mi {
-			return
+	cur := slices.Clone(counts[:nq])
+	for mi := range nm {
+		for _, c := range pc.contribs[pc.mechOff[mi]:pc.mechOff[mi+1]] {
+			if c.kind == contribCorr {
+				continue
+			}
+			if last[c.a] != mi {
+				last[c.a] = mi
+				pc.siteMechs[cur[c.a]] = mi
+				cur[c.a]++
+			}
+			if last[c.b] != mi {
+				last[c.b] = mi
+				pc.siteMechs[cur[c.b]] = mi
+				cur[c.b]++
+			}
 		}
-		last[q] = mi
-		pc.siteMechs[cur[q]] = mi
-		cur[q]++
-	})
+	}
 }
 
 // SamePatchCore reports whether two DEMs share mechanism/detector structure

@@ -8,6 +8,7 @@ import (
 	"surfdeformer/internal/code"
 	"surfdeformer/internal/lattice"
 	"surfdeformer/internal/noise"
+	"surfdeformer/internal/pauli"
 )
 
 func freshCode(t *testing.T, d int) *code.Code {
@@ -128,6 +129,51 @@ func TestDeformedCodeDEMBuilds(t *testing.T) {
 		}
 		if dem.NumDets == 0 || len(dem.Mechs) == 0 {
 			t.Errorf("basis %v: empty DEM", basis)
+		}
+	}
+}
+
+// TestBuildDEMRejectsNonDataSupport requires a build of a code that reads
+// a coordinate outside its data qubits to fail with an error, as a logical
+// off the readout does: wiring the coordinate to data qubit 0 and readout
+// record 0, as a map lookup's zero value would, builds the DEM of a
+// circuit the code does not describe. The stray coordinate sits on a plain
+// check's support, read by every build, and on a super-stabilizer's, which
+// only the final detectors of its own type read.
+func TestBuildDEMRejectsNonDataSupport(t *testing.T) {
+	stray := lattice.Coord{Row: 40, Col: 40}
+	check := freshCode(t, 3)
+	check.AddStab(pauli.Z(check.DataQubits()[0], stray), lattice.Coord{Row: 41, Col: 41})
+	super := deformedCode(t)
+	var superType lattice.CheckType
+	for _, st := range super.Stabs() {
+		if st.IsSuper() {
+			superType, _ = st.Op.CSSType()
+			extra := pauli.X(stray)
+			if superType == lattice.ZCheck {
+				extra = pauli.Z(stray)
+			}
+			super.ReplaceStabOp(st.ID, pauli.Mul(st.Op, extra))
+			break
+		}
+	}
+	cases := []struct {
+		name  string
+		c     *code.Code
+		bases []lattice.CheckType
+	}{
+		{"check", check, []lattice.CheckType{lattice.ZCheck, lattice.XCheck}},
+		{"super-stabilizer", super, []lattice.CheckType{superType}},
+	}
+	model := noise.Uniform(1e-3)
+	for _, tc := range cases {
+		if tc.c.Validate() == nil {
+			t.Fatalf("%s: Validate accepts a code that reads %v", tc.name, stray)
+		}
+		for _, basis := range tc.bases {
+			if dem, err := BuildDEM(tc.c, model, 4, basis); err == nil {
+				t.Errorf("%s, basis %v: BuildDEM built %d detectors, want an error", tc.name, basis, dem.NumDets)
+			}
 		}
 	}
 }
