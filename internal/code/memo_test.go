@@ -1,6 +1,7 @@
 package code_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -149,6 +150,14 @@ func TestCodeMemoClearedByEveryMutation(t *testing.T) {
 				mutate := tc.stage(t, c)
 				before := readMemo(c)
 				mutate()
+				if tc.name == "RefreshLogicals" {
+					// The refresh's last walk had DistanceZ's inputs, so it
+					// leaves that distance memoized: the read below is served
+					// without a search, and must equal a fresh search's.
+					if n := mallocs(func() { c.DistanceZ() }); n != 0 {
+						t.Errorf("DistanceZ after RefreshLogicals searched afresh (%d allocs), want the memoized value", n)
+					}
+				}
 				after, want := readMemo(c), readMemo(c.Clone())
 				if after != want {
 					t.Errorf("memo after %s = {ID %d dX %d dZ %d fp %q}, fresh clone has {ID %d dX %d dZ %d fp %q}",
@@ -169,6 +178,17 @@ func TestCodeMemoClearedByEveryMutation(t *testing.T) {
 	if distChanged == 0 {
 		t.Error("no mutation changed a distance; the distance memo is not exercised")
 	}
+}
+
+// mallocs counts the heap allocations of one call of f, without the
+// warm-up call testing.AllocsPerRun makes, which would fill a memo first.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // TestCodeMemoConcurrentReads reads the memo of one shared code from 8

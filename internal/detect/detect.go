@@ -50,7 +50,6 @@ type Window struct {
 	threshold float64 // firing-rate threshold in (0, 1)
 	halflife  float64 // EstimateRates temporal half-life in rounds (0 = uniform)
 
-	history map[int32][]int // per observable: firing rounds since the last Trim, ascending
 	current int
 	first   int  // first round ever fed (for the warm-up window length)
 	started bool // whether any round has been fed yet
@@ -63,8 +62,8 @@ type Window struct {
 	decay  []float64 // decay[a] = 0.5^(a/halflife), grown on demand
 }
 
-// obsSlot is one observable's dense state. Its in-window firings are the
-// last n entries of history[obs], which is always rounds.
+// obsSlot is one observable's dense state: its firing rounds since the
+// last Trim, ascending, of which the last n are inside the window.
 type obsSlot struct {
 	obs    int32
 	rounds []int
@@ -85,7 +84,7 @@ type firing struct {
 // defect fires at a rate near 0.5, so thresholds around 0.25 separate the
 // two populations after a ~20-round window.
 func NewWindow(rounds int, threshold float64) *Window {
-	return &Window{rounds: rounds, threshold: threshold, history: map[int32][]int{}, slotOf: map[int32]int32{}}
+	return &Window{rounds: rounds, threshold: threshold, slotOf: map[int32]int32{}}
 }
 
 // SetHalflife enables exponential temporal weighting in EstimateRates: a
@@ -131,7 +130,6 @@ func (w *Window) Feed(round int, fired []int32) {
 			continue // duplicate (round, observable) feed
 		}
 		s.rounds = append(s.rounds, round)
-		w.history[o] = s.rounds
 		if s.n == 0 {
 			s.live = int32(len(w.live))
 			w.live = append(w.live, si)
@@ -331,11 +329,6 @@ func (w *Window) Trim() {
 			continue // nothing older than the window
 		}
 		s.rounds = s.rounds[:copy(s.rounds, s.rounds[len(s.rounds)-s.n:])]
-		if s.n == 0 {
-			delete(w.history, s.obs)
-			continue
-		}
-		w.history[s.obs] = s.rounds
 	}
 	w.queue = w.queue[:copy(w.queue, w.queue[w.qHead:])]
 	w.qHead = 0

@@ -9,6 +9,20 @@ import (
 	"surfdeformer/internal/lattice"
 )
 
+// history rebuilds, from the slots, each observable's firing rounds since
+// the last Trim, as the map refWindow keeps them: an observable is present
+// exactly while it has such a round. Window keeps no such map; only the
+// tests read it.
+func (w *Window) history() map[int32][]int {
+	h := make(map[int32][]int)
+	for _, s := range w.slots {
+		if len(s.rounds) > 0 {
+			h[s.obs] = s.rounds
+		}
+	}
+	return h
+}
+
 func TestOracleRates(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var truth, healthy []lattice.Coord
@@ -135,13 +149,13 @@ func TestWindowFeedIdempotent(t *testing.T) {
 		w.Feed(round, []int32{1})
 		w.Feed(round, []int32{1}) // duplicate feed of the same round
 	}
-	if got := len(w.history[1]); got != 8 {
+	if got := len(w.history()[1]); got != 8 {
 		t.Errorf("history holds %d entries after duplicate feeds, want 8", got)
 	}
 	// Rate is exactly 1.0 (4 firings in a 4-round window), not 2.0.
 	lo := w.current - w.rounds + 1
 	n := 0
-	for _, r := range w.history[1] {
+	for _, r := range w.history()[1] {
 		if r >= lo {
 			n++
 		}
@@ -153,7 +167,7 @@ func TestWindowFeedIdempotent(t *testing.T) {
 	// Duplicate feeds after a Trim must not re-append the current round.
 	w.Trim()
 	w.Feed(7, []int32{1})
-	if got := len(w.history[1]); got != 4 {
+	if got := len(w.history()[1]); got != 4 {
 		t.Errorf("history holds %d entries after post-Trim duplicate feed, want 4", got)
 	}
 }
@@ -168,11 +182,11 @@ func TestWindowRejectsDecreasingRounds(t *testing.T) {
 	if w.current != 10 {
 		t.Errorf("current round %d after decreasing feed, want 10", w.current)
 	}
-	if len(w.history[7]) != 0 {
-		t.Errorf("decreasing feed recorded history: %v", w.history[7])
+	if len(w.history()[7]) != 0 {
+		t.Errorf("decreasing feed recorded history: %v", w.history()[7])
 	}
 	w.Feed(10, []int32{9}) // equal round is fine
-	if len(w.history[9]) != 1 {
+	if len(w.history()[9]) != 1 {
 		t.Errorf("equal-round feed not recorded")
 	}
 }
@@ -286,7 +300,7 @@ func TestWindowTrim(t *testing.T) {
 	}
 	w.Trim()
 	// After trimming, history holds at most the window.
-	if got := len(w.history[1]); got > 5 {
+	if got := len(w.history()[1]); got > 5 {
 		t.Errorf("history length %d after Trim, want <= 5", got)
 	}
 	if len(w.Flagged()) != 1 {

@@ -89,8 +89,8 @@ func FuzzWindowMatchesReference(f *testing.F) {
 					t.Fatalf("step %d: EstimateRates =\n%+v\nreference\n%+v", step, got, want)
 				}
 			}
-			if !maps.EqualFunc(w.history, ref.history, slices.Equal[[]int]) {
-				t.Fatalf("step %d: history %v, reference %v", step, w.history, ref.history)
+			if h := w.history(); !maps.EqualFunc(h, ref.history, slices.Equal[[]int]) {
+				t.Fatalf("step %d: history %v, reference %v", step, h, ref.history)
 			}
 		}
 	})

@@ -9,30 +9,32 @@ import (
 	"surfdeformer/internal/pauli"
 )
 
-// stabGroupMatrix encodes a code's stabilizer generators as symplectic
-// GF(2) rows over a fixed qubit index, so stabilizer groups of two codes
-// over the same data set can be compared as row spans.
-func stabGroupMatrix(t *testing.T, c *code.Code, idx map[lattice.Coord]int) *gf2.Matrix {
+// stabGroupMatrix encodes the stabilizer generators of the given codes as
+// symplectic GF(2) rows over a fixed qubit index, so stabilizer groups of
+// codes over the same data set can be compared as row spans.
+func stabGroupMatrix(t *testing.T, idx map[lattice.Coord]int, codes ...*code.Code) *gf2.Matrix {
 	t.Helper()
 	n := len(idx)
 	m := gf2.NewMatrix(0, 2*n)
-	for _, s := range c.Stabs() {
-		v := gf2.NewVec(2 * n)
-		for _, q := range s.Op.XSupport() {
-			i, ok := idx[q]
-			if !ok {
-				t.Fatalf("stabilizer %d acts outside the index: %v", s.ID, q)
+	for _, c := range codes {
+		for _, s := range c.Stabs() {
+			v := gf2.NewVec(2 * n)
+			for _, q := range s.Op.XSupport() {
+				i, ok := idx[q]
+				if !ok {
+					t.Fatalf("stabilizer %d acts outside the index: %v", s.ID, q)
+				}
+				v.Set(i, true)
 			}
-			v.Set(i, true)
-		}
-		for _, q := range s.Op.ZSupport() {
-			i, ok := idx[q]
-			if !ok {
-				t.Fatalf("stabilizer %d acts outside the index: %v", s.ID, q)
+			for _, q := range s.Op.ZSupport() {
+				i, ok := idx[q]
+				if !ok {
+					t.Fatalf("stabilizer %d acts outside the index: %v", s.ID, q)
+				}
+				v.Set(n+i, true)
 			}
-			v.Set(n+i, true)
+			m.AppendRow(v)
 		}
-		m.AppendRow(v)
 	}
 	return m
 }
@@ -43,8 +45,9 @@ func sameStabGroup(t *testing.T, a, b *code.Code) bool {
 	for i, q := range a.DataQubits() {
 		idx[q] = i
 	}
-	ma, mb := stabGroupMatrix(t, a, idx), stabGroupMatrix(t, b, idx)
-	return ma.SpanContainsAll(mb) && mb.SpanContainsAll(ma)
+	// Two row spans are equal exactly when each has the rank of their union.
+	r := stabGroupMatrix(t, idx, a, b).Rank()
+	return stabGroupMatrix(t, idx, a).Rank() == r && stabGroupMatrix(t, idx, b).Rank() == r
 }
 
 // roundTrip applies S2G with a single-qubit operator at q and then G2S on

@@ -2,9 +2,9 @@
 //
 // Matrices are stored row-major as slices of 64-bit words. The package
 // provides the primitives the code layer needs: rank computation, row
-// reduction, solving linear systems, nullspace bases, and membership tests
-// for row spans. All operations are deterministic and allocate copies rather
-// than mutating their inputs unless the method name says otherwise.
+// reduction, solving linear systems and nullspace bases. All operations are
+// deterministic and allocate copies rather than mutating their inputs unless
+// the method name says otherwise.
 package gf2
 
 import (
@@ -27,15 +27,6 @@ func NewVec(n int) Vec {
 		panic("gf2: negative vector length")
 	}
 	return Vec{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
-}
-
-// VecFromIndices returns a length-n vector with ones at the given indices.
-func VecFromIndices(n int, idx []int) Vec {
-	v := NewVec(n)
-	for _, i := range idx {
-		v.Set(i, true)
-	}
-	return v
 }
 
 // Len returns the vector length in bits.
@@ -61,14 +52,6 @@ func (v Vec) Set(i int, b bool) {
 	}
 }
 
-// Flip toggles the bit at index i.
-func (v Vec) Flip(i int) {
-	if i < 0 || i >= v.n {
-		panic(fmt.Sprintf("gf2: index %d out of range [0,%d)", i, v.n))
-	}
-	v.words[i/wordBits] ^= 1 << (uint(i) % wordBits)
-}
-
 // Xor sets v ^= u. The lengths must match.
 func (v Vec) Xor(u Vec) {
 	if v.n != u.n {
@@ -79,55 +62,11 @@ func (v Vec) Xor(u Vec) {
 	}
 }
 
-// Dot returns the GF(2) inner product of v and u.
-func (v Vec) Dot(u Vec) bool {
-	if v.n != u.n {
-		panic("gf2: length mismatch in Dot")
-	}
-	var acc uint64
-	for i := range v.words {
-		acc ^= v.words[i] & u.words[i]
-	}
-	return bits.OnesCount64(acc)%2 == 1
-}
-
-// Weight returns the Hamming weight of v.
-func (v Vec) Weight() int {
-	w := 0
-	for _, word := range v.words {
-		w += bits.OnesCount64(word)
-	}
-	return w
-}
-
-// IsZero reports whether every bit of v is zero.
-func (v Vec) IsZero() bool {
-	for _, word := range v.words {
-		if word != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns an independent copy of v.
 func (v Vec) Clone() Vec {
 	w := Vec{n: v.n, words: make([]uint64, len(v.words))}
 	copy(w.words, v.words)
 	return w
-}
-
-// Equal reports whether v and u hold identical bits.
-func (v Vec) Equal(u Vec) bool {
-	if v.n != u.n {
-		return false
-	}
-	for i := range v.words {
-		if v.words[i] != u.words[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Indices returns the positions of set bits in ascending order.
@@ -175,37 +114,8 @@ func NewMatrix(rows, cols int) *Matrix {
 	return m
 }
 
-// FromRows builds a matrix whose rows are copies of the given vectors.
-// All vectors must share the same length.
-func FromRows(rows []Vec) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	cols := rows[0].Len()
-	m := &Matrix{rows: len(rows), cols: cols, data: make([]Vec, len(rows))}
-	for i, r := range rows {
-		if r.Len() != cols {
-			panic("gf2: inconsistent row lengths")
-		}
-		m.data[i] = r.Clone()
-	}
-	return m
-}
-
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
-// Get reports the bit at (r, c).
-func (m *Matrix) Get(r, c int) bool { return m.data[r].Get(c) }
-
 // Set assigns the bit at (r, c).
 func (m *Matrix) Set(r, c int, b bool) { m.data[r].Set(c, b) }
-
-// Row returns row r without copying; mutating it mutates the matrix.
-func (m *Matrix) Row(r int) Vec { return m.data[r] }
 
 // AppendRow adds a copy of v as a new bottom row.
 func (m *Matrix) AppendRow(v Vec) {
@@ -270,33 +180,6 @@ func (m *Matrix) RowReduce() (rref *Matrix, rank int, pivots []int) {
 	rref = m.Clone()
 	rank = rref.rowReduceInPlace(&pivots)
 	return rref, rank, pivots
-}
-
-// InSpan reports whether v lies in the row span of m.
-func (m *Matrix) InSpan(v Vec) bool {
-	if v.Len() != m.cols {
-		panic("gf2: length mismatch in InSpan")
-	}
-	aug := m.Clone()
-	aug.AppendRow(v)
-	return aug.Rank() == m.Rank()
-}
-
-// SpanContainsAll reports whether every row of other lies in the row span
-// of m.
-func (m *Matrix) SpanContainsAll(other *Matrix) bool {
-	if other.rows == 0 {
-		return true
-	}
-	if other.cols != m.cols {
-		panic("gf2: column mismatch in SpanContainsAll")
-	}
-	base := m.Rank()
-	aug := m.Clone()
-	for _, r := range other.data {
-		aug.AppendRow(r)
-	}
-	return aug.Rank() == base
 }
 
 // Solve finds x with xᵀ·m = v, i.e. expresses v as a combination of the rows
@@ -379,31 +262,6 @@ func (m *Matrix) Nullspace() []Vec {
 		basis = append(basis, v)
 	}
 	return basis
-}
-
-// Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for r := 0; r < m.rows; r++ {
-		for _, c := range m.data[r].Indices() {
-			t.data[c].Set(r, true)
-		}
-	}
-	return t
-}
-
-// MulVec returns m·x for a column vector x of length Cols.
-func (m *Matrix) MulVec(x Vec) Vec {
-	if x.Len() != m.cols {
-		panic("gf2: length mismatch in MulVec")
-	}
-	out := NewVec(m.rows)
-	for r := 0; r < m.rows; r++ {
-		if m.data[r].Dot(x) {
-			out.Set(r, true)
-		}
-	}
-	return out
 }
 
 // String renders the matrix one row per line.
