@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -48,21 +49,71 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// wantFailure runs the command on args in a re-executed test binary and
-// requires exit status 1 with nothing on stdout.
-func wantFailure(t *testing.T, args string) {
-	t.Helper()
+// runCommand runs the command on args (split at white space) in a
+// re-executed test binary and returns its stdout, its stderr and the error
+// of its exit.
+func runCommand(args string) (stdout, stderr string, err error) {
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(), "SURFDEFORM_TEST_ARGS="+args)
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err = cmd.Run()
+	return out.String(), errOut.String(), err
+}
+
+// wantFailure runs the command on args and requires exit status 1 with
+// nothing on stdout.
+func wantFailure(t *testing.T, args string) {
+	t.Helper()
+	stdout, stderr, err := runCommand(args)
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Errorf("%s: exit %v, want status 1; stderr:\n%s", args, err, stderr.String())
+		t.Errorf("%s: exit %v, want status 1; stderr:\n%s", args, err, stderr)
 	}
-	if stdout.Len() != 0 {
-		t.Errorf("%s printed a table:\n%s", args, stdout.String())
+	if stdout != "" {
+		t.Errorf("%s printed a table:\n%s", args, stdout)
+	}
+}
+
+// TestServesOldStores resumes from stores an earlier build of the command
+// wrote (testdata/NAME.jsonl, with its stdout in testdata/NAME.txt), each
+// from a temporary copy: the run must compute no point and print the
+// committed table byte for byte. A change that moves stored results, such
+// as a trajEngineRev bump, fails here until the fixture is regenerated on
+// purpose: delete NAME.jsonl, rerun the command below with -store
+// testdata/NAME.jsonl from this directory, and save its stdout as
+// NAME.txt.
+func TestServesOldStores(t *testing.T) {
+	for _, tc := range []struct{ name, args string }{
+		{"traj", "-quick -trials 2 -seed 3 traj"},
+		{"fig11c", "-quick -seed 3 fig11c"},
+		{"calibrate", "-d 3,5 -p 4e-3 -shots 2000 -rounds 3 calibrate"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rows, err := os.ReadFile(filepath.Join("testdata", tc.name+".jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", tc.name+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			store := filepath.Join(t.TempDir(), tc.name+".jsonl")
+			if err := os.WriteFile(store, rows, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			args := "-store " + store + " -resume " + tc.args
+			stdout, stderr, err := runCommand(args)
+			if err != nil {
+				t.Fatalf("%s: %v; stderr:\n%s", args, err, stderr)
+			}
+			if !strings.Contains(stderr, "computed 0 point(s)") {
+				t.Errorf("%s recomputed stored points; stderr:\n%s", args, stderr)
+			}
+			if stdout != string(want) {
+				t.Errorf("%s printed\n%s\nwant the committed table\n%s", args, stdout, want)
+			}
+		})
 	}
 }
 

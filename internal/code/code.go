@@ -13,7 +13,7 @@
 // All mutation goes through the exported mutators so that the gauge layer
 // (package gauge) and the instruction layer (package deform) can maintain
 // the invariants checked by Validate, and so that the values memoized per
-// code state (Fingerprint, ID, DistanceX, DistanceZ) are cleared on every
+// code state (Fingerprint, DistanceX, DistanceZ) are cleared on every
 // change.
 package code
 
@@ -21,12 +21,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
 
 	"surfdeformer/internal/lattice"
-	"surfdeformer/internal/obs"
 	"surfdeformer/internal/pauli"
 )
 
@@ -72,14 +69,12 @@ type Code struct {
 	// concurrent readers of one shared code stay race-free; two first reads
 	// may both compute, and store the same value.
 	fingerprint  atomic.Pointer[string]
-	id           atomic.Uint64 // 0 = not interned (IDs start at 1)
-	distX, distZ atomic.Int32  // 0 = not computed (a logical has weight ≥ 1)
+	distX, distZ atomic.Int32 // 0 = not computed (a logical has weight ≥ 1)
 }
 
 // invalidate clears the memoized derived values after a content change.
 func (c *Code) invalidate() {
 	c.fingerprint.Store(nil)
-	c.id.Store(0)
 	c.distX.Store(0)
 	c.distZ.Store(0)
 }
@@ -447,7 +442,9 @@ func (c *Code) ReplaceWith(src *Code) {
 // and syndrome qubits, stabilizers with their ancillas, Direct flags and
 // super-stabilizer membership, gauges, and both logical representatives.
 // Two codes with equal fingerprints have identical detector error models,
-// which is why the DEM cache keys on it. Only equality is meaningful: the
+// which is why every DEM cache keys on it: a sim.DEMKey holds this string
+// itself, not a copy and not a hash of it, so two code objects share
+// entries exactly when their fingerprints are equal. Only equality is meaningful: the
 // encoding is binary — varints, every list prefixed by its length — and
 // equal exactly when the text form the package's tests keep as an oracle
 // is. It is computed once per code state.
@@ -501,61 +498,6 @@ func boolByte(v bool) byte {
 		return 1
 	}
 	return 0
-}
-
-// ID returns the code's interned identity: a process-wide table maps each
-// Fingerprint to an integer, so codes with equal fingerprints in one table
-// generation share an ID, and the DEM caches key on the 8-byte ID instead
-// of the fingerprint (0.4 KB at d=5). IDs come from a counter that never rewinds, so
-// an ID is never reused: when the table resets at internLimit entries,
-// codes still holding an old ID keep it, a fingerprint interned afterwards
-// gets a fresh one, and the reset costs cache misses, never a wrong hit.
-// Like the fingerprint, the ID is computed once per code state.
-func (c *Code) ID() uint64 {
-	if id := c.id.Load(); id != 0 {
-		return id
-	}
-	id := intern(c.Fingerprint())
-	c.id.Store(id)
-	return id
-}
-
-// internLimit bounds the intern table. The table holds the fingerprints of
-// codes that may be long dead (a d=3 fingerprint is 150 bytes, d=5 430),
-// so it resets wholesale past the bound, like the DEM caches do. A reset
-// costs one full DEM build per configuration still in use; the bound keeps
-// the table near 0.1 MB.
-const internLimit = 256
-
-var (
-	obsInternHits   = obs.Default().Counter("code.intern.hits")
-	obsInternMisses = obs.Default().Counter("code.intern.misses")
-	obsInternClears = obs.Default().Counter("code.intern.clears")
-
-	internMu   sync.Mutex
-	internIDs  = make(map[string]uint64)
-	internLast uint64 // the last ID issued; never rewinds
-)
-
-// intern returns fp's ID in the current table generation, issuing the next
-// one on a miss. The table keeps an exact-size copy of fp: a fingerprint
-// shares the spare capacity of the builder that wrote it, which the table
-// would otherwise keep alive after the code is gone.
-func intern(fp string) uint64 {
-	internMu.Lock()
-	defer internMu.Unlock()
-	if id, ok := internIDs[fp]; ok {
-		obsInternHits.Inc()
-		return id
-	}
-	if len(internIDs) >= internLimit {
-		internIDs = make(map[string]uint64)
-		obsInternClears.Inc()
-	}
-	internLast++
-	internIDs[strings.Clone(fp)] = internLast
-	obsInternMisses.Inc()
-	return internLast
 }
 
 // Bounds returns the inclusive bounding box of the active data qubits.

@@ -14,12 +14,11 @@ import (
 // memo is the values a Code memoizes per code state.
 type memo struct {
 	fp     string
-	id     uint64
 	dx, dz int
 }
 
 func readMemo(c *code.Code) memo {
-	return memo{c.Fingerprint(), c.ID(), c.DistanceX(), c.DistanceZ()}
+	return memo{c.Fingerprint(), c.DistanceX(), c.DistanceZ()}
 }
 
 type namedCode struct {
@@ -61,8 +60,8 @@ func mustTrue(t *testing.T, ok bool) {
 
 // TestCodeMemoClearedByEveryMutation fills the memo, applies one mutation
 // and requires the memoized values to equal those of a fresh Clone, whose
-// memo starts empty. Every case changes the fingerprint, and with it the
-// interned ID, so a mutation path that forgot to clear the memo fails
+// memo starts empty. Every case changes the fingerprint, which every DEM
+// cache keys on, so a mutation path that forgot to clear the memo fails
 // here.
 func TestCodeMemoClearedByEveryMutation(t *testing.T) {
 	far := lattice.Coord{Row: 100, Col: 100}
@@ -160,14 +159,11 @@ func TestCodeMemoClearedByEveryMutation(t *testing.T) {
 				}
 				after, want := readMemo(c), readMemo(c.Clone())
 				if after != want {
-					t.Errorf("memo after %s = {ID %d dX %d dZ %d fp %q}, fresh clone has {ID %d dX %d dZ %d fp %q}",
-						tc.name, after.id, after.dx, after.dz, after.fp, want.id, want.dx, want.dz, want.fp)
+					t.Errorf("memo after %s = {dX %d dZ %d fp %q}, fresh clone has {dX %d dZ %d fp %q}",
+						tc.name, after.dx, after.dz, after.fp, want.dx, want.dz, want.fp)
 				}
 				if want.fp == before.fp {
 					t.Errorf("%s left the fingerprint unchanged; the case does not exercise the memo", tc.name)
-				}
-				if want.id == before.id {
-					t.Errorf("%s kept the ID of the code it changed", tc.name)
 				}
 				if want.dx != before.dx || want.dz != before.dz {
 					distChanged++
@@ -193,9 +189,9 @@ func mallocs(f func()) uint64 {
 
 // TestCodeMemoConcurrentReads reads the memo of one shared code from 8
 // goroutines at once, starting from an empty memo, while each goroutine
-// also interns a private clone; run under -race it pins that concurrent
-// first reads and concurrent interning are race-free, and every goroutine
-// must see the one ID of the code's fingerprint.
+// also reads the memo of a private clone; run under -race it pins that
+// concurrent first reads are race-free, and every goroutine must see the
+// values of a fresh clone.
 func TestCodeMemoConcurrentReads(t *testing.T) {
 	for _, nc := range memoCodes(t) {
 		c := nc.c
@@ -216,8 +212,8 @@ func TestCodeMemoConcurrentReads(t *testing.T) {
 		for g := range got {
 			for _, m := range []memo{got[g], clones[g]} {
 				if m != want {
-					t.Errorf("%s: goroutine %d read {ID %d dX %d dZ %d}, want {ID %d dX %d dZ %d} (fingerprints equal: %v)",
-						nc.name, g, m.id, m.dx, m.dz, want.id, want.dx, want.dz, m.fp == want.fp)
+					t.Errorf("%s: goroutine %d read {dX %d dZ %d}, want {dX %d dZ %d} (fingerprints equal: %v)",
+						nc.name, g, m.dx, m.dz, want.dx, want.dz, m.fp == want.fp)
 				}
 			}
 		}
@@ -225,7 +221,7 @@ func TestCodeMemoConcurrentReads(t *testing.T) {
 }
 
 // TestCodeMemoZeroAllocs pins that a filled memo is served without
-// allocating: the DEM cache reads the ID on every lookup and the
+// allocating: every DEM-cache lookup reads the fingerprint and the
 // trajectory engine reads both distances on every chunk.
 func TestCodeMemoZeroAllocs(t *testing.T) {
 	for _, nc := range memoCodes(t) {

@@ -19,8 +19,8 @@ var (
 	obsCacheClears = obs.Default().Counter("sim.dem_cache.clears")
 )
 
-// DEMCache memoizes BuildDEM results keyed by DEMKey (code ID, noise
-// model, rounds, basis). Sweep pipelines hit the same handful of
+// DEMCache memoizes BuildDEM results keyed by DEMKey (code fingerprint,
+// noise model, rounds, basis). Sweep pipelines hit the same handful of
 // configurations thousands of times — per-policy baselines, the nominal
 // decode-side model of every mismatched run, repeated (d, p) grid points —
 // and DEM construction dominates their setup cost. Keys are exact, not
@@ -66,8 +66,10 @@ func (dc *DEMCache) BuildDEM(c *code.Code, model *noise.Model, rounds int, basis
 // BuildDEMKeyed is BuildDEM plus the cache key of the configuration. The
 // key is exact (never a hash), so it doubles as a content identity: two
 // DEMs obtained under the same key are value-identical even when a
-// wholesale clear or a build race handed out different pointers. The
-// trajectory engine keys its model table on it.
+// wholesale clear or a build race handed out different pointers. Its code
+// half is the fingerprint, so every code object of one structure keys
+// alike, in any cache and at any time. The trajectory engine keys its
+// model table on it.
 func (dc *DEMCache) BuildDEMKeyed(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) (*DEM, DEMKey, error) {
 	key := DEMKeyOf(c, model, rounds, basis)
 	dc.mu.Lock()
@@ -128,10 +130,10 @@ func (dc *DEMCache) Stats() CacheStats {
 // DEMKey identifies everything BuildDEM's output depends on. It is
 // comparable, so the caches use it as a map key directly. Two lookups share
 // a key exactly when the reference serialization (refDemCacheKey in
-// cache_ref_test.go) writes equal strings for them, within one generation
-// of the code intern table:
-//   - the code enters as its interned ID (code.Code.ID), which stands for
-//     the full fingerprint;
+// cache_ref_test.go) writes equal strings for them:
+//   - the code enters as its memoized fingerprint (code.Code.Fingerprint),
+//     held, not copied: the key shares the code's string, a lookup hashes
+//     it, and keys of one code state compare equal by pointer;
 //   - the five scalar rates enter as their bits, with every NaN mapped to
 //     one bit pattern (the reference's %g text prints every NaN alike, and
 //     distinguishes −0 from +0);
@@ -144,7 +146,7 @@ func (dc *DEMCache) Stats() CacheStats {
 //     vector both are, so a lookup on a plain scalar model allocates
 //     nothing.
 type DEMKey struct {
-	code   uint64
+	code   string
 	rounds int
 	basis  lattice.CheckType
 	rates  [5]uint64
@@ -154,7 +156,7 @@ type DEMKey struct {
 // DEMKeyOf returns the DEMKey of a lookup.
 func DEMKeyOf(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) DEMKey {
 	k := DEMKey{
-		code: c.ID(), rounds: rounds, basis: basis,
+		code: c.Fingerprint(), rounds: rounds, basis: basis,
 		rates: [5]uint64{rateBits(model.P1), rateBits(model.P2), rateBits(model.PM),
 			rateBits(model.PCorrelated), rateBits(model.DefectRate)},
 	}

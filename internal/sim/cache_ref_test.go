@@ -14,7 +14,6 @@ import (
 	"surfdeformer/internal/deform"
 	"surfdeformer/internal/lattice"
 	"surfdeformer/internal/noise"
-	"surfdeformer/internal/obs"
 )
 
 // refDemCacheKey is the fmt serialization the DEM cache once keyed on,
@@ -71,39 +70,21 @@ func refWriteModelFingerprint(sb *strings.Builder, m *noise.Model) {
 // refilled in reverse insertion order, its site vector copied into fresh
 // storage, and an empty map or vector in place of a nil one.
 func TestDEMCacheKeyMatchesReference(t *testing.T) {
-	var codes []*code.Code
-	var rng *rand.Rand
-	// The lookups below must run within one generation of the intern
-	// table. A reset while the codes are interned (the table is
-	// process-wide) starts the list over; right after one there is room.
-	clears := obs.Default().Counter("code.intern.clears")
-	for attempt := 0; attempt < 2; attempt++ {
-		c0 := clears.Value()
-		rng = rand.New(rand.NewSource(20))
-		bandaged, q := bandagedCode(t, 3)
-		rebuilt := freshCode(t, 3)
-		if _, err := deform.BandageQubit(rebuilt, q); err != nil {
-			t.Fatal(err)
-		}
-		codes = []*code.Code{freshCode(t, 3), freshCode(t, 5), bandaged, rebuilt, deformedCode(t)}
-		for i := 0; i < 4; i++ {
-			codes = append(codes, randomDeformedCode(t, rng))
-		}
-		for _, c := range codes {
-			c.ID()
-		}
-		if clears.Value() == c0 {
-			break
-		}
+	rng := rand.New(rand.NewSource(20))
+	bandaged, q := bandagedCode(t, 3)
+	rebuilt := freshCode(t, 3)
+	if _, err := deform.BandageQubit(rebuilt, q); err != nil {
+		t.Fatal(err)
 	}
-	ids := map[string]uint64{}
+	codes := []*code.Code{freshCode(t, 3), freshCode(t, 5), bandaged, rebuilt, deformedCode(t)}
+	for i := 0; i < 4; i++ {
+		codes = append(codes, randomDeformedCode(t, rng))
+	}
+	fps := map[string]bool{}
 	for _, c := range codes {
-		if id, ok := ids[c.Fingerprint()]; ok && id != c.ID() {
-			t.Fatal("structurally equal codes got different IDs")
-		}
-		ids[c.Fingerprint()] = c.ID()
+		fps[c.Fingerprint()] = true
 	}
-	if len(ids) == len(codes) {
+	if len(fps) == len(codes) {
 		t.Fatal("no two codes share a fingerprint; the rebuilt bandage should")
 	}
 

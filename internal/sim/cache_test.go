@@ -147,67 +147,48 @@ func TestDEMCacheStatsMonotoneAcrossClears(t *testing.T) {
 	}
 }
 
-// TestDEMCacheAcrossInternReset forces a reset of the code intern table
-// (by interning throwaway codes until code.intern.clears moves) and pins
-// what a reset may cost: cache misses, never a wrong hit. A code that was
-// interned before keeps its ID; a structurally equal code interned after
-// gets an ID never issued before, so the DEM built under the old ID is not
-// served to it. Patcher.Variant, handed the old code's DEM as patch base,
-// refuses to patch across the reset and builds in full, and that DEM
-// equals the old code's.
-func TestDEMCacheAcrossInternReset(t *testing.T) {
+// TestVariantAcrossEqualCodes pins Patcher.Variant's same-code gate,
+// which compares fingerprints. Given a base DEM built for one d=3 patch, a
+// separately built patch with an equal fingerprint (as a recovery back to
+// an earlier shape rebuilds its code as a new object) is patched, not
+// built; a bandaged code, whose mechanism set differs, is built in full.
+// Either way the variant equals a full BuildDEM of its own code.
+func TestVariantAcrossEqualCodes(t *testing.T) {
 	c := freshCode(t, 3)
 	nominal := noise.Uniform(1e-3)
-	dc := NewDEMCache(0)
-	oldDEM, oldKey, err := dc.BuildDEMKeyed(c, nominal, 4, lattice.ZCheck)
+	base, err := BuildDEM(c, nominal, 4, lattice.ZCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldID := c.ID()
-
-	clears := obs.Default().Counter("code.intern.clears")
-	c0, lastID := clears.Value(), oldID
-	for i := 0; clears.Value() == c0; i++ {
-		if i > 1<<20 {
-			t.Fatal("interning a million distinct codes never reset the table")
-		}
-		lastID = max(lastID, code.New([]lattice.Coord{{Row: -1 - i, Col: 0}}, nil).ID())
-	}
-	if c.ID() != oldID {
-		t.Fatal("a table reset changed a memoized ID")
-	}
-	again := freshCode(t, 3)
-	if again.Fingerprint() != c.Fingerprint() {
+	twin := freshCode(t, 3)
+	if twin.Fingerprint() != c.Fingerprint() {
 		t.Fatal("fresh d=3 patches differ in fingerprint")
 	}
-	if again.ID() <= lastID {
-		t.Fatalf("code re-interned after the reset got ID %d, not above every ID issued before (%d)", again.ID(), lastID)
-	}
-
-	dem, key, err := dc.BuildDEMKeyed(again, nominal, 4, lattice.ZCheck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if key == oldKey || dem == oldDEM {
-		t.Fatal("the DEM built under the old ID was served after the reset")
-	}
-	demValuesEqual(t, dem, oldDEM, "rebuilt nominal")
-
+	bandaged, _ := bandagedCode(t, 3)
 	variant := nominal.WithSiteRates(siteRates(map[lattice.Coord]float64{c.DataQubits()[0]: 8e-3}))
 	builds := obs.Default().Counter("sim.dem.builds")
 	patches := obs.Default().Counter("sim.dem.patches")
-	b0, p0 := builds.Value(), patches.Value()
-	got, err := (&Patcher{}).Variant(oldDEM, again, variant, 4, lattice.ZCheck)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name              string
+		c                 *code.Code
+		nBuilds, nPatches int64
+	}{
+		{"twin", twin, 0, 1},
+		{"bandaged", bandaged, 1, 0},
+	} {
+		b0, p0 := builds.Value(), patches.Value()
+		got, err := (&Patcher{}).Variant(base, tc.c, variant, 4, lattice.ZCheck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if db, dp := builds.Value()-b0, patches.Value()-p0; db != tc.nBuilds || dp != tc.nPatches || SamePatchCore(got, base) != (tc.nPatches == 1) {
+			t.Errorf("%s: builds +%d, patches +%d, same core %v; want +%d, +%d",
+				tc.name, db, dp, SamePatchCore(got, base), tc.nBuilds, tc.nPatches)
+		}
+		want, err := BuildDEM(tc.c, variant, 4, lattice.ZCheck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		demValuesEqual(t, got, want, tc.name)
 	}
-	if SamePatchCore(got, oldDEM) || patches.Value() != p0 || builds.Value() != b0+1 {
-		t.Fatalf("patched across the reset (builds +%d, patches +%d); want one full build",
-			builds.Value()-b0, patches.Value()-p0)
-	}
-	want, err := (&Patcher{}).Variant(oldDEM, c, variant, 4, lattice.ZCheck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	demValuesEqual(t, got, want, "full build after the reset")
 }

@@ -130,7 +130,7 @@ func BuildDEM(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckT
 	if err != nil || dem.plan == nil {
 		return dem, err
 	}
-	dem.plan.base, dem.plan.codeID = model, c.ID()
+	dem.plan.base, dem.plan.code = model, c.Fingerprint()
 	return dem, nil
 }
 

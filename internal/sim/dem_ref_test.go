@@ -491,7 +491,7 @@ func requireMatchesReference(t *testing.T, tc demCase) {
 			t.Fatal(err)
 		}
 		st = dem.plan
-	} else if tc.phases != nil || st.base != tc.model || st.codeID != tc.c.ID() {
+	} else if tc.phases != nil || st.base != tc.model || st.code != tc.c.Fingerprint() {
 		t.Fatalf("%s: plan kept by a phased build, or for another model or code", tc.name)
 	}
 	core := st.core

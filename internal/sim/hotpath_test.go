@@ -36,10 +36,10 @@ func TestShotZeroAllocs(t *testing.T) {
 }
 
 // TestDEMCacheHitZeroAllocs pins that a DEM-cache hit on a model without
-// site rates or defects allocates nothing: the key is the code's memoized
-// ID, the round count, the basis and five rate bit patterns, with an empty
-// site string. The trajectory engine makes such a lookup for the nominal
-// model on every chunk.
+// site rates or defects allocates nothing: the key holds the code's
+// memoized fingerprint without copying it, the round count, the basis and
+// five rate bit patterns, with an empty site string. The trajectory engine
+// makes such a lookup for the nominal model on every chunk.
 func TestDEMCacheHitZeroAllocs(t *testing.T) {
 	dc := NewDEMCache(0)
 	model := noise.Uniform(1e-3).WithCorrelated(2e-4)

@@ -67,14 +67,14 @@ type planCore struct {
 }
 
 // demPlan ties a core to the model whose fold produced the DEM's
-// probabilities, and to the interned ID of the code the core was
+// probabilities, and to the fingerprint of the code the core was
 // enumerated for.
 type demPlan struct {
 	core *planCore
 	base *noise.Model
-	// codeID is the code portion of the DEM cache key (code.Code.ID), the
-	// same-code gate of Patcher.Variant.
-	codeID uint64
+	// code is the code's fingerprint (code.Code.Fingerprint), the code half
+	// of the DEM cache key and the same-code gate of Patcher.Variant.
+	code string
 }
 
 // rateTable holds noise models resolved onto a core's dense qubit index,
@@ -247,14 +247,14 @@ type Patcher struct {
 // Variant returns the DEM of (c, model, rounds, basis): patched from base
 // when base was enumerated for c's exact structure and Patch accepts
 // model, built in full otherwise. The caller must pass a base built for the
-// same rounds and basis, or nil. The gate compares code IDs because a patch
-// re-rates the base's mechanism set, which is the target's only when the
-// codes are structurally identical: a bandage (super-stabilizer merge) or
-// a removal changes the mechanism set itself. IDs are never reused, so the
-// gate can only err towards a full build (a code re-interned after an
-// intern table reset). Nothing is cached.
+// same rounds and basis, or nil. The gate compares code fingerprints
+// because a patch re-rates the base's mechanism set, which is the target's
+// only when the codes are structurally identical: a bandage
+// (super-stabilizer merge) or a removal changes the mechanism set itself,
+// while a code rebuilt as a separate object with the same fingerprint
+// (a recovery back to an earlier shape) patches. Nothing is cached.
 func (pt *Patcher) Variant(base *DEM, c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) (*DEM, error) {
-	if base != nil && base.plan != nil && base.plan.codeID == c.ID() {
+	if base != nil && base.plan != nil && base.plan.code == c.Fingerprint() {
 		if dem, ok := pt.Patch(base, model); ok {
 			return dem, nil
 		}
@@ -329,7 +329,7 @@ func (pt *Patcher) Patch(base *DEM, model *noise.Model) (*DEM, bool) {
 		DetRound:    base.DetRound,
 		DetObs:      base.DetObs,
 		Observables: base.Observables,
-		plan:        &demPlan{core: core, base: model, codeID: plan.codeID},
+		plan:        &demPlan{core: core, base: model, code: plan.code},
 	}
 	out.fold(mis, core.contribs, &pt.to)
 	obsDEMPatches.Inc()

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"surfdeformer/internal/code"
 	"surfdeformer/internal/detect"
 	"surfdeformer/internal/lattice"
 	"surfdeformer/internal/noise"
@@ -30,7 +29,7 @@ func TestSteadyChunkAllocs(t *testing.T) {
 	e := &engine{
 		cfg: cfg, arm: ModeReweightOnly.String(), mit: ModeReweightOnly.Mitigation(),
 		reweightFactor: DefaultReweightFactor, nominal: noise.Uniform(cfg.PhysicalRate),
-		cache: cfg.Cache, table: newModelTable(), codes: map[string]*code.Code{}, res: &Result{},
+		cache: cfg.Cache, table: newModelTable(), res: &Result{},
 	}
 	q := c.DataQubits()[len(c.DataQubits())/2]
 	ps := &patchState{

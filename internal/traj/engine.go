@@ -129,8 +129,7 @@ type patchState struct {
 	quietUntil  int64 // post-deformation dwell: no detector consults
 	blocked     bool
 	codeSites   []lattice.Coord  // sorted sites of sitesOf
-	sitesOf     *code.Code       // code codeSites and keyCode were computed for
-	keyCode     *code.Code       // the code DEM lookups key on (engine.keyCode)
+	sitesOf     *code.Code       // code codeSites was computed for
 	scratch     [][]int32        // roundStream scratch
 	flags       []int32          // newFlags scratch
 	rateFold    siteFold         // storage of rates
@@ -271,7 +270,6 @@ type engine struct {
 	cache *sim.DEMCache
 	table *modelTable
 	dec   decoder.UnionFind
-	codes map[string]*code.Code // first code per fingerprint (keyCode)
 
 	lay     *layout.Layout
 	sys     *core.System // nil for the static arms (untreated, reweight-only)
@@ -302,7 +300,6 @@ func run(cfg Config, mode Mode, seed int64) (*Result, error) {
 		nominal: noise.Uniform(cfg.PhysicalRate),
 		cache:   cfg.Cache,
 		table:   newModelTable(),
-		codes:   map[string]*code.Code{},
 	}
 	if e.cache == nil {
 		e.cache = sim.SharedDEMCache()
@@ -587,7 +584,6 @@ func (e *engine) sampleChunk(i int, cycle, chunk int64) error {
 	cfg, ps := &e.cfg, e.patches[i]
 	if ps.sitesOf != ps.curCode {
 		ps.codeSites = codeSites(ps.curCode)
-		ps.keyCode = e.keyCode(ps.curCode)
 		ps.sitesOf = ps.curCode
 	}
 	ps.rates = mergedRates(activeRates(ps.events, cycle, &ps.rateFold), e.deviceRates, &ps.rateFold)
@@ -602,12 +598,12 @@ func (e *engine) sampleChunk(i int, cycle, chunk int64) error {
 	var nom *tableEntry
 	var err error
 	if ps.curCode == ps.pristine {
-		dem, key, err := e.cache.BuildDEMKeyed(ps.keyCode, e.nominal, rounds, cfg.Basis)
+		dem, key, err := e.cache.BuildDEMKeyed(ps.curCode, e.nominal, rounds, cfg.Basis)
 		if err != nil {
 			return err
 		}
 		nom = e.table.shared(key, dem)
-	} else if nom, _, err = e.table.own(nil, ps.keyCode, e.nominal, rounds, cfg.Basis); err != nil {
+	} else if nom, _, err = e.table.own(nil, ps.curCode, e.nominal, rounds, cfg.Basis); err != nil {
 		return err
 	}
 	coldEntry := func(m *noise.Model) (*tableEntry, error) {
@@ -617,7 +613,7 @@ func (e *engine) sampleChunk(i int, cycle, chunk int64) error {
 	sampleModel, sample := e.nominal, nom
 	if len(ps.rates) > 0 {
 		sampleModel = e.nominal.WithSiteRates(ps.rates)
-		if sample, _, err = e.table.own(nom.dem, ps.keyCode, sampleModel, rounds, cfg.Basis); err != nil {
+		if sample, _, err = e.table.own(nom.dem, ps.curCode, sampleModel, rounds, cfg.Basis); err != nil {
 			return err
 		}
 	}
@@ -650,7 +646,7 @@ func (e *engine) sampleChunk(i int, cycle, chunk int64) error {
 	overlayBuilt := false
 	if len(overlay) > 0 {
 		decodeModel = e.nominal.WithSiteRates(overlay)
-		if decode, overlayBuilt, err = e.table.own(nom.dem, ps.keyCode, decodeModel, rounds, cfg.Basis); err != nil {
+		if decode, overlayBuilt, err = e.table.own(nom.dem, ps.curCode, decodeModel, rounds, cfg.Basis); err != nil {
 			return err
 		}
 		if overlayBuilt {
@@ -704,21 +700,6 @@ func (e *engine) sampleChunk(i int, cycle, chunk int64) error {
 	ps.byRound = roundStream(sample.dem, flagged, chunk, &ps.scratch)
 	ps.dem = sample.dem
 	return nil
-}
-
-// keyCode returns the code the chunk's DEM lookups key on: the first code
-// of this trajectory with c's fingerprint. Codes with one fingerprint then
-// share one ID for the whole trajectory, even when the process-wide intern
-// table resets between a code and a later rebuild of it (a recovery back
-// to an earlier shape), so which lookups hit the model table — and with it
-// Result.OverlayDEMBuilds — depends on the trajectory alone.
-func (e *engine) keyCode(c *code.Code) *code.Code {
-	fp := c.Fingerprint()
-	if first, ok := e.codes[fp]; ok {
-		return first
-	}
-	e.codes[fp] = c
-	return c
 }
 
 // mitigate acts on patch i's fresh flags at the cut: it attributes them to

@@ -1,16 +1,12 @@
 package traj
 
 import (
-	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"surfdeformer/internal/code"
 	"surfdeformer/internal/defect"
 	"surfdeformer/internal/deform"
 	"surfdeformer/internal/lattice"
-	"surfdeformer/internal/obs"
 	"surfdeformer/internal/sim"
 )
 
@@ -56,55 +52,6 @@ func TestReweightBeatsUntreatedOnDrift(t *testing.T) {
 	}
 	if rwFails >= utFails {
 		t.Errorf("reweight-only failures %d not strictly below untreated %d over the pinned seeds", rwFails, utFails)
-	}
-}
-
-// TestRunDeterministicUnderInternResets pins that a trajectory's Result
-// does not depend on the process-wide code intern table. A code rebuilt
-// mid-trajectory (a recovery back to an earlier shape) must key the
-// trajectory's model table like the code it repeats even when the intern
-// table resets in between; otherwise the rebuild draws a fresh ID, its
-// overlay lookups miss, and OverlayDEMBuilds counts them. The trajectories
-// run once quietly and once racing a goroutine that interns fresh codes,
-// resetting the intern table every few hundred.
-func TestRunDeterministicUnderInternResets(t *testing.T) {
-	cfg := QuickConfig()
-	cfg.D, cfg.Horizon = 3, 1200
-	run := func() []*Result {
-		t.Helper()
-		var out []*Result
-		for seed := int64(1); seed <= 12; seed++ {
-			cfg.Cache = sim.NewDEMCache(0)
-			res, err := Run(cfg, ModeSurfDeformer, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, res)
-		}
-		return out
-	}
-	want := run()
-	clears := obs.Default().Counter("code.intern.clears")
-	c0 := clears.Value()
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; !stop.Load(); i++ {
-			code.New([]lattice.Coord{{Row: -1 - i, Col: 0}}, nil).ID()
-		}
-	}()
-	got := run()
-	stop.Store(true)
-	wg.Wait()
-	if clears.Value() == c0 {
-		t.Fatal("the intern table never reset during the second run")
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("seed %d: Result moved under intern resets:\nquiet %+v\nreset %+v", i+1, want[i], got[i])
-		}
 	}
 }
 

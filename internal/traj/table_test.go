@@ -48,9 +48,11 @@ func TestVariantGraphsStayPrivate(t *testing.T) {
 // TestTablePatchAccounting pins how the table fills its own entries: a
 // variant of a shared nominal is patched, counting once in sim.dem.patches
 // and never in sim.dem.builds, and only it counts toward the bound; a
-// repeat lookup hits without patching again; and a private lookup of the
-// shared nominal's own key still misses and counts as built, but adopts
-// the shared entry's DEM without a build.
+// repeat lookup hits without patching again, and so does a lookup through
+// a separately built twin of the code (a recovery back to an earlier shape
+// rebuilds its code as a new object); and a private lookup of the shared
+// nominal's own key still misses and counts as built, but adopts the
+// shared entry's DEM without a build.
 func TestTablePatchAccounting(t *testing.T) {
 	c := buildCode(t, 3)
 	nominal := noise.Uniform(1e-3)
@@ -81,6 +83,13 @@ func TestTablePatchAccounting(t *testing.T) {
 	}
 	if built || again != e || patches.Value() != p0+1 {
 		t.Error("repeat lookup missed or patched again")
+	}
+	twin, built, err := tab.own(nom.dem, buildCode(t, 3), variant, 4, lattice.ZCheck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built || twin != e || builds.Value() != b0 || patches.Value() != p0+1 || tab.built != 1 {
+		t.Error("lookup through a separately built twin code missed its twin's entry")
 	}
 	own, built, err := tab.own(nil, c, nominal, 4, lattice.ZCheck)
 	if err != nil {
