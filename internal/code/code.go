@@ -13,13 +13,14 @@
 // All mutation goes through the exported mutators so that the gauge layer
 // (package gauge) and the instruction layer (package deform) can maintain
 // the invariants checked by Validate, and so that the values memoized per
-// code state (Fingerprint, DistanceX, DistanceZ) are cleared on every
-// change.
+// code state (DataQubits, Fingerprint, DistanceX, DistanceZ) are cleared
+// on every change.
 package code
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -68,12 +69,14 @@ type Code struct {
 	// cleared by every mutator (invalidate). They are atomics so that
 	// concurrent readers of one shared code stay race-free; two first reads
 	// may both compute, and store the same value.
+	dataQubits   atomic.Pointer[[]lattice.Coord]
 	fingerprint  atomic.Pointer[string]
 	distX, distZ atomic.Int32 // 0 = not computed (a logical has weight ≥ 1)
 }
 
 // invalidate clears the memoized derived values after a content change.
 func (c *Code) invalidate() {
+	c.dataQubits.Store(nil)
 	c.fingerprint.Store(nil)
 	c.distX.Store(0)
 	c.distZ.Store(0)
@@ -94,6 +97,14 @@ func New(data, syndromes []lattice.Coord) *Code {
 		c.syndromes[q] = true
 	}
 	return c
+}
+
+// Reserve makes room for stabs more stabilizers and gauges more gauge
+// operators, so that a builder that knows its counts up front adds them
+// without regrowing either list. It changes no content.
+func (c *Code) Reserve(stabs, gauges int) {
+	c.stabs = slices.Grow(c.stabs, stabs)
+	c.gauges = slices.Grow(c.gauges, gauges)
 }
 
 // FromPatch builds the code of a fresh (undeformed) rotated surface code
@@ -160,13 +171,21 @@ func (c *Code) HasData(q lattice.Coord) bool { return c.data[q] }
 // HasSyndrome reports whether q is an active syndrome qubit.
 func (c *Code) HasSyndrome(q lattice.Coord) bool { return c.syndromes[q] }
 
-// DataQubits returns the sorted list of active data qubits.
+// DataQubits returns the sorted list of active data qubits, computed once
+// per code state. The list is shared by every caller until the next
+// mutation, so callers must not write to it; its capacity is its length,
+// so an append copies it.
 func (c *Code) DataQubits() []lattice.Coord {
+	if qs := c.dataQubits.Load(); qs != nil {
+		return *qs
+	}
 	out := make([]lattice.Coord, 0, len(c.data))
 	for q := range c.data {
 		out = append(out, q)
 	}
 	lattice.SortCoords(out)
+	out = slices.Clip(out)
+	c.dataQubits.Store(&out)
 	return out
 }
 

@@ -299,8 +299,11 @@ func lowestBit(v []uint64) int {
 func (c *Code) RefreshLogicals() error {
 	dz, err := c.refreshLogicals()
 	// The logicals were written directly; clear the memo whatever the
-	// outcome, since a failed refresh may leave them partly replaced.
+	// outcome, since a failed refresh may leave them partly replaced. The
+	// data qubits did not change, so their list stays.
+	qs := c.dataQubits.Load()
 	c.invalidate()
+	c.dataQubits.Store(qs)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package code_test
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,12 +14,17 @@ import (
 
 // memo is the values a Code memoizes per code state.
 type memo struct {
+	data   []lattice.Coord
 	fp     string
 	dx, dz int
 }
 
 func readMemo(c *code.Code) memo {
-	return memo{c.Fingerprint(), c.DistanceX(), c.DistanceZ()}
+	return memo{c.DataQubits(), c.Fingerprint(), c.DistanceX(), c.DistanceZ()}
+}
+
+func (m memo) equal(o memo) bool {
+	return slices.Equal(m.data, o.data) && m.fp == o.fp && m.dx == o.dx && m.dz == o.dz
 }
 
 type namedCode struct {
@@ -62,7 +68,7 @@ func mustTrue(t *testing.T, ok bool) {
 // and requires the memoized values to equal those of a fresh Clone, whose
 // memo starts empty. Every case changes the fingerprint, which every DEM
 // cache keys on, so a mutation path that forgot to clear the memo fails
-// here.
+// here; the data-qubit cases change the memoized data list too.
 func TestCodeMemoClearedByEveryMutation(t *testing.T) {
 	far := lattice.Coord{Row: 100, Col: 100}
 	// Each case prepares c where its mutation needs it and returns the
@@ -141,7 +147,7 @@ func TestCodeMemoClearedByEveryMutation(t *testing.T) {
 			return func() { c.ReplaceWith(w) }
 		}},
 	}
-	distChanged := 0
+	distChanged, dataChanged := 0, 0
 	for _, tc := range cases {
 		for _, nc := range memoCodes(t) {
 			c := nc.c
@@ -151,16 +157,20 @@ func TestCodeMemoClearedByEveryMutation(t *testing.T) {
 				mutate()
 				if tc.name == "RefreshLogicals" {
 					// The refresh's last walk had DistanceZ's inputs, so it
-					// leaves that distance memoized: the read below is served
-					// without a search, and must equal a fresh search's.
+					// leaves that distance memoized, and it changes no data
+					// qubit, so it keeps their list: the reads below are
+					// served from the memo, and must equal a fresh clone's.
 					if n := mallocs(func() { c.DistanceZ() }); n != 0 {
 						t.Errorf("DistanceZ after RefreshLogicals searched afresh (%d allocs), want the memoized value", n)
 					}
+					if n := mallocs(func() { c.DataQubits() }); n != 0 {
+						t.Errorf("DataQubits after RefreshLogicals listed afresh (%d allocs), want the memoized list", n)
+					}
 				}
 				after, want := readMemo(c), readMemo(c.Clone())
-				if after != want {
-					t.Errorf("memo after %s = {dX %d dZ %d fp %q}, fresh clone has {dX %d dZ %d fp %q}",
-						tc.name, after.dx, after.dz, after.fp, want.dx, want.dz, want.fp)
+				if !after.equal(want) {
+					t.Errorf("memo after %s = {data %v dX %d dZ %d fp %q}, fresh clone has {data %v dX %d dZ %d fp %q}",
+						tc.name, after.data, after.dx, after.dz, after.fp, want.data, want.dx, want.dz, want.fp)
 				}
 				if want.fp == before.fp {
 					t.Errorf("%s left the fingerprint unchanged; the case does not exercise the memo", tc.name)
@@ -168,11 +178,17 @@ func TestCodeMemoClearedByEveryMutation(t *testing.T) {
 				if want.dx != before.dx || want.dz != before.dz {
 					distChanged++
 				}
+				if !slices.Equal(want.data, before.data) {
+					dataChanged++
+				}
 			})
 		}
 	}
 	if distChanged == 0 {
 		t.Error("no mutation changed a distance; the distance memo is not exercised")
+	}
+	if dataChanged == 0 {
+		t.Error("no mutation changed the data qubits; the data-list memo is not exercised")
 	}
 }
 
@@ -211,7 +227,7 @@ func TestCodeMemoConcurrentReads(t *testing.T) {
 		want := readMemo(c.Clone())
 		for g := range got {
 			for _, m := range []memo{got[g], clones[g]} {
-				if m != want {
+				if !m.equal(want) {
 					t.Errorf("%s: goroutine %d read {dX %d dZ %d}, want {dX %d dZ %d} (fingerprints equal: %v)",
 						nc.name, g, m.dx, m.dz, want.dx, want.dz, m.fp == want.fp)
 				}
@@ -221,8 +237,9 @@ func TestCodeMemoConcurrentReads(t *testing.T) {
 }
 
 // TestCodeMemoZeroAllocs pins that a filled memo is served without
-// allocating: every DEM-cache lookup reads the fingerprint and the
-// trajectory engine reads both distances on every chunk.
+// allocating: every DEM-cache lookup reads the fingerprint, the trajectory
+// engine reads both distances on every chunk, and every compile, distance
+// search and DEM build reads the sorted data list.
 func TestCodeMemoZeroAllocs(t *testing.T) {
 	for _, nc := range memoCodes(t) {
 		c := nc.c

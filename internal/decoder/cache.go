@@ -1,8 +1,6 @@
 package decoder
 
 import (
-	"sync"
-
 	"surfdeformer/internal/obs"
 	"surfdeformer/internal/sim"
 )
@@ -12,38 +10,26 @@ var (
 	obsGraphCacheMisses = obs.Default().Counter("decoder.graph_cache.misses")
 )
 
-// The graph cache memoizes NewGraph per DEM identity. The Monte-Carlo
-// engine builds one decoder per worker from the same DEM; the decoder
-// instances must be private (cluster growth and peeling scratch are
-// mutable) but the decoding graph is immutable after construction, and
-// building it is the expensive part of decoder construction. Keying on the
-// *sim.DEM pointer works because sim.DEMCache returns a stable pointer per
-// configuration; uncached DEMs simply miss and build, which is the
-// pre-cache behavior.
-var (
-	graphCacheMu sync.Mutex
-	graphCache   = make(map[*sim.DEM]*Graph)
-)
-
-// graphCacheLimit bounds the pointer-keyed cache; on overflow it resets
-// wholesale, mirroring sim.DEMCache's eviction policy.
-const graphCacheLimit = 256
-
-// SharedGraph returns the decoding graph for the DEM, building it at most
-// once per DEM identity. Safe for concurrent use; the returned graph is
-// immutable and may be shared by any number of decoder instances.
+// SharedGraph returns the decoding graph of dem, building it on the first
+// call for that DEM only. The Monte-Carlo engine builds one decoder per
+// worker from the same DEM; the decoder instances must be private (cluster
+// growth and peeling scratch are mutable) but the decoding graph is
+// immutable after construction, and building it is the expensive part of
+// decoder construction. The graph is kept on the DEM itself (sim.DEM's
+// Derived slot), so it lives exactly as long as the DEM: a DEM that no
+// cache holds any more is collected with its graph, and a later call
+// allocates nothing. Safe for concurrent use; the returned graph may be
+// shared by any number of decoder instances.
 func SharedGraph(dem *sim.DEM) *Graph {
-	graphCacheMu.Lock()
-	defer graphCacheMu.Unlock()
-	if g, ok := graphCache[dem]; ok {
+	built := false
+	g := dem.Derived(func(d *sim.DEM) any {
+		built = true
+		return NewGraph(d)
+	}).(*Graph)
+	if built {
+		obsGraphCacheMisses.Inc()
+	} else {
 		obsGraphCacheHits.Inc()
-		return g
 	}
-	g := NewGraph(dem)
-	if len(graphCache) >= graphCacheLimit {
-		graphCache = make(map[*sim.DEM]*Graph)
-	}
-	graphCache[dem] = g
-	obsGraphCacheMisses.Inc()
 	return g
 }

@@ -100,8 +100,8 @@ type graphSkel struct {
 	adjOff     []int32
 	adjList    []int32
 
-	// Skeletons of process-wide graphs (SharedGraph) are refolded from
-	// many goroutines, so the index is built once under mechOnce.
+	// Skeletons of shared graphs (SharedGraph) are refolded from many
+	// goroutines, so the index is built once under mechOnce.
 	mechOnce  sync.Once
 	mechOff   []int32
 	mechEdges []int32
@@ -349,8 +349,9 @@ func (sk *graphSkel) freeLogicalP(p []float64) float64 {
 
 // GraphFrom returns the decoding graph of dem given base and its graph
 // baseGraph: baseGraph itself when dem is base, baseGraph refolded where
-// dem's probabilities differ from base's when dem was patched from base
-// (sim.SamePatchCore) and baseGraph kept its skeleton, and a full NewGraph
+// dem's probabilities differ from base's when dem shares base's plan core
+// (sim.SamePatchCore: patched from base, or folded from the same cached
+// structure) and baseGraph kept its skeleton, and a full NewGraph
 // otherwise. The result equals NewGraph(dem); nothing is cached.
 func GraphFrom(dem, base *sim.DEM, baseGraph *Graph) *Graph {
 	if dem == base {

@@ -108,6 +108,23 @@ func newGraphDEM(tb testing.TB) *sim.DEM {
 	return dem
 }
 
+// TestSharedGraphHitZeroAllocs pins that SharedGraph on a DEM whose graph
+// it already built allocates nothing: the graph sits in the DEM's own
+// slot, read through one atomic load. Every memory-experiment worker makes
+// such a call for its decoder, and the trajectory engine one per pristine
+// nominal it adopts.
+func TestSharedGraphHitZeroAllocs(t *testing.T) {
+	dem := demFor(t, 5, 5, 5e-3)
+	g := SharedGraph(dem)
+	if n := testing.AllocsPerRun(1000, func() {
+		if SharedGraph(dem) != g {
+			t.Fatal("SharedGraph returned another graph for the same DEM")
+		}
+	}); n != 0 {
+		t.Errorf("a SharedGraph hit allocates %v per call", n)
+	}
+}
+
 // TestNewGraphAllocs pins a full NewGraph of newGraphDEM's DEM at 10
 // allocations: the graph header and edge array; the skeleton header, its
 // endpoints, edge offsets and contributions; the adjacency offsets, list

@@ -208,20 +208,10 @@ func (s *Spec) Build() (*code.Code, error) {
 	}
 	lattice.SortCoords(synList)
 	synList = slices.Compact(synList)
-	c := code.New(dataList, synList)
-
-	scratch := make([]lattice.Coord, 0, nq)
 	var gauges []int // candidate index per gauge, aligned with gaugeIDs
-	var gaugeIDs []int
 	for i, cd := range cands {
-		op := g.op(scratch, cd.typ, set(cd.supp))
 		if cd.gauge {
 			gauges = append(gauges, i)
-			gaugeIDs = append(gaugeIDs, c.AddGauge(op, cd.ancilla, cd.direct))
-		} else if cd.direct {
-			c.AddDirectStab(op)
-		} else {
-			c.AddStab(op, cd.ancilla)
 		}
 	}
 
@@ -256,6 +246,24 @@ func (s *Spec) Build() (*code.Code, error) {
 		}
 	}
 	null := gram.Nullspace()
+
+	// The code holds every candidate, as a gauge or a stabilizer, and at
+	// most one super-stabilizer per nullspace vector, so its lists never
+	// regrow.
+	c := code.New(dataList, synList)
+	c.Reserve(len(cands)-m+len(null), m)
+	scratch := make([]lattice.Coord, 0, nq)
+	gaugeIDs := make([]int, 0, m)
+	for _, cd := range cands {
+		op := g.op(scratch, cd.typ, set(cd.supp))
+		if cd.gauge {
+			gaugeIDs = append(gaugeIDs, c.AddGauge(op, cd.ancilla, cd.direct))
+		} else if cd.direct {
+			c.AddDirectStab(op)
+		} else {
+			c.AddStab(op, cd.ancilla)
+		}
+	}
 	var members []int
 	for _, v := range null {
 		members = members[:0]

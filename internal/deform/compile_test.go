@@ -106,17 +106,20 @@ func refCompileAndJudge(tb testing.TB, s *Spec) {
 
 // TestSpecBuildAllocs bounds a compile of interiorRemovalSpec plus both
 // distance reads. The reference's map-based compile, with Params and four
-// chain-graph walks, needed 1,388 allocations; the dense one needs about
-// 200 (198 with Go 1.24): the code object and its operators, three walks'
-// buffers and the gauge Gram. A return to coordinate maps or to Params on
-// the compile path fails the bound; TestCodeMemoClearedByEveryMutation
-// (package code) pins that the refresh leaves DistanceZ memoized.
+// chain-graph walks, needed 1,388 allocations; the dense one needs 184
+// with Go 1.24 (186 under -race): the code object and its operators, with
+// its stabilizer and gauge lists sized once (Code.Reserve), three walks'
+// buffers, one sorted data list and the gauge Gram. A return to
+// coordinate maps or to Params on the compile path, lists regrown one
+// operator at a time, or a data list sorted per read fails the bound;
+// TestCodeMemoClearedByEveryMutation (package code) pins that the refresh
+// leaves DistanceZ and the data list memoized.
 func TestSpecBuildAllocs(t *testing.T) {
 	s := interiorRemovalSpec(t)
 	allocs := testing.AllocsPerRun(20, func() { compileAndJudge(t, s) })
 	t.Logf("%.0f allocs", allocs)
-	if allocs > 260 {
-		t.Errorf("compiling a d=5 spec with one interior DataQRM and reading both distances does %.0f allocs, want <= 260", allocs)
+	if allocs > 186 {
+		t.Errorf("compiling a d=5 spec with one interior DataQRM and reading both distances does %.0f allocs, want <= 186", allocs)
 	}
 }
 

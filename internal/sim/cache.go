@@ -25,13 +25,17 @@ var (
 // decode-side model of every mismatched run, repeated (d, p) grid points —
 // and DEM construction dominates their setup cost. Keys are exact, not
 // hashes, so distinct configurations can never collide. Identical
-// configurations return the identical *DEM pointer, which downstream
-// decoder-graph caches key on.
+// configurations return the identical *DEM pointer, which carries its
+// decoding graph once decoder.SharedGraph has built it. A miss takes the
+// fault structure from the process-wide structure cache (buildCached), so
+// the DEMs of one code, rounds and basis under different models, in this
+// cache or another, share one mechanism list and plan core
+// (SamePatchCore) while that structure stays cached.
 //
 // The cache is safe for concurrent use. When it grows past its entry
 // limit it is cleared wholesale: sweeps revisit a small working set, so a
-// full reset costs one rebuild per live configuration and keeps the
-// implementation free of LRU bookkeeping.
+// full reset costs one fold per live configuration (the structures are
+// cached apart) and keeps the implementation free of LRU bookkeeping.
 type DEMCache struct {
 	mu      sync.Mutex
 	entries map[DEMKey]*DEM
@@ -80,15 +84,15 @@ func (dc *DEMCache) BuildDEMKeyed(c *code.Code, model *noise.Model, rounds int, 
 		return dem, key, nil
 	}
 	dc.mu.Unlock()
-	dem, err := BuildDEM(c, model, rounds, basis)
+	dem, err := buildCached(c, model, rounds, basis)
 	if err != nil {
 		return nil, DEMKey{}, err
 	}
 	dc.mu.Lock()
 	defer dc.mu.Unlock()
 	if existing, ok := dc.entries[key]; ok {
-		// Lost a build race: adopt the first pointer so pointer-keyed
-		// consumers (the decoder graph cache) stay coherent.
+		// Lost a build race: adopt the first pointer, so every caller
+		// shares one DEM and the graph SharedGraph keeps on it.
 		dc.hits++
 		obsCacheHits.Inc()
 		return existing, key, nil

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"surfdeformer/internal/circuit"
@@ -70,6 +71,22 @@ type DEM struct {
 	// under another (see patch.go). A phased DEM, and one whose fold
 	// dropped a mechanism, carries none.
 	plan *demPlan
+
+	// derived is the one value a consumer derives from the DEM and keeps
+	// with it (decoder.SharedGraph's decoding graph), filled once under
+	// derivedOnce (Derived), so it lives exactly as long as the DEM.
+	derivedOnce sync.Once
+	derived     any
+}
+
+// Derived returns the value derive computes from d, calling derive on the
+// first call only: every later call, from any goroutine, returns the
+// first call's value without calling its argument, and a call made while
+// the first is still computing waits for it. The slot belongs to one
+// consumer, decoder.SharedGraph; nothing else may call Derived.
+func (d *DEM) Derived(derive func(*DEM) any) any {
+	d.derivedOnce.Do(func() { d.derived = derive(d) })
+	return d.derived
 }
 
 // DetectorFireRates returns each detector's marginal firing probability
@@ -124,9 +141,31 @@ type ObsInfo struct {
 // exercising Z-type detectors against X errors) over the given number of
 // syndrome-extraction rounds: the fault structure of (c, rounds, basis)
 // folded under model. The DEM keeps the structure as its patch plan unless
-// the fold dropped a mechanism.
+// the fold dropped a mechanism. It enumerates the structure afresh, so
+// the DEM shares nothing with another build; DEMCache and Patcher.Variant
+// build through the process-wide structure cache instead (buildCached).
 func BuildDEM(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) (*DEM, error) {
-	dem, err := build(c, []Phase{{Rounds: rounds, Model: model}}, basis)
+	return buildModel(c, model, rounds, basis, enumerate)
+}
+
+// buildCached is BuildDEM with the fault structure taken from the
+// process-wide structure cache: value for value the same DEM, folded
+// without enumerating when the structure of (c, rounds, basis) is cached.
+// It counts as a build either way.
+func buildCached(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) (*DEM, error) {
+	return buildModel(c, model, rounds, basis, structures.get)
+}
+
+// structureFunc returns the fault structure of (c, rounds, basis), with
+// the correlated pair when correlated: enumerate's output, which the
+// caller reads and never changes.
+type structureFunc func(c *code.Code, rounds int, basis lattice.CheckType, correlated bool) (*DEM, error)
+
+// buildModel folds model into the structure structureOf returns and keeps
+// the structure as the DEM's plan, with model and the code's fingerprint,
+// unless the fold dropped a mechanism.
+func buildModel(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType, structureOf structureFunc) (*DEM, error) {
+	dem, err := build(c, []Phase{{Rounds: rounds, Model: model}}, basis, structureOf)
 	if err != nil || dem.plan == nil {
 		return dem, err
 	}
@@ -134,10 +173,12 @@ func BuildDEM(c *code.Code, model *noise.Model, rounds int, basis lattice.CheckT
 	return dem, nil
 }
 
-// build enumerates the fault structure of c over the phases' total rounds
-// and folds it under each phase's model for that phase's rounds. The
-// correlated pair is enumerated only when some phase rates it.
-func build(c *code.Code, phases []Phase, basis lattice.CheckType) (*DEM, error) {
+// build folds the fault structure of c over the phases' total rounds,
+// which structureOf returns, under each phase's model for that phase's
+// rounds, into a DEM that shares the structure's detector layout,
+// mechanisms, observables and core and owns its probability vector. The
+// correlated pair is in the structure only when some phase rates it.
+func build(c *code.Code, phases []Phase, basis lattice.CheckType, structureOf structureFunc) (*DEM, error) {
 	rounds, correlated := 0, false
 	for _, ph := range phases {
 		rounds += ph.Rounds
@@ -151,11 +192,11 @@ func build(c *code.Code, phases []Phase, basis lattice.CheckType) (*DEM, error) 
 		obsDEMBuilds.Inc()
 		obsDEMBuildNs.Observe(time.Since(start).Nanoseconds())
 	}()
-	dem, err := enumerate(c, rounds, basis, correlated)
+	st, err := structureOf(c, rounds, basis, correlated)
 	if err != nil {
 		return nil, err
 	}
-	core, contribs := dem.plan.core, dem.plan.core.contribs
+	core, contribs := st.plan.core, st.plan.core.contribs
 	var t rateTable
 	for _, ph := range phases {
 		core.resolve(&t, ph.Model)
@@ -175,7 +216,15 @@ func build(c *code.Code, phases []Phase, basis lattice.CheckType) (*DEM, error) 
 			contribs[i].a, contribs[i].b, contribs[i].kind = c.a+k*n, c.b+k*n, c.kind+uint16(4*k)
 		}
 	}
-	dem.P = make([]float64, len(dem.Mechs))
+	dem := &DEM{
+		NumDets:     st.NumDets,
+		Mechs:       st.Mechs,
+		P:           make([]float64, len(st.Mechs)),
+		DetRound:    st.DetRound,
+		DetObs:      st.DetObs,
+		Observables: st.Observables,
+		plan:        &demPlan{core: core},
+	}
 	dem.fold(nil, contribs, &t)
 	return dem, nil
 }
@@ -451,8 +500,10 @@ func enumerate(c *code.Code, rounds int, basis lattice.CheckType, correlated boo
 	// round — so its probability does not depend on the pass that found
 	// them. The walk records each op's components last to first, the idle
 	// channel is recorded forward after it, and plan reads the walk's
-	// records back to front. Each component names its source (mechFold)
-	// for plan to decode.
+	// records back to front. Each record names its source (mechFold) for
+	// plan to decode, and counts the components of that source that the
+	// mechanism takes: a CX's 15 Paulis, its correlated pair and an idle
+	// triple are tallied per mechanism before they are recorded.
 	mg := newMerger(len(ops))
 	var comp sigArena
 	var gen [16]sig
@@ -496,12 +547,14 @@ func enumerate(c *code.Code, rounds int, basis lattice.CheckType, correlated boo
 				ids[m] = mg.id(comp.dets(gen[m]), gen[m].obs)
 			}
 			if correlated {
-				mg.record(ids[0b1100], src|srcCorr)
-				mg.record(ids[0b0011], src|srcCorr)
+				mg.count(ids[0b1100])
+				mg.count(ids[0b0011])
+				mg.flush(src | srcCorr)
 			}
 			for m := 15; m > 0; m-- {
-				mg.record(ids[m], src)
+				mg.count(ids[m])
 			}
+			mg.flush(src)
 			sx[op.a] = sigs.xor(sx[op.a], sx[op.b])
 			sz[op.b] = sigs.xor(sz[op.b], sz[op.a])
 		case opMeas:
@@ -530,8 +583,9 @@ func enumerate(c *code.Code, rounds int, basis lattice.CheckType, correlated boo
 			x, z := idleX[r*nData+qi], idleZ[r*nData+qi]
 			y := sigs.xor(x, z)
 			for _, sg := range [3]sig{x, z, y} {
-				mg.add(sigs.dets(sg), sg.obs, src)
+				mg.count(mg.id(sigs.dets(sg), sg.obs))
 			}
+			mg.flush(src)
 			src++
 		}
 	}
@@ -597,8 +651,9 @@ func (a *sigArena) xor(x, y sig) sig {
 }
 
 // merger merges fault components into unique mechanisms, numbered in
-// first-seen order until emit sorts them, and records every component as a
-// fold of its mechanism.
+// first-seen order until emit sorts them, and records the components of
+// each source as folds of their mechanisms, one record per mechanism and
+// source.
 type merger struct {
 	// table is an open-addressing index of the mechanisms, probed linearly
 	// from a signature's hash: a slot holds a mechanism number plus one, 0
@@ -609,36 +664,46 @@ type merger struct {
 	hashes []uint64
 	mechs  []sig // each mechanism's signature, a span of dets
 	dets   sigArena
-	folds  []mechFold // every recorded component in fold order
+	folds  []mechFold // every record in fold order
+
+	// tally counts, per mechanism, the components of the source being
+	// tallied (count), and touched lists the mechanisms it counted, in
+	// first-count order; flush records them and clears both.
+	tally   []int32
+	touched []int32
 }
 
-// mechFold is one component recorded for mechanism mech. src names the
-// fault: an op index (its reset or measurement flip, or one of its CX's 15
-// Paulis), an op index with srcCorr set (one of its CX's correlated pair),
-// or, from len(ops) up, the idle Pauli of data qubit qi in round r at
-// len(ops)+r*nData+qi. plan decodes it into the contribution.
+// mechFold records n components of mechanism mech from one source. src
+// names the fault: an op index (its reset or measurement flip, or its
+// CX's 15 Paulis), an op index with srcCorr set (its CX's correlated
+// pair), or, from len(ops) up, the idle channel of data qubit qi in round
+// r at len(ops)+r*nData+qi. plan decodes it into the contribution.
 type mechFold struct {
 	mech int32
 	src  uint32
+	n    int32
 }
 
 const srcCorr = 1 << 31
 
 // newMerger returns a merger for a build of nOps ops. Surface-code
 // circuits have about one unique mechanism per two ops and six to seven
-// and a half components per op (d=3 to 9), so it reserves room for nOps/2
-// mechanisms and 8·nOps components; the buffers grow by append past that.
+// and a half components per op (d=3 to 9), about two records once tallied,
+// so it reserves room for nOps/2 mechanisms and 3·nOps records; the
+// buffers grow by append past that.
 func newMerger(nOps int) *merger {
 	n := 64
 	for n < nOps {
 		n <<= 1
 	}
 	return &merger{
-		table:  make([]int32, n),
-		hashes: make([]uint64, 0, nOps/2),
-		mechs:  make([]sig, 0, nOps/2),
-		dets:   sigArena{buf: make([]int32, 0, nOps)},
-		folds:  make([]mechFold, 0, 8*nOps),
+		table:   make([]int32, n),
+		hashes:  make([]uint64, 0, nOps/2),
+		mechs:   make([]sig, 0, nOps/2),
+		dets:    sigArena{buf: make([]int32, 0, nOps)},
+		folds:   make([]mechFold, 0, 3*nOps),
+		tally:   make([]int32, 0, nOps/2),
+		touched: make([]int32, 0, 16),
 	}
 }
 
@@ -658,17 +723,33 @@ func sigHash(dets []int32, obs bool) uint64 {
 	return h
 }
 
-// add records one fault component; a component with no effect is dropped.
+// add records the one fault component of src; a component with no effect
+// is dropped.
 func (mg *merger) add(dets []int32, obs bool, src uint32) {
-	mg.record(mg.id(dets, obs), src)
+	mg.count(mg.id(dets, obs))
+	mg.flush(src)
 }
 
-// record records a component of mechanism id from src; id -1, a component
-// with no effect, records nothing.
-func (mg *merger) record(id int32, src uint32) {
-	if id >= 0 {
-		mg.folds = append(mg.folds, mechFold{mech: id, src: src})
+// count tallies one component of mechanism id for the next flush; id -1, a
+// component with no effect, counts nothing.
+func (mg *merger) count(id int32) {
+	if id < 0 {
+		return
 	}
+	if mg.tally[id] == 0 {
+		mg.touched = append(mg.touched, id)
+	}
+	mg.tally[id]++
+}
+
+// flush records the tallied components as src's: one record per
+// mechanism, with its count.
+func (mg *merger) flush(src uint32) {
+	for _, id := range mg.touched {
+		mg.folds = append(mg.folds, mechFold{mech: id, src: src, n: mg.tally[id]})
+		mg.tally[id] = 0
+	}
+	mg.touched = mg.touched[:0]
 }
 
 // id returns the number of the mechanism with signature (dets, obs),
@@ -686,6 +767,7 @@ func (mg *merger) id(dets []int32, obs bool) int32 {
 			mg.table[i] = id + 1
 			mg.hashes = append(mg.hashes, h)
 			mg.mechs = append(mg.mechs, mg.dets.add(dets, obs))
+			mg.tally = append(mg.tally, 0)
 			if 2*len(mg.mechs) > len(mg.table) {
 				mg.grow()
 			}
@@ -777,7 +859,8 @@ func (mg *merger) emit(dem *DEM) []int32 {
 // contributions in fold order, each fold's source decoded into its
 // contribution. Single-qubit contributions name their qubit twice and the
 // correlated pair names the never-overridden slot nQubits, so one rate
-// rule serves every kind (DEM.fold).
+// rule serves every kind (DEM.fold). Each fold becomes one contribution
+// entry, a run of the components its source gives its mechanism.
 func (mg *merger) plan(rank []int32, walked int, ops []flatOp, nData, nQubits int) (mechOff []int32, contribs []planContrib) {
 	folds := mg.folds
 	n := len(rank)
@@ -796,21 +879,22 @@ func (mg *merger) plan(rank []int32, walked int, ops []flatOp, nData, nQubits in
 			j = walked - 1 - j
 		}
 		f := folds[j]
-		var c planContrib
+		c := planContrib{n: f.n}
 		switch {
 		case f.src&srcCorr != 0:
-			c = planContrib{kind: contribCorr, a: unset, b: unset, round: ops[f.src&^srcCorr].round}
+			c.kind, c.a, c.b, c.round = contribCorr, unset, unset, ops[f.src&^srcCorr].round
 		case f.src < nOps:
 			op := ops[f.src]
+			c.round = op.round
 			if op.kind == opCX {
-				c = planContrib{kind: contribCX, a: op.a, b: op.b, round: op.round}
+				c.kind, c.a, c.b = contribCX, op.a, op.b
 			} else {
-				c = planContrib{kind: contribMeasReset, a: op.a, b: op.a, round: op.round}
+				c.kind, c.a, c.b = contribMeasReset, op.a, op.a
 			}
 		default:
 			slot := int(f.src - nOps)
 			qi := int32(slot % nData)
-			c = planContrib{kind: contribIdle, a: qi, b: qi, round: int16(slot / nData)}
+			c.kind, c.a, c.b, c.round = contribIdle, qi, qi, int16(slot/nData)
 		}
 		r := rank[f.mech]
 		contribs[next[r]] = c

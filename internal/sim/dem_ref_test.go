@@ -504,7 +504,13 @@ func requireMatchesReference(t *testing.T, tc demCase) {
 		var pos []planContrib
 		for _, c := range core.contribs[core.mechOff[mi]:core.mechOff[mi+1]] {
 			if !(refContribRate(modelAt(int(c.round)), core.coords, c) <= 0) {
-				pos = append(pos, c)
+				// The reference lists each contribution on its own, with
+				// no run length: expand the run.
+				one := c
+				one.n = 0
+				for range c.n {
+					pos = append(pos, one)
+				}
 			}
 		}
 		if len(pos) == 0 {

@@ -78,11 +78,35 @@ func TestBuildDEMAllocs(t *testing.T) {
 	}
 }
 
+// TestStructureHitAllocs pins the cost of a build served from the
+// process-wide structure cache, as DEMCache misses and Patcher.Variant's
+// full builds are once their structure is cached: no enumeration, only
+// the fold's objects — the DEM and its plan, the probability vector and
+// the two halves of the model's resolved rate table, 5 allocations with
+// Go 1.24 (6 under -race) — against about 270 for a d=5, 8-round
+// enumeration (TestBuildDEMAllocs).
+func TestStructureHitAllocs(t *testing.T) {
+	c := freshCode(t, 5)
+	model := noise.Uniform(1e-3)
+	if _, err := buildCached(c, model, 8, lattice.ZCheck); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := buildCached(c, model, 8, lattice.ZCheck); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6 {
+		t.Errorf("a build of a cached d=5, 8-round structure allocates %.0f, want <= 6", allocs)
+	}
+}
+
 var benchDEM *DEM
 
 // BenchmarkBuildDEM times one full build of a fresh code's memory-Z DEM
-// with the backward pass ("new") and with the forward reference
-// enumeration ("ref"), so one run gives the speed-up at each size.
+// with the backward pass ("new"), from the process-wide structure cache
+// ("cached": a hit, the fold alone) and with the forward reference
+// enumeration ("ref"), so one run gives the speed-ups at each size.
 func BenchmarkBuildDEM(b *testing.B) {
 	for _, sz := range []struct{ d, rounds int }{{5, 8}, {9, 16}} {
 		c := code.FromPatch(lattice.NewPatch(lattice.Coord{}, sz.d))
@@ -93,6 +117,7 @@ func BenchmarkBuildDEM(b *testing.B) {
 			build func() (*DEM, error)
 		}{
 			{"new", func() (*DEM, error) { return BuildDEM(c, model, sz.rounds, lattice.ZCheck) }},
+			{"cached", func() (*DEM, error) { return buildCached(c, model, sz.rounds, lattice.ZCheck) }},
 			{"ref", func() (*DEM, error) {
 				dem, _, err := refBuildDEM(c, modelAt, sz.rounds, lattice.ZCheck)
 				return dem, err

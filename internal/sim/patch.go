@@ -37,18 +37,24 @@ const (
 // kindShare divides a kind's rate among its Paulis.
 var kindShare = [4]float64{contribMeasReset: 1, contribCX: 15, contribCorr: 2, contribIdle: 3}
 
-// planContrib is one elementary fault contribution to a merged mechanism.
+// planContrib is a run of n equal elementary fault contributions to a
+// merged mechanism: the components one fault source gives it, such as the
+// Paulis of one CX that share a signature, all of one kind on the same
+// sites in the same round.
 type planContrib struct {
 	a, b  int32 // dense qubit indices (planCore.qIdx)
+	n     int32
 	round int16
 	kind  uint16
 }
 
 // planCore is the rate-free fault structure of one (code, rounds, basis,
 // correlated) enumeration. It is shared by every DEM folded or patched
-// from it, which lets consumers (decoder.GraphFrom) recognize structural
-// identity by pointer: two DEMs with the same core have identical NumDets,
-// identical Mechs, and differ only in P.
+// from it — and, through the process-wide structure cache, by every build
+// of the same structure key that DEMCache or Patcher.Variant made while
+// the key stayed cached — which lets consumers (decoder.GraphFrom)
+// recognize structural identity by pointer: two DEMs with the same core
+// have identical NumDets, identical Mechs, and differ only in P.
 type planCore struct {
 	coords []lattice.Coord
 	qIdx   map[lattice.Coord]int32
@@ -56,7 +62,7 @@ type planCore struct {
 	correlated bool
 
 	// contribs, CSR-indexed by mechOff, lists each mechanism's
-	// contributions in fold order.
+	// contributions in fold order, one entry per run of equal ones.
 	mechOff  []int32
 	contribs []planContrib
 
@@ -118,11 +124,13 @@ func (pc *planCore) resolve(t *rateTable, m *noise.Model) {
 // into d.P from contribs, the plan's contributions or a phased build's
 // re-pointed copy of them, under t: a mechanism's probability is the XOR
 // fold p ⊕ q = p + q − 2pq, in order, of its contributions'
-// probabilities. A zero probability leaves q as it is, as long as q is
-// finite — which every fold of rates up to 1 keeps it — so folding it
-// equals skipping it, with no branch in the loop. A mechanism with no
-// positive probability is dropped, and with it the plan, since the
-// mechanism list no longer follows the core.
+// probabilities, a run's p rated once and folded once per repeat, so the
+// float operations are those of folding each contribution in turn. A zero
+// probability leaves q as it is, as long as q is finite — which every fold
+// of rates up to 1 keeps it — so folding it equals skipping it, with no
+// branch in the loop. A mechanism with no positive probability (rates are
+// never negative, so a zero sum) is dropped, and with it the plan, since
+// the mechanism list no longer follows the core.
 func (d *DEM) fold(mis []int32, contribs []planContrib, t *rateTable) {
 	off, over, scalar, ps := d.plan.core.mechOff, t.over, t.scalar, d.P
 	n := len(mis)
@@ -138,7 +146,9 @@ func (d *DEM) fold(mis []int32, contribs []planContrib, t *rateTable) {
 		q, sum := 0.0, 0.0
 		for _, c := range contribs[off[mi]:off[mi+1]] {
 			p := noise.GateRate(over[c.a], over[c.b], scalar[c.kind]) / kindShare[c.kind&3]
-			q = q + p - 2*q*p
+			for range c.n {
+				q = q + p - 2*q*p
+			}
 			sum += p
 		}
 		if sum == 0 {
@@ -225,8 +235,11 @@ func (pc *planCore) buildSiteIndex() {
 }
 
 // SamePatchCore reports whether two DEMs share mechanism/detector structure
-// by construction — i.e. one was patched from the other (or both from a
-// common base) and they differ only in mechanism probabilities.
+// by construction and differ only in mechanism probabilities: one was
+// patched from the other, both from a common base, or both were folded
+// from one cached structure (independent DEMCache or Patcher.Variant
+// builds of one structure key share its core, so decoder.GraphFrom may
+// refold between them).
 func SamePatchCore(a, b *DEM) bool {
 	return a != nil && b != nil && a.plan != nil && b.plan != nil && a.plan.core == b.plan.core
 }
@@ -252,14 +265,16 @@ type Patcher struct {
 // only when the codes are structurally identical: a bandage
 // (super-stabilizer merge) or a removal changes the mechanism set itself,
 // while a code rebuilt as a separate object with the same fingerprint
-// (a recovery back to an earlier shape) patches. Nothing is cached.
+// (a recovery back to an earlier shape) patches. A full build takes its
+// fault structure from the process-wide structure cache, so it folds
+// without enumerating when the structure is cached; no DEM is cached.
 func (pt *Patcher) Variant(base *DEM, c *code.Code, model *noise.Model, rounds int, basis lattice.CheckType) (*DEM, error) {
 	if base != nil && base.plan != nil && base.plan.code == c.Fingerprint() {
 		if dem, ok := pt.Patch(base, model); ok {
 			return dem, nil
 		}
 	}
-	return BuildDEM(c, model, rounds, basis)
+	return buildCached(c, model, rounds, basis)
 }
 
 // Patch returns a DEM equal (value-identical, per the equivalence suite) to

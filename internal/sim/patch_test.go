@@ -252,7 +252,9 @@ func TestDEMPatchLowerOverrideMatchesBuild(t *testing.T) {
 // previous patch, must equal the forward reference refBuildDEM bit for
 // bit, as must BuildDEM; Patch may refuse only a planless DEM — one whose
 // fold dropped a mechanism — or a correlated model on a base enumerated
-// without the pair.
+// without the pair. Each model is also built through the process-wide
+// structure cache, by Patcher.Variant with no base, twice (the second a
+// structure hit), and both builds must equal BuildDEM's.
 func FuzzPatchMatchesBuild(f *testing.F) {
 	f.Add(int64(1), 3, uint8(0), 4)
 	f.Add(int64(2), 5, uint8(1), 8)
@@ -291,6 +293,13 @@ func FuzzPatchMatchesBuild(f *testing.F) {
 			}
 			ctx := fmt.Sprintf("d=%d basis %v rounds %d step %d", d, b, rounds, step)
 			demValuesEqual(t, full, want, ctx+"/full")
+			for leg := range 2 {
+				cached, err := pt.Variant(nil, c, model, rounds, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				demValuesEqual(t, cached, full, fmt.Sprintf("%s/cached %d", ctx, leg))
+			}
 			next := base
 			for _, from := range []*DEM{base, prev} {
 				got, ok := pt.Patch(from, model)

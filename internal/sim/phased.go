@@ -39,7 +39,7 @@ func BuildPhasedDEM(c *code.Code, phases []Phase, basis lattice.CheckType) (*DEM
 			return nil, fmt.Errorf("sim: phase %d has no model", i)
 		}
 	}
-	dem, err := build(c, phases, basis)
+	dem, err := build(c, phases, basis, enumerate)
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,8 @@ var hotCacheLimit = 256
 // the shared cache's working set, and is the table's own: deformed-code
 // nominals, and the sample and decode variants patched from a chunk's
 // nominal. Their graphs are folded from the nominal's skeleton
-// (decoder.GraphFrom) and never enter the process-wide graph cache. Only
+// (decoder.GraphFrom) and die with the table; only a shared entry's graph
+// lives on its DEM (decoder.SharedGraph). Only
 // the table's own entries count toward hotCacheLimit, and a lookup of a
 // key held only as a shared entry (a code recovered to the pristine shape)
 // is a miss; it adopts the shared entry's objects instead of building
@@ -98,8 +99,8 @@ func (t *modelTable) own(base *sim.DEM, c *code.Code, model *noise.Model, rounds
 // per-trajectory scratch, so every DEM the table builds gets one.
 func owned(m *noise.Model) *noise.Model { return m.OverlaySiteRates(nil) }
 
-// graphOf returns the entry's decoding graph: a shared entry's from the
-// process-wide cache, the graph of nom — the chunk's nominal entry — in
+// graphOf returns the entry's decoding graph: a shared entry's from its
+// DEM (decoder.SharedGraph), the graph of nom — the chunk's nominal entry — in
 // full, and any other entry's folded from the skeleton of nom's.
 func (e *tableEntry) graphOf(nom *tableEntry) *decoder.Graph {
 	switch {
