@@ -184,7 +184,6 @@ func (c *Code) DataQubits() []lattice.Coord {
 		out = append(out, q)
 	}
 	lattice.SortCoords(out)
-	out = slices.Clip(out)
 	c.dataQubits.Store(&out)
 	return out
 }

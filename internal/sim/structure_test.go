@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"surfdeformer/internal/code"
@@ -177,5 +178,73 @@ func TestStructureCacheBound(t *testing.T) {
 	}
 	if a == b || tiny.bytes != 0 || len(tiny.entries) != 0 {
 		t.Errorf("a structure over the whole bound was cached: same structure twice %v, %d bytes, %d entries", a == b, tiny.bytes, len(tiny.entries))
+	}
+}
+
+// TestStructureCacheConcurrent folds DEMs through one small structure
+// cache from 8 goroutines at once, over 8 keys of which the bound holds
+// about three, so lookups, enumerations and evictions interleave: every
+// DEM must equal BuildDEM's, and afterwards the cache must count exactly
+// the bytes of the structures it holds, within its bound. Run it with
+// -race.
+func TestStructureCacheConcurrent(t *testing.T) {
+	c := freshCode(t, 3)
+	model := noise.Uniform(2e-3)
+	type key struct {
+		rounds int
+		basis  lattice.CheckType
+	}
+	var keys []key
+	want := map[key]*DEM{}
+	for rounds := 2; rounds <= 5; rounds++ {
+		for _, basis := range []lattice.CheckType{lattice.ZCheck, lattice.XCheck} {
+			k := key{rounds, basis}
+			dem, err := BuildDEM(c, model, rounds, basis)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys, want[k] = append(keys, k), dem
+		}
+	}
+	probe, err := enumerate(c, 5, lattice.ZCheck, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := newStructCache(3 * structBytes(structKey{code: c.Fingerprint(), rounds: 5, basis: lattice.ZCheck}, probe))
+	type result struct {
+		k   key
+		dem *DEM
+		err error
+	}
+	got := make([][]result, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for range 40 {
+				k := keys[rng.Intn(len(keys))]
+				dem, err := buildModel(c, model, k.rounds, k.basis, sc.get)
+				got[g] = append(got[g], result{k, dem, err})
+			}
+		}()
+	}
+	wg.Wait()
+	for g, rs := range got {
+		for i, r := range rs {
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			demValuesEqual(t, r.dem, want[r.k], fmt.Sprintf("goroutine %d lookup %d (rounds %d, %v)", g, i, r.k.rounds, r.k.basis))
+		}
+	}
+	counted := 0
+	for el := sc.lru.Front(); el != nil; el = el.Next() {
+		counted += el.Value.(*structEntry).bytes
+	}
+	if sc.bytes != counted || sc.bytes > sc.limit || len(sc.entries) != sc.lru.Len() {
+		t.Errorf("cache counts %d bytes over %d keys (%d indexed), its structures %d, bound %d",
+			sc.bytes, sc.lru.Len(), len(sc.entries), counted, sc.limit)
 	}
 }
